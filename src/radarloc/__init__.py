@@ -8,7 +8,6 @@ Subpackages:
 * :mod:`radarloc.mapping` - log-odds occupancy grids, query and global maps
 * :mod:`radarloc.matching` - coarse-to-fine registration of query maps
 * :mod:`radarloc.evaluation` - drift and match-error statistics
-* :mod:`radarloc.cli` - command-line entry point
 """
 
 __version__ = "0.1.0"

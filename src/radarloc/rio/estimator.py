@@ -44,6 +44,13 @@ class EstimatorDivergence(RuntimeError):
 
 @dataclass
 class OdometryOutput:
+    """One estimate per processed radar step.
+
+    ``q``, ``v`` and ``p`` are in the IMU frame of the first processed
+    step, not the world frame: the estimator starts there at identity
+    orientation and zero position. ``v`` is the IMU-frame velocity.
+    """
+
     t: float
     q: np.ndarray
     v: np.ndarray
@@ -64,7 +71,7 @@ class OdometryOutput:
 class StepDiagnostics:
     detections: int = 0
     inliers: int = 0
-    landmark_factors: int = 0
+    heading_matches: int = 0  # matched bearings behind this step's heading factor
     ransac_reason: str = ""
     optimize_iterations: int = 0
     marginalization_regularized: bool = False
@@ -86,6 +93,11 @@ class RioEstimator:
         self._imu_a: list[np.ndarray] = []
         self._imu_w: list[np.ndarray] = []
         self._last_t: float | None = None
+
+    @property
+    def last_imu_time(self) -> float | None:
+        """Time of the newest IMU sample fed, or None before the first."""
+        return self._imu_t[-1] if self._imu_t else None
 
     # ------------------------------------------------------------------
     def add_imu(self, t: float, accel: np.ndarray, gyro: np.ndarray) -> None:
@@ -258,7 +270,7 @@ class RioEstimator:
             detections_imu = self._detections_imu(scans, result.inlier_mask, pooled)
             entry.landmarks = self._landmark_block(detections_imu, t, x_pred, t_oi_prov)
             if entry.landmarks is not None:
-                diag.landmark_factors = len(entry.landmarks.bearings)
+                diag.heading_matches = len(entry.landmarks.bearings)
 
         last_entry.preint_to_next = pre
         last_entry.imu_sqrt_info = None
@@ -292,19 +304,13 @@ class RioEstimator:
         )
 
 
-def run_odometry(
-    sensor_log: SensorLog,
-    cfg: RunConfig,
-    extrinsics=None,
-    collect_step_seconds: list[float] | None = None,
-) -> list[OdometryOutput]:
+def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list[OdometryOutput]:
     """Replay a sensor log through the estimator.
 
-    Scan groups without full IMU coverage (before the first or after the
-    last IMU sample) are skipped with a warning.
+    Outputs are in the IMU frame of the first processed step (see
+    ``OdometryOutput``). Scan groups without full IMU coverage (before the
+    first or after the last IMU sample) are skipped with a warning.
     """
-    import time as _time
-
     if extrinsics is None:
         extrinsics = rig_from_dict(cfg.rig).extrinsics
     if sensor_log.imu is None or len(sensor_log.imu) < 2:
@@ -318,14 +324,11 @@ def run_odometry(
         while fed < len(imu) and imu.t[fed] <= t + 1e-12:
             est.add_imu(imu.t[fed], imu.accel[fed], imu.gyro[fed])
             fed += 1
-        covered = (imu.t[0] <= t + 1e-9) and (fed > 0 and est._imu_t[-1] >= t - 1e-9)
+        covered = imu.t[0] <= t + 1e-9 and fed > 0 and est.last_imu_time >= t - 1e-9
         if not covered or (est._last_t is not None and est._last_t >= t):
             skipped += 1
             continue
-        start = _time.perf_counter()
         outputs.append(est.process_scans(t, scans))
-        if collect_step_seconds is not None:
-            collect_step_seconds.append(_time.perf_counter() - start)
     if skipped:
         log.warning("skipped %d scan groups without IMU coverage", skipped)
     return outputs

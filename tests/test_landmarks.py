@@ -1,14 +1,43 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from radarloc.config import LandmarkParams
-from radarloc.geometry import DegenerateBearingError
+from radarloc.geometry import DegenerateBearingError, wrap_angle
 from radarloc.rio.landmarks import (
+    BLOCK_ROWS,
     LandmarkTracker,
     associate,
     polar_distance,
     polar_distance_matrix,
 )
+
+
+def at_bearings(bearings, ranges, z=0.0):
+    bearings = np.asarray(bearings, dtype=float)
+    ranges = np.broadcast_to(ranges, bearings.shape)
+    return np.column_stack(
+        [ranges * np.cos(bearings), ranges * np.sin(bearings), np.full(bearings.shape, z)]
+    )
+
+
+def reference_associate(detections, landmarks, range_weight, gate):
+    """The assignment over the wrap_angle / np.hypot cost matrix, gated afterwards."""
+    phi_d = np.arctan2(detections[:, 1], detections[:, 0])
+    phi_l = np.arctan2(landmarks[:, 1], landmarks[:, 0])
+    r_d = np.linalg.norm(detections, axis=1)
+    r_l = np.linalg.norm(landmarks, axis=1)
+    dphi = wrap_angle(phi_d[:, None] - phi_l[None, :])
+    cost = np.hypot(range_weight * dphi, r_d[:, None] - r_l[None, :])
+    cost[np.hypot(detections[:, 0], detections[:, 1]) < 1e-9, :] = np.inf
+    cost[:, np.hypot(landmarks[:, 0], landmarks[:, 1]) < 1e-9] = np.inf
+    rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 1e9))
+    return [
+        (int(r), int(c), float(cost[r, c]))
+        for r, c in zip(rows, cols)
+        if np.isfinite(cost[r, c]) and cost[r, c] < gate
+    ]
 
 
 class TestPolarDistance:
@@ -30,13 +59,31 @@ class TestPolarDistance:
             polar_distance(np.zeros(3), np.array([1.0, 0.0, 0.0]), 5.0)
 
     def test_matrix_matches_scalar(self):
+        # more rows than one block, and bearings within 1e-6 of +-pi on both
+        # sides of the seam (including atan2(-0.0, -x) = -pi)
         rng = np.random.default_rng(0)
-        dets = rng.uniform(-20, 20, size=(6, 3))
-        lms = rng.uniform(-20, 20, size=(4, 3))
+        seam = np.pi - np.array([0.0, 1e-12, 1e-9, 1e-6])
+        seam_points = np.vstack(
+            [at_bearings(seam, 12.0), at_bearings(-seam, 12.5), [[-8.0, -0.0, 0.5]]]
+        )
+        dets = np.vstack([rng.uniform(-20, 20, size=(BLOCK_ROWS + 3, 3)), seam_points])
+        lms = np.vstack([rng.uniform(-20, 20, size=(4, 3)), seam_points])
         M = polar_distance_matrix(dets, lms, 5.0)
-        for i in range(6):
-            for j in range(4):
+        assert M.shape == (len(dets), len(lms))
+        for i in range(len(dets)):
+            for j in range(len(lms)):
                 assert M[i, j] == pytest.approx(polar_distance(dets[i], lms[j], 5.0), abs=1e-12)
+
+    def test_matrix_degenerate_rows_and_columns(self):
+        # on the z axis, or with a non-finite coordinate
+        dets = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0], [-5.0, 1.0, 1.0], [1.0, np.nan, 0.0]])
+        lms = np.array([[0.0, 0.0, -1.0], [4.0, 3.0, 0.0]])
+        M = polar_distance_matrix(dets, lms, 5.0)
+        assert np.all(np.isinf(M[[1, 3], :])) and np.all(np.isinf(M[:, 0]))
+        for i in (0, 2):
+            assert M[i, 1] == pytest.approx(polar_distance(dets[i], lms[1], 5.0), abs=1e-12)
+        matches, unmatched = associate(dets, lms, 5.0, gate=100.0)
+        assert [(r, c) for r, c, _ in matches] == [(0, 1)] and unmatched == [1, 2, 3]
 
     def test_bearing_wrap(self):
         a = np.array([-10.0, 0.01, 0.0])
@@ -72,6 +119,53 @@ class TestAssociation:
         cost = np.array([[1.0, 2.0], [2.0, 10.0]])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].sum() == pytest.approx(4.0)
+
+    def test_dense_assignment_then_gate(self):
+        # one bearing: landmarks at 10.0 and 10.85, detections at 9.4 and
+        # 10.4. The dense optimum pairs (9.4, 10.0) at 0.6 and (10.4, 10.85)
+        # at 0.45; the gate then drops the first. Gating first would leave
+        # detection 1 as the only candidate and pair it with landmark 0 at 0.4.
+        dets = at_bearings([0.3, 0.3], [9.4, 10.4])
+        lms = at_bearings([0.3, 0.3], [10.0, 10.85])
+        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
+        assert [(r, c) for r, c, _ in matches] == [(1, 1)]
+        assert matches[0][2] == pytest.approx(0.45, abs=1e-12)
+        assert unmatched == [0]
+
+    def test_matches_reference_on_wall_scene(self):
+        # a scene like the benchmark drives: evenly spaced wall points (0.8 m
+        # against the 0.5 m gate), points on both sides of the bearing seam,
+        # clutter, and one point on the z axis in each set; the detections
+        # re-observe most landmarks with noise under a small pose error
+        rng = np.random.default_rng(7)
+        along = np.arange(-24.0, 24.0, 0.8)
+        walls = np.vstack(
+            [
+                np.column_stack([along, np.full_like(along, 9.0), np.zeros_like(along)]),
+                np.column_stack([along, np.full_like(along, -7.5), np.zeros_like(along)]),
+                np.column_stack([np.full_like(along, -18.0), 0.3 * along, np.zeros_like(along)]),
+                np.column_stack([np.full_like(along, 21.0), 0.3 * along, np.zeros_like(along)]),
+            ]
+        )
+        seam = at_bearings(np.pi - rng.uniform(-1e-3, 1e-3, 30), rng.uniform(5.0, 30.0, 30))
+        clutter = rng.uniform(-30.0, 30.0, size=(60, 3))
+        lms = np.vstack([walls, seam, clutter, [[0.0, 0.0, 1.0]]])
+        yaw = 0.01
+        R = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0, 0, 1]])
+        seen = rng.choice(len(lms) - 1, size=260, replace=False)
+        reobserved = (lms[seen] - [0.1, 0.05, 0.0]) @ R.T + rng.normal(scale=0.05, size=(260, 3))
+        new = rng.uniform(-30.0, 30.0, size=(40, 3))
+        dets = rng.permutation(np.vstack([reobserved, new, [[0.0, 0.0, -2.0]]]))
+        assert len(dets) > 2 * BLOCK_ROWS and 300 <= len(lms) <= 400
+
+        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
+        expected = reference_associate(dets, lms, 5.0, 0.5)
+        assert [(r, c) for r, c, _ in matches] == [(r, c) for r, c, _ in expected]
+        for got, want in zip(matches, expected):
+            assert got[2] == pytest.approx(want[2], abs=1e-12)
+        matched = {r for r, _, _ in expected}
+        assert unmatched == [i for i in range(len(dets)) if i not in matched]
+        assert len(matches) > 200
 
     def test_far_detection_unmatched(self):
         matches, unmatched = associate(
