@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Invalid configuration file or parameter value."""
@@ -69,78 +67,6 @@ class PriorParams:
 
 
 @dataclass
-class OgmParams:
-    resolution: float = 0.2  # m
-    p_hit: float = 0.7
-    p_miss: float = 0.4
-    occupied_threshold: float = 0.7
-    clamp_min: float = 0.12
-    clamp_max: float = 0.97
-
-    @property
-    def logodds_hit(self) -> float:
-        return float(np.log(self.p_hit / (1.0 - self.p_hit)))
-
-    @property
-    def logodds_miss(self) -> float:
-        return float(np.log(self.p_miss / (1.0 - self.p_miss)))
-
-    @property
-    def logodds_clamp(self) -> tuple[float, float]:
-        return (
-            float(np.log(self.clamp_min / (1.0 - self.clamp_min))),
-            float(np.log(self.clamp_max / (1.0 - self.clamp_max))),
-        )
-
-    @property
-    def logodds_occupied(self) -> float:
-        return float(np.log(self.occupied_threshold / (1.0 - self.occupied_threshold)))
-
-
-@dataclass
-class QueryMapParams:
-    box_size: float = 40.0  # m, side of the axis-aligned crop around the robot
-    z_extent: float = 3.0  # m above/below the robot kept in the query map
-
-
-@dataclass
-class GlobalMapParams:
-    chunk_cells: int = 80  # chunk side in cells; 80 * 0.2 m = 16 m tiles
-    insert_stride: int = 1  # use every n-th logged scan when building
-
-
-@dataclass
-class SearchSpec:
-    yaw_range: float = np.pi / 2.0  # searched yaw window, +/- about the prior
-    trans_range: float = 5.0  # m, +/- about the prior, x and y
-    yaw_step: float = np.deg2rad(1.0)
-    pyramid_levels: int = 4
-    k_candidates: int = 8
-
-
-@dataclass
-class IcpParams:
-    max_iterations: int = 20
-    correspondence_radius: float = 0.6  # m
-    tol: float = 1e-3  # stop when the mean residual changes less than this
-
-
-@dataclass
-class MatchParams:
-    inlier_dist: float = 0.3  # m, d in the inlier-count score
-    score_threshold_ratio: float = 0.35  # success needs score >= ratio * |query|
-    min_query_points: int = 30
-    chunk_radius_margin: float = 5.0  # m added to the chunk-fetch radius
-    full: SearchSpec = field(default_factory=SearchSpec)
-    tracking: SearchSpec = field(
-        default_factory=lambda: SearchSpec(
-            yaw_range=np.pi / 4.0, trans_range=1.0, pyramid_levels=2
-        )
-    )
-    icp: IcpParams = field(default_factory=IcpParams)
-
-
-@dataclass
 class AblationParams:
     single_sensor: bool = False
     disable_heading_constraint: bool = False
@@ -149,17 +75,12 @@ class AblationParams:
 @dataclass
 class RunConfig:
     seed: int = 0
-    match_period: float = 1.0  # s between localization attempts
     ransac: RansacParams = field(default_factory=RansacParams)
     imu: ImuParams = field(default_factory=ImuParams)
     doppler: DopplerFactorParams = field(default_factory=DopplerFactorParams)
     landmark: LandmarkParams = field(default_factory=LandmarkParams)
     window: WindowParams = field(default_factory=WindowParams)
     prior: PriorParams = field(default_factory=PriorParams)
-    ogm: OgmParams = field(default_factory=OgmParams)
-    query_map: QueryMapParams = field(default_factory=QueryMapParams)
-    global_map: GlobalMapParams = field(default_factory=GlobalMapParams)
-    match: MatchParams = field(default_factory=MatchParams)
     ablation: AblationParams = field(default_factory=AblationParams)
     rig: dict = field(default_factory=dict)  # forwarded to sim.rig_from_dict
 
@@ -167,7 +88,6 @@ class RunConfig:
 # (lo, hi, inclusive_lo, inclusive_hi) per dotted parameter path
 PARAMETER_RANGES: dict[str, tuple[float, float, bool, bool]] = {
     "seed": (0, 2**63 - 1, True, True),
-    "match_period": (0.0, 3600.0, False, True),
     "ransac.iterations": (1, 100000, True, True),
     "ransac.inlier_threshold": (0.0, 10.0, False, True),
     "ransac.min_inliers": (3, 100000, True, True),
@@ -195,33 +115,6 @@ PARAMETER_RANGES: dict[str, tuple[float, float, bool, bool]] = {
     "prior.sigma_velocity": (0.0, 100.0, False, True),
     "prior.sigma_accel_bias": (0.0, 100.0, False, True),
     "prior.sigma_gyro_bias": (0.0, 100.0, False, True),
-    "ogm.resolution": (0.0, 10.0, False, True),
-    "ogm.p_hit": (0.5, 1.0, False, False),
-    "ogm.p_miss": (0.0, 0.5, False, False),
-    "ogm.occupied_threshold": (0.5, 1.0, False, False),
-    "ogm.clamp_min": (0.0, 0.5, False, False),
-    "ogm.clamp_max": (0.5, 1.0, False, False),
-    "query_map.box_size": (1.0, 1000.0, True, True),
-    "query_map.z_extent": (0.0, 100.0, False, True),
-    "global_map.chunk_cells": (1, 100000, True, True),
-    "global_map.insert_stride": (1, 1000, True, True),
-    "match.inlier_dist": (0.0, 100.0, False, True),
-    "match.score_threshold_ratio": (0.0, 1.0, False, True),
-    "match.min_query_points": (1, 1000000, True, True),
-    "match.chunk_radius_margin": (0.0, 1000.0, True, True),
-    "match.full.yaw_range": (0.0, np.pi, False, True),
-    "match.full.trans_range": (0.0, 1000.0, False, True),
-    "match.full.yaw_step": (0.0, np.pi, False, True),
-    "match.full.pyramid_levels": (1, 16, True, True),
-    "match.full.k_candidates": (1, 10000, True, True),
-    "match.tracking.yaw_range": (0.0, np.pi, False, True),
-    "match.tracking.trans_range": (0.0, 1000.0, False, True),
-    "match.tracking.yaw_step": (0.0, np.pi, False, True),
-    "match.tracking.pyramid_levels": (1, 16, True, True),
-    "match.tracking.k_candidates": (1, 10000, True, True),
-    "match.icp.max_iterations": (1, 10000, True, True),
-    "match.icp.correspondence_radius": (0.0, 1000.0, False, True),
-    "match.icp.tol": (0.0, 10.0, False, True),
 }
 
 
@@ -260,10 +153,6 @@ def _check_ranges(cfg: RunConfig) -> None:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     _check_ranges(cfg)
-    if not (cfg.ogm.clamp_min < 0.5 < cfg.ogm.clamp_max):
-        raise ConfigError("log-odds clamp bounds must straddle 0.5")
-    if not (cfg.ogm.occupied_threshold < cfg.ogm.clamp_max):
-        raise ConfigError("ogm.occupied_threshold must be below ogm.clamp_max")
     if not isinstance(cfg.ablation.single_sensor, bool):
         raise ConfigError("ablation.single_sensor must be a bool")
     if not isinstance(cfg.ablation.disable_heading_constraint, bool):

@@ -12,6 +12,9 @@ Conventions, fixed here once for the whole project:
 * Local orientation increments are right-multiplied (body frame):
   ``retract(q, dtheta) = q * quat_exp(dtheta)``.
 * Angles are always wrapped to ``(-pi, pi]``.
+* The quaternion and SO(3) helpers also take stacks along a leading axis:
+  (n, 4) quaternions and (n, 3) vectors give (n, 4), (n, 3) and (n, 3, 3)
+  results, so the window evaluates all its factors of one kind at once.
 """
 
 from __future__ import annotations
@@ -28,9 +31,25 @@ class DegenerateBearingError(ValueError):
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Return the 3x3 matrix S with S @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Return the 3x3 matrix S with S @ w == cross(v, w); (n, 3) gives (n, 3, 3)."""
+    x, y, z = np.asarray(v, dtype=float).T
+    o = 0.0 * x
+    return _matrix([[o, -z, y], [z, o, -x], [-y, x, o]])
+
+
+def _matrix(rows) -> np.ndarray:
+    """Matrix, or stack of matrices, from rows of components unpacked from ``a.T``.
+
+    ``a.T`` puts the component axis first and reverses the leading axes;
+    ``.T`` undoes both and ``swapaxes`` restores the row layout, so that a
+    single matrix comes out C-contiguous as if built directly.
+    """
+    return np.array(rows).T.swapaxes(-1, -2)
+
+
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for one matrix and vector or for stacks of them."""
+    return (M @ x[..., None])[..., 0]
 
 
 def wrap_angle(a):
@@ -48,14 +67,12 @@ def bearing(p: np.ndarray) -> float:
     return float(np.arctan2(y, x))
 
 
-def bearings_xy(points: np.ndarray) -> np.ndarray:
-    """Vectorized ``bearing`` over an (n, 3) array; caller filters degenerates."""
-    return np.arctan2(points[:, 1], points[:, 0])
-
-
 # ---------------------------------------------------------------------------
 # quaternions
 # ---------------------------------------------------------------------------
+
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_identity() -> np.ndarray:
@@ -63,26 +80,31 @@ def quat_identity() -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
+    """Unit quaternion(s); a near-zero input maps to the identity."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n < _SMALL_ANGLE:
-        return quat_identity()
-    return q / n
+    if q.ndim == 1:  # one quaternion: no masks
+        n = np.linalg.norm(q)
+        if n < _SMALL_ANGLE:
+            return quat_identity()
+        return q / n
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    tiny = n < _SMALL_ANGLE
+    return np.where(tiny, quat_identity(), q / np.where(tiny, 1.0, n))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip sign so w >= 0; q and -q are the same rotation."""
-    return -q if q[0] < 0.0 else q
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return q * _CONJ
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b (not normalized)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    aw, ax, ay, az = np.asarray(a).T
+    bw, bx, by, bz = np.asarray(b).T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -90,13 +112,13 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
 def quat_left_mat(q: np.ndarray) -> np.ndarray:
     """4x4 matrix L with L(q) @ p == quat_mul(q, p)."""
-    w, x, y, z = q
-    return np.array(
+    w, x, y, z = np.asarray(q).T
+    return _matrix(
         [
             [w, -x, -y, -z],
             [x, w, -z, y],
@@ -108,8 +130,8 @@ def quat_left_mat(q: np.ndarray) -> np.ndarray:
 
 def quat_right_mat(q: np.ndarray) -> np.ndarray:
     """4x4 matrix R with R(q) @ p == quat_mul(p, q)."""
-    w, x, y, z = q
-    return np.array(
+    w, x, y, z = np.asarray(q).T
+    return _matrix(
         [
             [w, -x, -y, -z],
             [x, w, z, -y],
@@ -119,16 +141,12 @@ def quat_right_mat(q: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_to_matrix(q) @ v
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q).T
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
+    return _matrix(
         [
             [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
             [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
@@ -171,12 +189,19 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
-    """Map a rotation vector to a unit quaternion."""
-    angle = np.linalg.norm(rotvec)
-    if angle < _SMALL_ANGLE:
-        q = np.concatenate([[1.0], 0.5 * rotvec])
-        return quat_normalize(q)
-    return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rotvec / angle])
+    """Map rotation vector(s) to unit quaternion(s)."""
+    rotvec = np.asarray(rotvec, dtype=float)
+    if rotvec.ndim == 1:  # one vector: no masks
+        angle = np.linalg.norm(rotvec)
+        if angle < _SMALL_ANGLE:
+            return quat_normalize(np.concatenate([[1.0], 0.5 * rotvec]))
+        return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rotvec / angle])
+    angle = np.linalg.norm(rotvec, axis=-1, keepdims=True)
+    small = angle < _SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    q = np.concatenate([np.cos(0.5 * angle), np.sin(0.5 * angle) * rotvec / safe], axis=-1)
+    first_order = quat_normalize(np.concatenate([np.ones_like(angle), 0.5 * rotvec], axis=-1))
+    return np.where(small, first_order, q)
 
 
 def quat_yaw(q: np.ndarray) -> float:
@@ -273,12 +298,22 @@ def log_so3(R: np.ndarray) -> np.ndarray:
 
 def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
     """Right Jacobian Jr with Exp(phi + Jr(phi) @ d) ~ Exp(phi) Exp(d)."""
-    angle = np.linalg.norm(rotvec)
-    if angle < 1e-7:
-        return np.eye(3) - 0.5 * skew(rotvec)
-    K = skew(rotvec / angle)
+    rotvec = np.asarray(rotvec, dtype=float)
+    if rotvec.ndim == 1:  # one vector, as in the per-sample preintegration loop: no masks
+        angle = np.linalg.norm(rotvec)
+        if angle < 1e-7:
+            return np.eye(3) - 0.5 * skew(rotvec)
+        K = skew(rotvec / angle)
+        s, c = np.sin(angle), np.cos(angle)
+        return np.eye(3) - ((1.0 - c) / angle) * K + ((angle - s) / angle) * (K @ K)
+    angle = np.linalg.norm(rotvec, axis=-1)[..., None, None]
+    small = angle < 1e-7
+    S = skew(rotvec)
+    safe = np.where(small, 1.0, angle)
+    K = S / safe
     s, c = np.sin(angle), np.cos(angle)
-    return np.eye(3) - ((1.0 - c) / angle) * K + ((angle - s) / angle) * (K @ K)
+    J = np.eye(3) - ((1.0 - c) / safe) * K + ((safe - s) / safe) * (K @ K)
+    return np.where(small, np.eye(3) - 0.5 * S, J)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .state import State
 from .window import (
     DopplerBlock,
     LandmarkBlock,
+    OptimizeReport,
     SlidingWindow,
     WindowEntry,
     marginalize_oldest,
@@ -73,9 +74,17 @@ class StepDiagnostics:
     inliers: int = 0
     heading_matches: int = 0  # matched bearings behind this step's heading factor
     ransac_reason: str = ""
+    ransac_iterations: int = 0  # RANSAC samples drawn
     optimize_iterations: int = 0
+    optimize_reason: str = ""  # window.CONVERGED, NO_DESCENT, ITERATION_CAP or DIVERGED
+    cost_drop: float = 0.0  # window cost before minus after the optimization
     marginalization_regularized: bool = False
     factor_count: int = 0
+
+    def record_optimization(self, report: OptimizeReport) -> None:
+        self.optimize_iterations = report.iterations
+        self.optimize_reason = report.reason
+        self.cost_drop = report.cost_initial - report.cost_final
 
 
 class RioEstimator:
@@ -136,35 +145,28 @@ class RioEstimator:
             return [s for s in scans if s.sensor_id == 0]
         return list(scans)
 
-    def _detections_imu(self, scans, mask, pooled):
-        """IMU-frame positions of inlier detections, pooled order."""
-        positions = []
-        by_sensor = {s.sensor_id: s for s in scans}
-        for keep, sid, idx in zip(mask, pooled.sensor_ids, pooled.indices):
-            if not keep:
-                continue
-            extr = self.extrinsics[sid]
-            positions.append(extr.rotation @ by_sensor[sid].points[idx] + extr.t)
-        return np.asarray(positions).reshape(-1, 3)
+    def _landmark_block(self, pooled, mask, t, x_pred, t_oi_prov):
+        """Heading block from the inliers (``mask``) of ``pooled``, or None.
 
-    def _landmark_block(self, detections_imu, t, x_pred, t_oi_prov):
+        The tracker sees the inliers' IMU-frame positions in pooled order.
+        """
         if self.cfg.ablation.disable_heading_constraint:
             return None
-        R_oi = quat_to_matrix(x_pred.q)
-        active = self.tracker.update(detections_imu, t, R_oi, t_oi_prov)
+        detections = pooled.positions[mask]
+        active = self.tracker.update(detections, t, quat_to_matrix(x_pred.q), t_oi_prov)
         if not active:
             return None
+        idx = np.fromiter((m.detection_index for m in active), dtype=int, count=len(active))
+        landmarks = np.array([m.landmark.position for m in active])
         # bearings are taken in the gravity-levelled frame so the heading
         # factor constrains yaw only
-        levelled = detections_imu @ tilt_matrix(x_pred.q).T
-        idx = np.array([match.detection_index for match in active])
-        keep = np.hypot(levelled[idx, 0], levelled[idx, 1]) >= 1e-9
+        levelled = detections[idx] @ tilt_matrix(x_pred.q).T
+        keep = np.hypot(levelled[:, 0], levelled[:, 1]) >= 1e-9
         if not np.any(keep):
             return None  # only degenerate bearings
-        idx = idx[keep]
-        positions = np.array([match.landmark.position for match in active])[keep]
+        levelled = levelled[keep]
         return LandmarkBlock(
-            np.arctan2(levelled[idx, 1], levelled[idx, 0]), positions - t_oi_prov
+            np.arctan2(levelled[:, 1], levelled[:, 0]), landmarks[keep] - t_oi_prov
         )
 
     def _relinearize_edges(self) -> None:
@@ -206,6 +208,7 @@ class RioEstimator:
         diag.detections = len(pooled)
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
         diag.ransac_reason = result.reason
+        diag.ransac_iterations = result.iterations_used
         degraded = result.degraded
         if result.ok:
             state.v = result.velocity.copy()  # identity initial orientation
@@ -220,10 +223,11 @@ class RioEstimator:
 
         if result.ok:
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
-            detections_imu = self._detections_imu(scans, result.inlier_mask, pooled)
-            entry.landmarks = self._landmark_block(detections_imu, t, state, np.zeros(3))
+            entry.landmarks = self._landmark_block(
+                pooled, result.inlier_mask, t, state, np.zeros(3)
+            )
             report = optimize_window(self.window, self.extrinsics, self.cfg)
-            diag.optimize_iterations = report.iterations
+            diag.record_optimization(report)
             if report.diverged:
                 raise EstimatorDivergence("optimization diverged at bootstrap")
             self._check_health()
@@ -260,6 +264,7 @@ class RioEstimator:
         diag.detections = len(pooled)
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
         diag.ransac_reason = result.reason
+        diag.ransac_iterations = result.iterations_used
 
         entry = WindowEntry(state=x_pred, t_oi=np.zeros(3), degraded=result.degraded)
         if result.ok:
@@ -267,8 +272,9 @@ class RioEstimator:
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
             v_prov = 0.5 * (last_entry.state.v + x_pred.v)
             t_oi_prov = self.t_oi + v_prov * dt
-            detections_imu = self._detections_imu(scans, result.inlier_mask, pooled)
-            entry.landmarks = self._landmark_block(detections_imu, t, x_pred, t_oi_prov)
+            entry.landmarks = self._landmark_block(
+                pooled, result.inlier_mask, t, x_pred, t_oi_prov
+            )
             if entry.landmarks is not None:
                 diag.heading_matches = len(entry.landmarks.bearings)
 
@@ -278,7 +284,7 @@ class RioEstimator:
         self._relinearize_edges()
 
         report = optimize_window(self.window, self.extrinsics, self.cfg)
-        diag.optimize_iterations = report.iterations
+        diag.record_optimization(report)
         if report.diverged:
             raise EstimatorDivergence("window optimization diverged")
         self._check_health()

@@ -6,6 +6,11 @@ orientation increment. Rotation-error Jacobians are computed exactly via
 quaternion product matrices, so they match finite differences of the
 implemented residuals at any linearization point, not only near zero
 error.
+
+The three factors the window evaluates (``doppler_block_residual``,
+``heading_block_residual`` and ``imu_residual``) take one state or a
+stacked ``State`` with its blocks stacked alike, and then return residuals
+and Jacobians with the same leading axis.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geometry import (
+    matvec,
     quat_conj,
     quat_from_axis_angle,
     quat_identity,
@@ -37,7 +43,7 @@ IMU_RESIDUAL_DIM = 12  # rows: [rotation, velocity, gyro bias, accel bias]
 def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
     """d(2*vec(q_left * dq * q_right))/d dtheta for dq = Exp(dtheta)."""
     M = quat_left_mat(q_left) @ quat_right_mat(q_right)
-    return M[1:4, 1:4]
+    return M[..., 1:4, 1:4]
 
 
 def doppler_residuals(
@@ -81,51 +87,56 @@ def imu_residual(
 
     Zero exactly when ``x_k1`` equals the propagation of ``x_k``. Rows are
     [orientation error, velocity error, gyro-bias change, accel-bias
-    change], each expressed as estimate minus prediction.
+    change], each expressed as estimate minus prediction. For n edges at
+    once, pass stacked states and ``PreintegratedImu.stack``; the residual
+    is then (n, 12) and each Jacobian (n, 12, 12).
     """
     dq, dv, dbg = pre.corrected(x_k.ba, x_k.bg)
     R_k = quat_to_matrix(x_k.q)
     gravity = np.array([0.0, 0.0, -pre.params.gravity])
     q_pred = quat_normalize(quat_mul(x_k.q, dq))
-    v_pred = x_k.v + R_k @ dv + gravity * pre.dt
+    v_pred = x_k.v + matvec(R_k, dv) + gravity * np.asarray(pre.dt)[..., None]
 
-    e_q = quat_mul(x_k1.q, quat_conj(q_pred))
-    sign = -1.0 if e_q[0] < 0.0 else 1.0
+    q_pred_inv = quat_conj(q_pred)
+    e_q = quat_mul(x_k1.q, q_pred_inv)
+    sign = np.where(e_q[..., :1] < 0.0, -1.0, 1.0)
     e_q = sign * e_q
 
-    res = np.empty(IMU_RESIDUAL_DIM)
-    res[0:3] = 2.0 * e_q[1:4]
-    res[3:6] = x_k1.v - v_pred
-    res[6:9] = x_k1.bg - x_k.bg
-    res[9:12] = x_k1.ba - x_k.ba
+    res = np.concatenate(
+        [2.0 * e_q[..., 1:4], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba], axis=-1
+    )
     if not with_jacobian:
         return res, None, None
 
-    J_k = np.zeros((IMU_RESIDUAL_DIM, STATE_DIM))
-    J_k1 = np.zeros((IMU_RESIDUAL_DIM, STATE_DIM))
+    shape = res.shape[:-1] + (IMU_RESIDUAL_DIM, STATE_DIM)
+    J_k = np.zeros(shape)
+    J_k1 = np.zeros(shape)
+    sign = sign[..., None]
+    eye = np.eye(3)
 
     # rotation rows
-    J_k1[0:3, THETA] = sign * _vec_jacobian(x_k1.q, quat_conj(q_pred))
-    J_k[0:3, THETA] = -sign * _vec_jacobian(
+    vec_k1 = _vec_jacobian(x_k1.q, q_pred_inv)
+    J_k1[..., 0:3, THETA] = sign * vec_k1
+    J_k[..., 0:3, THETA] = -sign * _vec_jacobian(
         quat_mul(x_k1.q, quat_conj(dq)), quat_conj(x_k.q)
     )
     # gyro-bias sensitivity of the compound rotation, including the
     # right-Jacobian of the already-applied first-order correction
-    j_eff = right_jacobian_so3(pre.j_rot_bg @ dbg) @ pre.j_rot_bg
-    J_k[0:3, BG] = -sign * _vec_jacobian(x_k1.q, quat_conj(q_pred)) @ j_eff
+    j_eff = right_jacobian_so3(matvec(pre.j_rot_bg, dbg)) @ pre.j_rot_bg
+    J_k[..., 0:3, BG] = -sign * vec_k1 @ j_eff
 
     # velocity rows
-    J_k1[3:6, VEL] = np.eye(3)
-    J_k[3:6, THETA] = R_k @ skew(dv)
-    J_k[3:6, VEL] = -np.eye(3)
-    J_k[3:6, BA] = -R_k @ pre.j_vel_ba
-    J_k[3:6, BG] = -R_k @ pre.j_vel_bg
+    J_k1[..., 3:6, VEL] = eye
+    J_k[..., 3:6, THETA] = R_k @ skew(dv)
+    J_k[..., 3:6, VEL] = -eye
+    J_k[..., 3:6, BA] = -R_k @ pre.j_vel_ba
+    J_k[..., 3:6, BG] = -R_k @ pre.j_vel_bg
 
     # bias rows
-    J_k1[6:9, BG] = np.eye(3)
-    J_k[6:9, BG] = -np.eye(3)
-    J_k1[9:12, BA] = np.eye(3)
-    J_k[9:12, BA] = -np.eye(3)
+    J_k1[..., 6:9, BG] = eye
+    J_k[..., 6:9, BG] = -eye
+    J_k1[..., 9:12, BA] = eye
+    J_k[..., 9:12, BA] = -eye
     return res, J_k, J_k1
 
 
@@ -149,8 +160,9 @@ def yaw_and_jacobian(q: np.ndarray):
     over ``R00^2 + R10^2 = cos(pitch)^2``.
     """
     R = quat_to_matrix(q)
-    planar_sq = R[0, 0] ** 2 + R[1, 0] ** 2
-    return float(np.arctan2(R[1, 0], R[0, 0])), np.array([0.0, R[2, 1], R[2, 2]]) / planar_sq
+    planar_sq = R[..., 0, 0] ** 2 + R[..., 1, 0] ** 2
+    J = np.stack([np.zeros_like(planar_sq), R[..., 2, 1], R[..., 2, 2]], axis=-1)
+    return np.arctan2(R[..., 1, 0], R[..., 0, 0]), J / planar_sq[..., None]
 
 
 def landmark_residuals(
@@ -207,22 +219,24 @@ def doppler_block_residual(
 
     ``sqrt_rows`` is ``compress_doppler(rays, doppler)``. The squared norm,
     Jacobian Gram matrix and gradient equal those of ``doppler_residuals``
-    over the same detections.
+    over the same detections. For n blocks at once, pass the states of the
+    blocks stacked and every other argument with a leading axis of n;
+    ``sqrt_rows`` zero-padded to (n, 4, 4) gives zero rows for the padding.
     """
-    A = R_imu_radar.T  # radar <- imu
-    R_io = quat_to_matrix(state.q).T
-    m = R_io @ state.v
+    A = np.swapaxes(R_imu_radar, -1, -2)  # radar <- imu
+    R_io = np.swapaxes(quat_to_matrix(state.q), -1, -2)
+    m = matvec(R_io, state.v)
     S_t = skew(t_imu_radar)
-    u = A @ (m - S_t @ (omega - state.bg))  # sensor velocity in the radar frame
-    T = sqrt_rows[:, :3]
-    residual = sqrt_rows[:, 3] - T @ u
+    u = matvec(A, m - matvec(S_t, omega - state.bg))  # sensor velocity in the radar frame
+    T = sqrt_rows[..., :3]
+    residual = sqrt_rows[..., 3] - matvec(T, u)
     if not with_jacobian:
         return residual, None
     TA = T @ A
-    J = np.zeros((len(sqrt_rows), STATE_DIM))
-    J[:, THETA] = -TA @ skew(m)
-    J[:, VEL] = -TA @ R_io
-    J[:, BG] = -TA @ S_t
+    J = np.zeros(residual.shape + (STATE_DIM,))
+    J[..., THETA] = -TA @ skew(m)
+    J[..., VEL] = -TA @ R_io
+    J[..., BG] = -TA @ S_t
     return residual, J
 
 
@@ -260,15 +274,18 @@ def heading_block_residual(state: State, summary: HeadingSummary, with_jacobian:
     """Two-row residual whose squared norm equals the block's heading cost.
 
     Row 0 is ``sqrt(n) (mean + wrap(yaw - yaw_ref))``; row 1 is the constant
-    ``spread`` with a zero Jacobian.
+    ``spread`` with a zero Jacobian. For n blocks at once, pass the states
+    stacked and a summary whose fields are (n,) arrays; the residual is then
+    (n, 2).
     """
     yaw, J_yaw = yaw_and_jacobian(state.q)
-    scale = np.sqrt(summary.count)
-    residual = np.array([scale * (summary.mean + wrap_angle(yaw - summary.yaw_ref)), summary.spread])
+    count, yaw_ref, mean, spread = (np.asarray(f, dtype=float) for f in summary)
+    scale = np.sqrt(count)
+    residual = np.stack([scale * (mean + wrap_angle(yaw - yaw_ref)), spread], axis=-1)
     if not with_jacobian:
         return residual, None
-    J = np.zeros((2, STATE_DIM))
-    J[0, THETA] = scale * J_yaw
+    J = np.zeros(residual.shape + (STATE_DIM,))
+    J[..., 0, THETA] = scale[..., None] * J_yaw
     return residual, J
 
 

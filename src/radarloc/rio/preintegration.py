@@ -16,6 +16,7 @@ import numpy as np
 
 from ..geometry import (
     exp_so3,
+    matvec,
     quat_exp,
     quat_from_matrix,
     quat_mul,
@@ -77,6 +78,10 @@ class PreintegratedImu:
     changes. ``cov_rot_vel`` is the 6x6 white-noise covariance of the
     [rotation, velocity] residual; bias rows use random-walk covariance
     over ``dt``.
+
+    ``stack`` puts the compounds of several edges along a leading axis for
+    the batched IMU factor; a stack holds no samples and is never
+    reintegrated.
     """
 
     dt: float
@@ -91,12 +96,31 @@ class PreintegratedImu:
     samples: list[ImuMeasurement]
     params: ImuParams
 
+    @staticmethod
+    def stack(pres: list["PreintegratedImu"]) -> "PreintegratedImu":
+        def stacked(name):
+            return np.stack([getattr(p, name) for p in pres])
+
+        return PreintegratedImu(
+            dt=np.array([p.dt for p in pres]),
+            delta_q=stacked("delta_q"),
+            delta_v=stacked("delta_v"),
+            ba0=stacked("ba0"),
+            bg0=stacked("bg0"),
+            j_rot_bg=stacked("j_rot_bg"),
+            j_vel_ba=stacked("j_vel_ba"),
+            j_vel_bg=stacked("j_vel_bg"),
+            cov_rot_vel=stacked("cov_rot_vel"),
+            samples=[],
+            params=pres[0].params,
+        )
+
     def corrected(self, ba: np.ndarray, bg: np.ndarray):
         """Bias-corrected (delta_q, delta_v) plus the gyro-bias offset used."""
         dbg = bg - self.bg0
         dba = ba - self.ba0
-        dq = quat_normalize(quat_mul(self.delta_q, quat_exp(self.j_rot_bg @ dbg)))
-        dv = self.delta_v + self.j_vel_ba @ dba + self.j_vel_bg @ dbg
+        dq = quat_normalize(quat_mul(self.delta_q, quat_exp(matvec(self.j_rot_bg, dbg))))
+        dv = self.delta_v + matvec(self.j_vel_ba, dba) + matvec(self.j_vel_bg, dbg)
         return dq, dv, dbg
 
     def bias_shift(self, ba: np.ndarray, bg: np.ndarray) -> float:

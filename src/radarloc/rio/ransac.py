@@ -26,6 +26,7 @@ class PooledDetections:
     rates: np.ndarray  # (n,) lever-arm-compensated range rates
     sensor_ids: np.ndarray  # (n,)
     indices: np.ndarray  # (n,) index within the original scan
+    positions: np.ndarray | None = None  # (n, 3) IMU-frame detection positions
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -63,21 +64,28 @@ def pool_scans(
     omega: np.ndarray,
     gyro_bias: np.ndarray,
 ) -> PooledDetections:
-    dirs, rates, sids, idxs = [], [], [], []
+    dirs, rates, sids, idxs, positions = [], [], [], [], []
     for scan in scans:
         if len(scan) == 0:
             continue
-        _, rays_imu, compensated = compensate_lever_arm(
+        positions_imu, rays_imu, compensated = compensate_lever_arm(
             scan.points, scan.doppler, extrinsics[scan.sensor_id], omega, gyro_bias
         )
         dirs.append(rays_imu)
         rates.append(compensated)
         sids.append(np.full(len(scan), scan.sensor_id, dtype=int))
         idxs.append(np.arange(len(scan)))
+        positions.append(positions_imu)
     if not dirs:
-        return PooledDetections(np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int))
+        return PooledDetections(
+            np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int), np.zeros((0, 3))
+        )
     return PooledDetections(
-        np.vstack(dirs), np.concatenate(rates), np.concatenate(sids), np.concatenate(idxs)
+        np.vstack(dirs),
+        np.concatenate(rates),
+        np.concatenate(sids),
+        np.concatenate(idxs),
+        np.vstack(positions),
     )
 
 

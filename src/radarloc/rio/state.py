@@ -3,6 +3,9 @@
 Error/update ordering per state: [dtheta (body frame), dv, d accel bias,
 d gyro bias]. Orientation updates are right-multiplied increments,
 ``q <- q * Exp(dtheta)``.
+
+A ``State`` may also hold several states stacked along a leading axis
+(``State.stack``); ``retract`` and the batched factors work on either.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ BG = slice(9, 12)
 
 @dataclass
 class State:
-    """Velocity, orientation (q_OI), and IMU biases at one radar timestep."""
+    """Velocity, orientation (q_OI), and IMU biases at one radar timestep.
+
+    A stacked state has an (n,) ``t`` and a leading axis of length n on
+    every array; index it with ``states[i]`` or ``states[index_array]``.
+    """
 
     t: float
     q: np.ndarray
@@ -40,17 +47,36 @@ class State:
             bg=np.zeros(3),
         )
 
+    @staticmethod
+    def stack(states: list["State"]) -> "State":
+        return State(
+            t=np.array([s.t for s in states]),
+            q=np.stack([s.q for s in states]),
+            v=np.stack([s.v for s in states]),
+            ba=np.stack([s.ba for s in states]),
+            bg=np.stack([s.bg for s in states]),
+        )
+
+    def unstack(self) -> list["State"]:
+        return [
+            State(float(t), q, v, ba, bg)
+            for t, q, v, ba, bg in zip(self.t, self.q, self.v, self.ba, self.bg)
+        ]
+
+    def __getitem__(self, index) -> "State":
+        return State(self.t[index], self.q[index], self.v[index], self.ba[index], self.bg[index])
+
     def copy(self) -> "State":
         return State(self.t, self.q.copy(), self.v.copy(), self.ba.copy(), self.bg.copy())
 
     def retract(self, delta: np.ndarray) -> "State":
-        """Apply a 12-dim error-state increment."""
+        """Apply a 12-dim error-state increment, or (n, 12) to a stacked state."""
         return State(
             t=self.t,
-            q=quat_canonical(retract(self.q, delta[THETA])),
-            v=self.v + delta[VEL],
-            ba=self.ba + delta[BA],
-            bg=self.bg + delta[BG],
+            q=quat_canonical(retract(self.q, delta[..., THETA])),
+            v=self.v + delta[..., VEL],
+            ba=self.ba + delta[..., BA],
+            bg=self.bg + delta[..., BG],
         )
 
     def local_error(self, ref: "State") -> np.ndarray:

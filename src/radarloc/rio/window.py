@@ -6,11 +6,30 @@ range-rate, heading and IMU-consistency factors. Each sensor's range-rate
 block and each state's heading block enter as one compressed factor with
 the same cost, gradient and Gauss-Newton matrix as its per-detection rows;
 the RANSAC consensus gate has already removed dynamic detections, so the
-loss is plain least squares. Cost, linearization and marginalization share
-one factor assembly. Removing the oldest state takes the Schur complement
-of its block over every factor touching it, leaving a Gaussian prior on the
-new oldest state so cost and factor count stay bounded for arbitrarily long
-runs.
+loss is plain least squares. Removing the oldest state takes the Schur
+complement of its block over every factor touching it, leaving a Gaussian
+prior on the new oldest state so cost and factor count stay bounded for
+arbitrarily long runs.
+
+Cost, linearization and marginalization share one packed window
+(``_PackedWindow``), built once per ``optimize_window`` or
+``marginalize_oldest`` call. It stacks each factor kind into arrays with a
+leading factor axis:
+
+* range rate: state index, the QR factor ``sqrt_rows`` zero-padded to 4x4
+  (a block of 1 to 3 detections has fewer rows; zero rows add nothing),
+  the sensor's extrinsic rotation and lever arm, and the gyro rate;
+* heading: state index and the ``HeadingSummary`` fields as arrays;
+* IMU: the index of each edge's first state, ``PreintegratedImu.stack`` of
+  the edges and their whitening matrices.
+
+The iterates are one stacked ``State``; ``retract`` updates all of them at
+once and the entries get their states back once, at the end. A pass calls
+each of ``doppler_block_residual``, ``heading_block_residual`` and
+``imu_residual`` once for all factors of its kind, through this module's
+names: the benchmark's tracer wraps exactly these names and counts one span
+per pass and kind. Single-state factors add into the diagonal blocks of the
+normal equations and the IMU edges into the block tridiagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ..config import RunConfig
-from ..geometry import RigidTransform
+from ..geometry import RigidTransform, matvec
 from .factors import (
     HeadingSummary,
     PriorFactor,
@@ -109,87 +128,148 @@ class SlidingWindow:
         return n
 
 
+# Why ``optimize_window`` stopped.
+CONVERGED = "converged"  # the accepted step fell below ``window.step_tol``
+NO_DESCENT = "no_descent"  # no damped step lowered the cost: a local minimum
+ITERATION_CAP = "iteration_cap"  # ``window.max_iterations`` linearizations
+DIVERGED = "diverged"  # non-finite cost or normal equations; the states are kept
+
+
 @dataclass
 class OptimizeReport:
     iterations: int
     cost_initial: float
     cost_final: float
-    converged: bool
+    converged: bool  # reason is CONVERGED or NO_DESCENT
     diverged: bool
     step_norm: float
+    reason: str
     costs: list[float] = field(default_factory=list)
 
 
-class _Problem:
-    """Factor assembly over the current window.
+class _PackedWindow:
+    """The window's factors stacked into arrays, one stack per factor kind.
 
-    Every factor is a whitened residual with Jacobian blocks keyed by
-    window index; ``cost``, ``linearize`` and ``marginalize_oldest`` all
-    consume the same factors.
+    Built once per ``optimize_window`` or ``marginalize_oldest`` call from
+    the measurement blocks of the first ``owners`` entries and the IMU edges
+    among the first ``n_states`` states. Each cost or linearization pass
+    calls each factor function once for all factors of its kind.
     """
 
-    def __init__(self, window: SlidingWindow, extrinsics: list[RigidTransform], cfg: RunConfig):
-        self.window = window
-        self.cfg = cfg
-        self.rotations = [e.rotation for e in extrinsics]
-        self.translations = [e.t for e in extrinsics]
-        for entry in window.entries[:-1]:
-            if entry.preint_to_next is not None and entry.imu_sqrt_info is None:
-                entry.imu_sqrt_info = imu_sqrt_information(entry.preint_to_next)
+    def __init__(
+        self,
+        window: SlidingWindow,
+        extrinsics: list[RigidTransform],
+        cfg: RunConfig,
+        n_states: int | None = None,
+        owners: int | None = None,
+    ):
+        self.prior = window.prior
+        self.n = len(window.entries) if n_states is None else n_states
+        entries = window.entries[: self.n if owners is None else owners]
+        self.doppler_sigma = cfg.doppler.sigma
+        self.bearing_sigma = cfg.landmark.bearing_sigma
 
-    def prior_factor(self, states: list[State], with_jacobian: bool):
-        r, J = self.window.prior.residual(states[0], with_jacobian=with_jacobian)
-        return r, [(0, J)] if with_jacobian else []
+        blocks = [(i, b) for i, e in enumerate(entries) for b in e.doppler]
+        self.dop_state = np.array([i for i, _ in blocks], dtype=int)
+        self.dop_rows = np.zeros((len(blocks), 4, 4))
+        for k, (_, b) in enumerate(blocks):
+            T = b.sqrt_rows  # fewer than 4 rows when the block has fewer detections
+            self.dop_rows[k, : len(T)] = T
+        sensor = np.array([b.sensor_id for _, b in blocks], dtype=int)
+        self.dop_R = np.array([e.rotation for e in extrinsics])[sensor]
+        self.dop_t = np.array([e.t for e in extrinsics])[sensor]
+        self.dop_omega = np.array([b.omega for _, b in blocks]).reshape(-1, 3)
 
-    def entry_factors(self, states: list[State], i: int, with_jacobian: bool):
-        """Factors owned by entry ``i``: its measurement blocks and its IMU edge."""
-        entry = self.window.entries[i]
-        x = states[i]
-        sigma = self.cfg.doppler.sigma
-        for block in entry.doppler:
-            r, J = doppler_block_residual(
-                x,
-                block.sqrt_rows,
-                self.rotations[block.sensor_id],
-                self.translations[block.sensor_id],
-                block.omega,
-                with_jacobian=with_jacobian,
-            )
-            yield r / sigma, [(i, J / sigma)] if with_jacobian else []
-        if entry.landmarks is not None and entry.landmarks.summary.count:
-            sigma = self.cfg.landmark.bearing_sigma
-            r, J = heading_block_residual(x, entry.landmarks.summary, with_jacobian)
-            yield r / sigma, [(i, J / sigma)] if with_jacobian else []
-        if i + 1 < len(self.window.entries) and entry.preint_to_next is not None:
-            r, J_k, J_k1 = imu_residual(x, states[i + 1], entry.preint_to_next, with_jacobian)
-            W = entry.imu_sqrt_info
-            yield W @ r, [(i, W @ J_k), (i + 1, W @ J_k1)] if with_jacobian else []
+        headings = [
+            (i, e.landmarks.summary)
+            for i, e in enumerate(entries)
+            if e.landmarks is not None and e.landmarks.summary.count
+        ]
+        self.head_state = np.array([i for i, _ in headings], dtype=int)
+        if headings:
+            self.head = HeadingSummary(*(np.array(f) for f in zip(*[h for _, h in headings])))
 
-    def factors(self, states: list[State], with_jacobian: bool):
-        yield self.prior_factor(states, with_jacobian)
-        for i in range(len(self.window.entries)):
-            yield from self.entry_factors(states, i, with_jacobian)
+        edges = [
+            i for i, e in enumerate(entries) if i + 1 < self.n and e.preint_to_next is not None
+        ]
+        for i in edges:
+            if entries[i].imu_sqrt_info is None:
+                entries[i].imu_sqrt_info = imu_sqrt_information(entries[i].preint_to_next)
+        self.imu_from = np.array(edges, dtype=int)
+        if edges:
+            self.imu = PreintegratedImu.stack([entries[i].preint_to_next for i in edges])
+            self.imu_W = np.stack([entries[i].imu_sqrt_info for i in edges])
 
-    def cost(self, states: list[State]) -> float:
-        return float(sum(r @ r for r, _ in self.factors(states, False)))
+    def _doppler(self, states: State, with_jacobian: bool):
+        r, J = doppler_block_residual(
+            states[self.dop_state],
+            self.dop_rows,
+            self.dop_R,
+            self.dop_t,
+            self.dop_omega,
+            with_jacobian=with_jacobian,
+        )
+        return r / self.doppler_sigma, None if J is None else J / self.doppler_sigma
 
-    def linearize(self, states: list[State]):
-        """Gauss-Newton matrix ``J^T J`` and gradient ``J^T r`` of the window."""
-        return _normal_equations(self.factors(states, True), len(states))
+    def _heading(self, states: State, with_jacobian: bool):
+        r, J = heading_block_residual(states[self.head_state], self.head, with_jacobian)
+        return r / self.bearing_sigma, None if J is None else J / self.bearing_sigma
 
+    def _imu(self, states: State, with_jacobian: bool):
+        i = self.imu_from
+        r, J_k, J_k1 = imu_residual(states[i], states[i + 1], self.imu, with_jacobian)
+        W = self.imu_W
+        if not with_jacobian:
+            return matvec(W, r), None, None
+        return matvec(W, r), W @ J_k, W @ J_k1
 
-def _normal_equations(factors, n_states: int):
-    """Accumulate ``H = J^T J`` and ``g = J^T r`` block by block."""
-    dim = STATE_DIM * n_states
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    for r, blocks in factors:
-        for i, J_i in blocks:
-            si = slice(STATE_DIM * i, STATE_DIM * (i + 1))
-            g[si] += J_i.T @ r
-            for j, J_j in blocks:
-                H[si, STATE_DIM * j : STATE_DIM * (j + 1)] += J_i.T @ J_j
-    return H, g
+    def cost(self, states: State) -> float:
+        r, _ = self.prior.residual(states[0], with_jacobian=False)
+        total = float(r @ r)
+        if len(self.dop_state):
+            total += float(np.sum(self._doppler(states, False)[0] ** 2))
+        if len(self.head_state):
+            total += float(np.sum(self._heading(states, False)[0] ** 2))
+        if len(self.imu_from):
+            total += float(np.sum(self._imu(states, False)[0] ** 2))
+        return total
+
+    def linearize(self, states: State):
+        """Gauss-Newton matrix ``J^T J`` and gradient ``J^T r`` of the window.
+
+        Single-state factors add into the diagonal blocks and the IMU edges
+        into the block tridiagonal; no dense Jacobian is formed.
+        """
+        n = self.n
+        diag = np.zeros((n, STATE_DIM, STATE_DIM))
+        grad = np.zeros((n, STATE_DIM))
+        r, J = self.prior.residual(states[0])
+        diag[0] += J.T @ J
+        grad[0] += J.T @ r
+        for index, kind in ((self.dop_state, self._doppler), (self.head_state, self._heading)):
+            if len(index):
+                r, J = kind(states, True)
+                Jt = np.swapaxes(J, -1, -2)
+                # sum each state's factors: one product with the (n, factors) 0/1 matrix
+                to_state = np.eye(n)[index].T
+                diag += (to_state @ (Jt @ J).reshape(len(J), -1)).reshape(diag.shape)
+                grad += to_state @ matvec(Jt, r)
+        H = np.zeros((n, STATE_DIM, n, STATE_DIM))
+        if len(self.imu_from):
+            i = self.imu_from  # distinct edges: each indexed += adds once
+            r, J_k, J_k1 = self._imu(states, True)
+            Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
+            diag[i] += Jt_k @ J_k
+            diag[i + 1] += Jt_k1 @ J_k1
+            grad[i] += matvec(Jt_k, r)
+            grad[i + 1] += matvec(Jt_k1, r)
+            off = Jt_k @ J_k1
+            H[i, :, i + 1, :] = off
+            H[i + 1, :, i, :] = np.swapaxes(off, -1, -2)
+        k = np.arange(n)
+        H[k, :, k, :] = diag
+        return H.reshape(n * STATE_DIM, n * STATE_DIM), grad.reshape(-1)
 
 
 def optimize_window(
@@ -198,36 +278,34 @@ def optimize_window(
     """Damped Gauss-Newton over the window; states updated in place.
 
     Steps are accepted only when the total cost decreases, so the
-    reported cost sequence is nonincreasing. On a non-finite cost the
-    window is rolled back to its input states and the report is flagged
-    diverged.
+    reported cost sequence is nonincreasing. The states are iterated as one
+    stacked ``State`` and written back to the entries once at the end. On a
+    non-finite cost or normal equations the entries keep their input states
+    and the report is flagged diverged.
     """
     if not window.entries:
         raise ValueError("cannot optimize an empty window")
-    problem = _Problem(window, extrinsics, cfg)
-    states = window.states()
-    snapshot = [s.copy() for s in states]
+    packed = _PackedWindow(window, extrinsics, cfg)
+    states = State.stack(window.states())
+    n = len(window.entries)
 
-    cost = problem.cost(states)
+    cost = packed.cost(states)
     costs = [cost]
     if not np.isfinite(cost):
-        for entry, s in zip(window.entries, snapshot):
-            entry.state = s
-        return OptimizeReport(0, cost, cost, False, True, np.inf, costs)
+        return OptimizeReport(0, cost, cost, False, True, np.inf, DIVERGED, costs)
 
     lam = cfg.window.damping_init
     step_norm = np.inf
-    converged = False
+    reason = ITERATION_CAP
     iterations = 0
-    n = len(states)
 
     while iterations < cfg.window.max_iterations:
         iterations += 1
-        H, g = problem.linearize(states)
+        H, g = packed.linearize(states)
         if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
-            for entry, s in zip(window.entries, snapshot):
-                entry.state = s
-            return OptimizeReport(iterations, costs[0], np.inf, False, True, np.inf, costs)
+            return OptimizeReport(
+                iterations, costs[0], np.inf, False, True, np.inf, DIVERGED, costs
+            )
         diag = np.clip(np.diag(H), 1e-12, None)
         accepted = False
         for _ in range(8):
@@ -236,10 +314,8 @@ def optimize_window(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            candidate = [
-                states[i].retract(delta[STATE_DIM * i : STATE_DIM * (i + 1)]) for i in range(n)
-            ]
-            new_cost = problem.cost(candidate)
+            candidate = states.retract(delta.reshape(n, STATE_DIM))
+            new_cost = packed.cost(candidate)
             if np.isfinite(new_cost) and new_cost <= cost:
                 states = candidate
                 step_norm = float(np.linalg.norm(delta))
@@ -250,15 +326,16 @@ def optimize_window(
                 break
             lam *= 10.0
         if not accepted:
-            converged = True  # no damped step improves: local minimum
+            reason = NO_DESCENT
             break
         if step_norm < cfg.window.step_tol:
-            converged = True
+            reason = CONVERGED
             break
 
-    for entry, s in zip(window.entries, states):
+    for entry, s in zip(window.entries, states.unstack()):
         entry.state = s
-    return OptimizeReport(iterations, costs[0], cost, converged, False, step_norm, costs)
+    converged = reason in (CONVERGED, NO_DESCENT)
+    return OptimizeReport(iterations, costs[0], cost, converged, False, step_norm, reason, costs)
 
 
 @dataclass
@@ -279,10 +356,9 @@ def marginalize_oldest(
     """
     if len(window.entries) < 2:
         raise ValueError("marginalization needs at least two states")
-    problem = _Problem(window, extrinsics, cfg)
+    packed = _PackedWindow(window, extrinsics, cfg, n_states=2, owners=1)
     states = window.states()[:2]
-    touching = [problem.prior_factor(states, True), *problem.entry_factors(states, 0, True)]
-    H, b = _normal_equations(touching, 2)
+    H, b = packed.linearize(State.stack(states))
     H00 = H[:STATE_DIM, :STATE_DIM]
     H01 = H[:STATE_DIM, STATE_DIM:]
     H11 = H[STATE_DIM:, STATE_DIM:]

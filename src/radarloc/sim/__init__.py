@@ -5,7 +5,6 @@ from .io import (
     GtSamples,
     LogFormatError,
     SensorLog,
-    read_jsonl,
     read_log,
     write_log,
     write_odometry,
@@ -35,7 +34,6 @@ __all__ = [
     "arc_length",
     "default_rig",
     "gen_trajectory",
-    "read_jsonl",
     "read_log",
     "rig_from_dict",
     "scene_from_dict",

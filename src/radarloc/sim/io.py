@@ -166,17 +166,3 @@ def write_odometry(path, records: list[dict]) -> None:
         for rec in records:
             f.write(json.dumps(rec))
             f.write("\n")
-
-
-def read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-    return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..geometry import quat_slerp, quat_to_matrix, wrap_angle
+from ..geometry import quat_slerp
 
 
 class TrajectorySpecError(ValueError):
@@ -185,16 +185,3 @@ def arc_length(positions: np.ndarray) -> np.ndarray:
     """Cumulative distance along a sampled path, starting at zero."""
     steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def rotation_at(gt: GroundTruth, index: int) -> np.ndarray:
-    return quat_to_matrix(gt.quat[index])
-
-
-def relative_yaw(q_a: np.ndarray, q_b: np.ndarray) -> float:
-    """Yaw increment from orientation a to orientation b, wrapped."""
-    Ra = quat_to_matrix(q_a)
-    Rb = quat_to_matrix(q_b)
-    yaw_a = np.arctan2(Ra[1, 0], Ra[0, 0])
-    yaw_b = np.arctan2(Rb[1, 0], Rb[0, 0])
-    return wrap_angle(yaw_b - yaw_a)

@@ -6,16 +6,21 @@ from radarloc.rio.state import STATE_DIM, State
 from radarloc.sim.imu import ImuMeasurement
 
 
-def numeric_state_jacobian(func, x: State, rows: int, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a residual through the state retraction."""
-    J = np.zeros((rows, STATE_DIM))
+def numeric_state_jacobian(func, x: State, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of a residual through the state retraction.
+
+    ``x`` may be a stacked state whose i-th residual block depends on its
+    i-th state only: every state moves by the same increment, and the
+    Jacobian keeps the residual's leading axis.
+    """
+    columns = []
     for i in range(STATE_DIM):
         d = np.zeros(STATE_DIM)
         d[i] = h
         rp = np.atleast_1d(func(x.retract(d)))
         rm = np.atleast_1d(func(x.retract(-d)))
-        J[:, i] = (rp - rm) / (2.0 * h)
-    return J
+        columns.append((rp - rm) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def jacobian_close(J_analytic: np.ndarray, J_numeric: np.ndarray, rel: float = 1e-5) -> bool:

@@ -10,13 +10,18 @@ from conftest import (
 from radarloc.config import ImuParams, PriorParams
 from radarloc.geometry import quat_from_axis_angle, quat_mul, quat_to_matrix, quat_yaw
 from radarloc.rio.factors import (
+    HeadingSummary,
     PriorFactor,
+    compress_doppler,
+    compress_landmarks,
+    doppler_block_residual,
     doppler_residuals,
+    heading_block_residual,
     imu_residual,
     imu_sqrt_information,
     landmark_residuals,
 )
-from radarloc.rio.preintegration import predict_state, preintegrate
+from radarloc.rio.preintegration import PreintegratedImu, predict_state, preintegrate
 from radarloc.rio.state import BA, BG, STATE_DIM, VEL, State
 from radarloc.sim.rig import sensor_extrinsic
 
@@ -60,9 +65,38 @@ class TestDopplerFactor:
             J_num = numeric_state_jacobian(
                 lambda s: doppler_residuals(s, rays, doppler, R_ir, t_ir, omega, with_jacobian=False)[0],
                 x,
-                rows=6,
             )
             assert jacobian_close(J, J_num)
+
+    def test_block_residual_batch_matches_finite_differences(self):
+        # several blocks in one call, each with its own state, sensor and gyro
+        # rate; 1 to 3 detections give fewer than 4 QR rows, zero-padded
+        rng = np.random.default_rng(13)
+        sizes = [1, 2, 3, 5, 40]
+        n = len(sizes)
+        x = State.stack([random_state(rng) for _ in range(n)])
+        extrinsics = [
+            sensor_extrinsic(rng.normal(scale=0.5, size=3), rng.uniform(-np.pi, np.pi))
+            for _ in range(n)
+        ]
+        R = np.stack([e.rotation for e in extrinsics])
+        t = np.stack([e.t for e in extrinsics])
+        omega = rng.normal(scale=0.5, size=(n, 3))
+        rows = np.zeros((n, 4, 4))
+        for k, m in enumerate(sizes):
+            T = compress_doppler(_random_rays(rng, m), rng.normal(size=m))
+            rows[k, : len(T)] = T
+        r, J = doppler_block_residual(x, rows, R, t, omega)
+        assert r.shape == (n, 4) and J.shape == (n, 4, STATE_DIM)
+        J_num = numeric_state_jacobian(
+            lambda s: doppler_block_residual(s, rows, R, t, omega, with_jacobian=False)[0], x
+        )
+        for k in range(n):
+            r_k, J_k = doppler_block_residual(x[k], rows[k], R[k], t[k], omega[k])
+            np.testing.assert_allclose(r[k], r_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(J[k], J_k, rtol=1e-12, atol=1e-12)
+            assert jacobian_close(J[k], J_num[k])
+            np.testing.assert_array_equal(r[k, sizes[k] :], 0.0)  # padding rows
 
 
 class TestImuFactor:
@@ -92,19 +126,40 @@ class TestImuFactor:
 
     def test_jacobians_match_finite_differences(self, imu_params):
         rng = np.random.default_rng(4)
+        edges = []
         for _ in range(15):
             pre = self._make_pre(rng, imu_params)
             x_k = random_state(rng)
             x_k1 = random_state(rng, t=pre.dt)
             _, J_k, J_k1 = imu_residual(x_k, x_k1, pre)
             J_k_num = numeric_state_jacobian(
-                lambda s: imu_residual(s, x_k1, pre, with_jacobian=False)[0], x_k, rows=12
+                lambda s: imu_residual(s, x_k1, pre, with_jacobian=False)[0], x_k
             )
             J_k1_num = numeric_state_jacobian(
-                lambda s: imu_residual(x_k, s, pre, with_jacobian=False)[0], x_k1, rows=12
+                lambda s: imu_residual(x_k, s, pre, with_jacobian=False)[0], x_k1
             )
             assert jacobian_close(J_k, J_k_num)
             assert jacobian_close(J_k1, J_k1_num)
+            edges.append((pre, x_k, x_k1))
+
+        # the same edges as one batch, as the window evaluates them
+        pre = PreintegratedImu.stack([e[0] for e in edges])
+        x_k = State.stack([e[1] for e in edges])
+        x_k1 = State.stack([e[2] for e in edges])
+        r, J_k, J_k1 = imu_residual(x_k, x_k1, pre)
+        J_k_num = numeric_state_jacobian(
+            lambda s: imu_residual(s, x_k1, pre, with_jacobian=False)[0], x_k
+        )
+        J_k1_num = numeric_state_jacobian(
+            lambda s: imu_residual(x_k, s, pre, with_jacobian=False)[0], x_k1
+        )
+        for k, (pre_k, a, b) in enumerate(edges):
+            r_k, Jk_k, Jk1_k = imu_residual(a, b, pre_k)
+            np.testing.assert_allclose(r[k], r_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(J_k[k], Jk_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(J_k1[k], Jk1_k, rtol=1e-12, atol=1e-12)
+            assert jacobian_close(J_k[k], J_k_num[k])
+            assert jacobian_close(J_k1[k], J_k1_num[k])
 
     def test_sqrt_information_finite(self, imu_params):
         rng = np.random.default_rng(5)
@@ -178,9 +233,31 @@ class TestLandmarkFactor:
             J_num = numeric_state_jacobian(
                 lambda s: landmark_residuals(s, phis, offsets, with_jacobian=False)[0],
                 x,
-                rows=5,
             )
             assert jacobian_close(J, J_num)
+
+    def test_heading_block_batch_matches_finite_differences(self):
+        # compressed heading blocks of several states in one call; the
+        # reference yaws cover the whole circle, including near +-pi
+        rng = np.random.default_rng(14)
+        n = 6
+        x = State.stack([random_state(rng) for _ in range(n)])
+        summaries = []
+        for yaw in (-np.pi + 1e-3, -1.0, 0.0, 2.0, np.pi - 1e-3, np.pi):
+            offsets = rng.uniform(-30.0, 30.0, size=(7, 3))
+            phis = np.arctan2(offsets[:, 1], offsets[:, 0]) - yaw + 0.01 * rng.normal(size=7)
+            summaries.append(compress_landmarks(phis, offsets))
+        summary = HeadingSummary(*(np.array(f) for f in zip(*summaries)))
+        r, J = heading_block_residual(x, summary)
+        assert r.shape == (n, 2) and J.shape == (n, 2, STATE_DIM)
+        J_num = numeric_state_jacobian(
+            lambda s: heading_block_residual(s, summary, with_jacobian=False)[0], x
+        )
+        for k in range(n):
+            r_k, J_k = heading_block_residual(x[k], summaries[k])
+            np.testing.assert_allclose(r[k], r_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(J[k], J_k, rtol=1e-12, atol=1e-12)
+            assert jacobian_close(J[k], J_num[k])
 
     def test_only_orientation_is_constrained(self):
         rng = np.random.default_rng(8)
@@ -232,7 +309,7 @@ class TestPriorFactor:
             x = mean.retract(0.1 * rng.normal(size=STATE_DIM))
             _, J = prior.residual(x)
             J_num = numeric_state_jacobian(
-                lambda s: prior.residual(s, with_jacobian=False)[0], x, rows=STATE_DIM
+                lambda s: prior.residual(s, with_jacobian=False)[0], x
             )
             assert jacobian_close(J, J_num)
 

@@ -121,6 +121,48 @@ def test_retract_local_error_inverse():
         np.testing.assert_allclose(err, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "skew",
+        "quat_to_matrix",
+        "quat_left_mat",
+        "quat_right_mat",
+        "quat_conj",
+        "quat_canonical",
+        "quat_normalize",
+        "quat_exp",
+        "right_jacobian_so3",
+    ],
+)
+def test_helpers_broadcast_over_a_leading_axis(name):
+    # a stack gives, row for row, what one input gives; the rotation vectors
+    # include zero and sub-threshold angles, which take the first-order forms
+    rng = np.random.default_rng(5)
+    if name in ("skew", "quat_exp", "right_jacobian_so3"):
+        stack = rng.normal(size=(6, 3))
+        stack[1], stack[2], stack[3] = 0.0, 1e-12, [0.0, 5e-8, 0.0]
+    else:
+        stack = rng.normal(size=(6, 4))
+        stack[1] = 0.0  # quat_normalize maps it to the identity
+    f = getattr(geo, name)
+    out = f(stack)
+    for k in range(len(stack)):
+        np.testing.assert_allclose(out[k], f(stack[k]), rtol=1e-14, atol=1e-15)
+
+
+def test_quat_mul_and_retract_broadcast():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    dtheta = rng.normal(scale=0.1, size=(5, 3))
+    for k in range(5):
+        np.testing.assert_allclose(geo.quat_mul(a, b)[k], geo.quat_mul(a[k], b[k]), atol=1e-15)
+        np.testing.assert_allclose(geo.quat_mul(a, b[0])[k], geo.quat_mul(a[k], b[0]), atol=1e-15)
+        np.testing.assert_allclose(
+            geo.retract(a, dtheta)[k], geo.retract(a[k], dtheta[k]), atol=1e-15
+        )
+
+
 def test_transform_composition_matches_matrix_oracle():
     rng = np.random.default_rng(7)
     for _ in range(1000):

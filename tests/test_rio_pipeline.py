@@ -5,6 +5,7 @@ from radarloc import sim
 from radarloc.config import RunConfig
 from radarloc.geometry import quat_yaw
 from radarloc.rio import RioEstimator, run_odometry
+from radarloc.rio.window import CONVERGED, ITERATION_CAP, NO_DESCENT
 from radarloc.sim import RadarScan, Scenario, simulate_mission
 
 
@@ -130,15 +131,22 @@ class TestWindowBounds:
         fed = 0
         counts = []
         full_counts = []
+        reasons = []
         for t, scans in groups:
             while fed < len(data.imu) and data.imu.t[fed] <= t + 1e-12:
                 est.add_imu(data.imu.t[fed], data.imu.accel[fed], data.imu.gyro[fed])
                 fed += 1
             est.process_scans(t, scans)
-            counts.append(est.last_diagnostics.factor_count)
+            diag = est.last_diagnostics
+            counts.append(diag.factor_count)
+            reasons.append(diag.optimize_reason)
+            assert diag.ransac_iterations >= 1
+            assert diag.cost_drop >= 0.0
             assert len(est.window) <= cfg.window.size
             if len(est.window) == cfg.window.size:
                 full_counts.append(est.last_diagnostics.factor_count)
+        # every step names why its optimization stopped; none diverged
+        assert set(reasons) <= {CONVERGED, NO_DESCENT, ITERATION_CAP}
         # factor count bounded by a constant independent of mission length
         assert max(counts) < 5000
         # a full window holds the prior, one range-rate factor per sensor and

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import radarloc.rio.window as window_module
 from conftest import random_imu_segment, random_state
 from radarloc.config import RunConfig
-from radarloc.geometry import quat_to_matrix, tilt_matrix
+from radarloc.geometry import quat_from_axis_angle, quat_to_matrix, quat_yaw, tilt_matrix
 from radarloc.rio.factors import (
     PriorFactor,
     doppler_residuals,
@@ -14,11 +17,15 @@ from radarloc.rio.factors import (
 from radarloc.rio.preintegration import predict_state, preintegrate
 from radarloc.rio.state import STATE_DIM, State
 from radarloc.rio.window import (
+    CONVERGED,
+    DIVERGED,
+    ITERATION_CAP,
+    NO_DESCENT,
     DopplerBlock,
     LandmarkBlock,
     SlidingWindow,
     WindowEntry,
-    _Problem,
+    _PackedWindow,
     marginalize_oldest,
     optimize_window,
 )
@@ -64,6 +71,7 @@ class TestOptimize:
         report = optimize_window(window, extrinsics, cfg)
         assert report.iterations == 1
         assert report.converged and not report.diverged
+        assert report.reason in (CONVERGED, NO_DESCENT)
         np.testing.assert_allclose(window.entries[0].state.v, v_true, atol=1e-9)
 
     def test_single_state_doppler_recovers_velocity(self, cfg, extrinsics):
@@ -112,94 +120,209 @@ class TestOptimize:
         snapshot_v = window.entries[0].state.v.copy()
         report = optimize_window(window, extrinsics, cfg)
         assert report.diverged
+        assert report.reason == DIVERGED
         np.testing.assert_array_equal(
             np.isnan(window.entries[0].state.v), np.isnan(snapshot_v)
         )
 
+    def test_iteration_cap_is_reported(self, cfg, extrinsics, imu_params):
+        # one Gauss-Newton step cannot settle a window started far off
+        cfg.window.max_iterations = 1
+        window = _noisy_window(extrinsics, imu_params)
+        report = optimize_window(window, extrinsics, cfg)
+        assert report.reason == ITERATION_CAP
+        assert report.iterations == 1
+        assert not report.converged and not report.diverged
+        assert report.cost_final < report.cost_initial
 
-class TestCompressedFactors:
-    def _noisy_window(self, extrinsics, imu_params, n_states=4):
-        rng = np.random.default_rng(7)
-        entries = []
-        for k in range(n_states):
-            state = random_state(rng, t=0.05 * k)
-            R_io = quat_to_matrix(state.q).T
-            omega = rng.normal(scale=0.3, size=3)
-            blocks = []
-            for sid, extr in enumerate(extrinsics):
-                rays = rng.normal(size=(40, 3))
-                rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-                v_sensor = extr.rotation.T @ (R_io @ state.v + np.cross(omega - state.bg, extr.t))
-                doppler = rays @ v_sensor + 0.04 * rng.standard_normal(40)
-                blocks.append(DopplerBlock(sid, rays, doppler, omega))
+
+WINDOW_VARIANTS = (
+    "full",
+    "short_doppler_blocks",  # 1 to 3 detections: fewer than 4 QR rows
+    "entry_without_doppler",  # a degraded step
+    "entry_without_heading",
+    "heading_near_pi",  # measured bearings on both sides of +-pi
+    "single_state",  # bootstrap: no IMU edge
+)
+
+
+def _noisy_window(extrinsics, imu_params, variant="full"):
+    rng = np.random.default_rng(7)
+    n_states = 1 if variant == "single_state" else 4
+    entries = []
+    for k in range(n_states):
+        state = random_state(rng, t=0.05 * k)
+        R_io = quat_to_matrix(state.q).T
+        omega = rng.normal(scale=0.3, size=3)
+        blocks = []
+        for sid, extr in enumerate(extrinsics):
+            n_det = 1 + sid if variant == "short_doppler_blocks" else 40
+            rays = rng.normal(size=(n_det, 3))
+            rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+            v_sensor = extr.rotation.T @ (R_io @ state.v + np.cross(omega - state.bg, extr.t))
+            doppler = rays @ v_sensor + 0.04 * rng.standard_normal(n_det)
+            blocks.append(DopplerBlock(sid, rays, doppler, omega))
+        if variant == "heading_near_pi":
+            # landmarks behind the robot in its levelled, yaw-rotated frame
+            angle = np.pi + rng.uniform(-0.02, 0.02, size=25)
+            dist = rng.uniform(5.0, 30.0, size=25)
+            behind = np.column_stack(
+                [dist * np.cos(angle), dist * np.sin(angle), rng.uniform(-2.0, 2.0, size=25)]
+            )
+            R_yaw = quat_to_matrix(quat_from_axis_angle([0.0, 0.0, 1.0], quat_yaw(state.q)))
+            offsets = behind @ R_yaw.T
+            levelled = behind
+        else:
             offsets = rng.uniform(-30.0, 30.0, size=(25, 3))
             levelled = offsets @ R_io.T @ tilt_matrix(state.q).T
-            bearings = np.arctan2(levelled[:, 1], levelled[:, 0]) + 0.01 * rng.standard_normal(25)
-            entries.append(
-                WindowEntry(
-                    state=state,
-                    t_oi=np.zeros(3),
-                    doppler=blocks,
-                    landmarks=LandmarkBlock(bearings, offsets),
-                )
+        bearings = np.arctan2(levelled[:, 1], levelled[:, 0]) + 0.01 * rng.standard_normal(25)
+        entries.append(
+            WindowEntry(
+                state=state,
+                t_oi=np.zeros(3),
+                doppler=blocks,
+                landmarks=LandmarkBlock(bearings, offsets),
             )
-        for k in range(n_states - 1):
-            samples = random_imu_segment(rng, duration=0.05)
-            entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
-        return SlidingWindow(prior=_loose_prior(entries[0].state, scale=0.1), entries=entries)
+        )
+    for k in range(n_states - 1):
+        samples = random_imu_segment(rng, duration=0.05)
+        entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
+    if variant == "entry_without_doppler":
+        entries[1].doppler = []
+    if variant == "entry_without_heading":
+        entries[2].landmarks = None
+    if variant == "heading_near_pi":
+        bearings = np.concatenate([e.landmarks.bearings for e in entries])
+        assert bearings.max() > np.pi - 0.05 and bearings.min() < -np.pi + 0.05
+    return SlidingWindow(prior=_loose_prior(entries[0].state, scale=0.1), entries=entries)
 
-    def _per_row_oracle(self, window, extrinsics, cfg):
-        # one row per detection and per landmark match, as in the unreduced problem
-        states = window.states()
-        n = len(states)
-        rows, jacs = [], []
 
-        def add(r, blocks):
-            J = np.zeros((len(r), STATE_DIM * n))
-            for i, J_i in blocks:
-                J[:, STATE_DIM * i : STATE_DIM * (i + 1)] = J_i
-            rows.append(r)
-            jacs.append(J)
+def _per_row_oracle(window, extrinsics, cfg, owners=None):
+    """One row per detection and per landmark match, as in the unreduced problem.
 
-        r, J = window.prior.residual(states[0])
-        add(r, [(0, J)])
-        for i, entry in enumerate(window.entries):
-            for b in entry.doppler:
-                extr = extrinsics[b.sensor_id]
-                r, J = doppler_residuals(
-                    states[i], b.rays, b.doppler, extr.rotation, extr.t, b.omega
-                )
-                add(r / cfg.doppler.sigma, [(i, J / cfg.doppler.sigma)])
-            lm = entry.landmarks
+    With ``owners`` only the factors of the first ``owners`` entries, and the
+    prior, are stacked.
+    """
+    states = window.states()
+    n = len(states)
+    rows, jacs = [], []
+
+    def add(r, blocks):
+        J = np.zeros((len(r), STATE_DIM * n))
+        for i, J_i in blocks:
+            J[:, STATE_DIM * i : STATE_DIM * (i + 1)] = J_i
+        rows.append(r)
+        jacs.append(J)
+
+    r, J = window.prior.residual(states[0])
+    add(r, [(0, J)])
+    for i, entry in enumerate(window.entries[:owners]):
+        for b in entry.doppler:
+            extr = extrinsics[b.sensor_id]
+            r, J = doppler_residuals(states[i], b.rays, b.doppler, extr.rotation, extr.t, b.omega)
+            add(r / cfg.doppler.sigma, [(i, J / cfg.doppler.sigma)])
+        lm = entry.landmarks
+        if lm is not None:
             r, J, valid = landmark_residuals(states[i], lm.bearings, lm.offsets)
             sigma = cfg.landmark.bearing_sigma
             add(r[valid] / sigma, [(i, J[valid] / sigma)])
-            if entry.preint_to_next is not None:
-                W = imu_sqrt_information(entry.preint_to_next)
-                r, J_k, J_k1 = imu_residual(states[i], states[i + 1], entry.preint_to_next)
-                add(W @ r, [(i, W @ J_k), (i + 1, W @ J_k1)])
-        return np.concatenate(rows), np.vstack(jacs)
+        if entry.preint_to_next is not None:
+            W = imu_sqrt_information(entry.preint_to_next)
+            r, J_k, J_k1 = imu_residual(states[i], states[i + 1], entry.preint_to_next)
+            add(W @ r, [(i, W @ J_k), (i + 1, W @ J_k1)])
+    return np.concatenate(rows), np.vstack(jacs)
 
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestCompressedFactors:
     def test_cost_gradient_and_step_match_per_row_oracle(self, cfg, extrinsics, imu_params):
-        window = self._noisy_window(extrinsics, imu_params)
-        r, J = self._per_row_oracle(window, extrinsics, cfg)
-        H_o, g_o = J.T @ J, J.T @ r
-        assert len(r) > 500  # the oracle really is per detection
-
-        problem = _Problem(window, extrinsics, cfg)
-        states = window.states()
-        H, g = problem.linearize(states)
-
         def damped_step(H, g):
             lam = cfg.window.damping_init
             return np.linalg.solve(H + lam * np.diag(np.clip(np.diag(H), 1e-12, None)), -g)
 
-        def rel(a, b):
-            return np.linalg.norm(a - b) / np.linalg.norm(b)
+        for variant in WINDOW_VARIANTS:
+            window = _noisy_window(extrinsics, imu_params, variant)
+            r, J = _per_row_oracle(window, extrinsics, cfg)
+            H_o, g_o = J.T @ J, J.T @ r
+            if variant == "full":
+                assert len(r) > 500  # the oracle really is per detection
 
-        assert problem.cost(states) == pytest.approx(float(r @ r), rel=1e-9)
-        assert rel(g, g_o) < 1e-9
-        assert rel(damped_step(H, g), damped_step(H_o, g_o)) < 1e-9
+            problem = _PackedWindow(window, extrinsics, cfg)
+            states = State.stack(window.states())
+            H, g = problem.linearize(states)
+
+            assert problem.cost(states) == pytest.approx(float(r @ r), rel=1e-9), variant
+            assert _rel(g, g_o) < 1e-9, variant
+            assert _rel(damped_step(H, g), damped_step(H_o, g_o)) < 1e-9, variant
+
+    def test_marginalization_is_schur_complement_of_per_row_oracle(
+        self, cfg, extrinsics, imu_params
+    ):
+        window = _noisy_window(extrinsics, imu_params)
+        r, J = _per_row_oracle(window, extrinsics, cfg, owners=1)
+        J = J[:, : 2 * STATE_DIM]  # these factors touch the first two states only
+        H, b = J.T @ J, J.T @ r
+        old, new = slice(0, STATE_DIM), slice(STATE_DIM, 2 * STATE_DIM)
+        H01 = H[old, new]
+        H_oracle = H[new, new] - H01.T @ np.linalg.solve(H[old, old], H01)
+        b_oracle = b[new] - H01.T @ np.linalg.solve(H[old, old], b[old])
+        x1 = window.entries[1].state
+
+        info = marginalize_oldest(window, extrinsics, cfg)
+        prior = window.prior
+        assert not info.regularized
+        assert _rel(prior.sqrt_info.T @ prior.sqrt_info, H_oracle) < 1e-9
+        assert _rel(prior.sqrt_info.T @ prior.rhs, b_oracle) < 1e-9
+        np.testing.assert_array_equal(prior.mean.q, x1.q)
+
+
+class TestFactorCallsPerPass:
+    """Each factor function is called once per cost or linearization pass.
+
+    The benchmark's tracer wraps these module-level names of the window
+    module and reads one span per pass and kind.
+    """
+
+    NAMES = ("doppler_block_residual", "heading_block_residual", "imu_residual")
+
+    def _count(self, monkeypatch):
+        calls = Counter()
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in self.NAMES:
+            counting(window_module, name, name)
+        counting(_PackedWindow, "cost", "cost")
+        counting(_PackedWindow, "linearize", "linearize")
+        return calls
+
+    def test_optimize_calls_each_factor_once_per_pass(
+        self, cfg, extrinsics, imu_params, monkeypatch
+    ):
+        window = _noisy_window(extrinsics, imu_params)
+        calls = self._count(monkeypatch)
+        report = optimize_window(window, extrinsics, cfg)
+        assert calls["linearize"] == report.iterations >= 1
+        passes = calls["cost"] + calls["linearize"]
+        assert passes > report.iterations
+        assert [calls[name] for name in self.NAMES] == [passes] * 3
+
+    def test_marginalize_calls_each_factor_once(self, cfg, extrinsics, imu_params, monkeypatch):
+        window = _noisy_window(extrinsics, imu_params)
+        calls = self._count(monkeypatch)
+        marginalize_oldest(window, extrinsics, cfg)
+        assert calls["linearize"] == 1
+        assert [calls[name] for name in self.NAMES] == [1] * 3
 
 
 class TestMarginalize:
