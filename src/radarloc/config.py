@@ -1,13 +1,12 @@
 """Run configuration: every tunable parameter, with defaults and validation.
 
-The JSON config file mirrors this structure section by section; unknown
-keys are rejected and each value is range-checked at load. Documented
-ranges live in ``PARAMETER_RANGES``.
+``config_from_dict`` takes overrides that mirror this structure section by
+section; unknown keys are rejected and each value is range-checked.
+Documented ranges live in ``PARAMETER_RANGES``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, is_dataclass
 
 
@@ -50,9 +49,7 @@ class LandmarkParams:
 @dataclass
 class WindowParams:
     size: int = 10
-    max_iterations: int = 8
-    damping_init: float = 1e-4
-    step_tol: float = 1e-6
+    max_iterations: int = 8  # guard on linearizations; the stop tests end sooner
     accel_bias_max: float = 1.0  # m/s^2, divergence guard
     gyro_bias_max: float = 0.2  # rad/s, divergence guard
     marginal_epsilon: float = 1e-8
@@ -106,8 +103,6 @@ PARAMETER_RANGES: dict[str, tuple[float, float, bool, bool]] = {
     "landmark.bearing_sigma": (0.0, 3.2, False, True),
     "window.size": (2, 1000, True, True),
     "window.max_iterations": (1, 1000, True, True),
-    "window.damping_init": (0.0, 1e6, False, True),
-    "window.step_tol": (0.0, 1.0, False, True),
     "window.accel_bias_max": (0.0, 100.0, False, True),
     "window.gyro_bias_max": (0.0, 100.0, False, True),
     "window.marginal_epsilon": (0.0, 1.0, False, True),
@@ -170,11 +165,3 @@ def config_from_dict(overrides: dict | None = None) -> RunConfig:
         _apply_overrides(cfg, overrides)
     return validate_config(cfg)
 
-
-def load_config(path) -> RunConfig:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(data)

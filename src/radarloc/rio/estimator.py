@@ -71,12 +71,16 @@ class OdometryOutput:
 @dataclass
 class StepDiagnostics:
     detections: int = 0
+    dropped_detections: int = 0  # non-finite or zero-range detections left out at pooling
+    skipped_imu_samples: int = 0  # non-finite IMU samples refused since the previous step
     inliers: int = 0
     heading_matches: int = 0  # matched bearings behind this step's heading factor
     ransac_reason: str = ""
     ransac_iterations: int = 0  # RANSAC samples drawn
     optimize_iterations: int = 0
-    optimize_reason: str = ""  # window.CONVERGED, NO_DESCENT, ITERATION_CAP or DIVERGED
+    # window.CONVERGED (relative cost decrease or gradient floor), NO_DESCENT
+    # (no damped step lowered the cost), ITERATION_CAP or DIVERGED
+    optimize_reason: str = ""
     cost_drop: float = 0.0  # window cost before minus after the optimization
     marginalization_regularized: bool = False
     factor_count: int = 0
@@ -101,6 +105,7 @@ class RioEstimator:
         self._imu_t: list[float] = []
         self._imu_a: list[np.ndarray] = []
         self._imu_w: list[np.ndarray] = []
+        self._skipped_imu = 0
         self._last_t: float | None = None
 
     @property
@@ -110,11 +115,21 @@ class RioEstimator:
 
     # ------------------------------------------------------------------
     def add_imu(self, t: float, accel: np.ndarray, gyro: np.ndarray) -> None:
+        """Buffer one IMU sample.
+
+        A sample with a non-finite time, acceleration or rate is skipped and
+        counted in the next step's ``skipped_imu_samples``.
+        """
+        accel = np.asarray(accel, dtype=float)
+        gyro = np.asarray(gyro, dtype=float)
+        if not (np.isfinite(t) and np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
+            self._skipped_imu += 1
+            return
         if self._imu_t and t <= self._imu_t[-1]:
             raise ValueError("IMU timestamps must be strictly increasing")
         self._imu_t.append(float(t))
-        self._imu_a.append(np.asarray(accel, dtype=float))
-        self._imu_w.append(np.asarray(gyro, dtype=float))
+        self._imu_a.append(accel)
+        self._imu_w.append(gyro)
 
     def _imu_data(self) -> ImuData:
         return ImuData(
@@ -189,7 +204,8 @@ class RioEstimator:
     # ------------------------------------------------------------------
     def process_scans(self, t: float, scans) -> OdometryOutput:
         scans = self._filter_scans(scans)
-        diag = StepDiagnostics()
+        diag = StepDiagnostics(skipped_imu_samples=self._skipped_imu)
+        self._skipped_imu = 0
         self.last_diagnostics = diag
         if self.window is None:
             out = self._bootstrap(t, scans, diag)
@@ -206,6 +222,7 @@ class RioEstimator:
         state = State.initial(t=t)
         pooled = pool_scans(scans, self.extrinsics, omega, state.bg)
         diag.detections = len(pooled)
+        diag.dropped_detections = pooled.dropped
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
         diag.ransac_reason = result.reason
         diag.ransac_iterations = result.iterations_used
@@ -262,6 +279,7 @@ class RioEstimator:
 
         pooled = pool_scans(scans, self.extrinsics, omega, x_pred.bg)
         diag.detections = len(pooled)
+        diag.dropped_detections = pooled.dropped
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
         diag.ransac_reason = result.reason
         diag.ransac_iterations = result.iterations_used
@@ -327,10 +345,12 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
     outputs: list[OdometryOutput] = []
     skipped = 0
     for t, scans in sensor_log.scans_by_time():
-        while fed < len(imu) and imu.t[fed] <= t + 1e-12:
+        # a NaN time is fed too, for add_imu to skip, rather than stall the feed
+        while fed < len(imu) and not imu.t[fed] > t + 1e-12:
             est.add_imu(imu.t[fed], imu.accel[fed], imu.gyro[fed])
             fed += 1
-        covered = imu.t[0] <= t + 1e-9 and fed > 0 and est.last_imu_time >= t - 1e-9
+        last = est.last_imu_time
+        covered = last is not None and last >= t - 1e-9
         if not covered or (est._last_t is not None and est._last_t >= t):
             skipped += 1
             continue

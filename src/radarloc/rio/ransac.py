@@ -27,6 +27,7 @@ class PooledDetections:
     sensor_ids: np.ndarray  # (n,)
     indices: np.ndarray  # (n,) index within the original scan
     positions: np.ndarray | None = None  # (n, 3) IMU-frame detection positions
+    dropped: int = 0  # detections left out for a non-finite value or no positive range
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -64,21 +65,38 @@ def pool_scans(
     omega: np.ndarray,
     gyro_bias: np.ndarray,
 ) -> PooledDetections:
+    """All sensors' detections at one timestep, lever-arm compensated.
+
+    A detection with a non-finite coordinate or range rate, or at zero range,
+    has no ray; it is left out and counted in ``dropped``. ``indices`` keep
+    each pooled detection's index in its own scan.
+    """
     dirs, rates, sids, idxs, positions = [], [], [], [], []
+    dropped = 0
     for scan in scans:
         if len(scan) == 0:
             continue
+        ranges = np.linalg.norm(scan.points, axis=1)
+        keep = np.flatnonzero(np.isfinite(ranges) & (ranges > 0.0) & np.isfinite(scan.doppler))
+        dropped += len(scan) - len(keep)
+        if len(keep) == 0:
+            continue
         positions_imu, rays_imu, compensated = compensate_lever_arm(
-            scan.points, scan.doppler, extrinsics[scan.sensor_id], omega, gyro_bias
+            scan.points[keep], scan.doppler[keep], extrinsics[scan.sensor_id], omega, gyro_bias
         )
         dirs.append(rays_imu)
         rates.append(compensated)
-        sids.append(np.full(len(scan), scan.sensor_id, dtype=int))
-        idxs.append(np.arange(len(scan)))
+        sids.append(np.full(len(keep), scan.sensor_id, dtype=int))
+        idxs.append(keep)
         positions.append(positions_imu)
     if not dirs:
         return PooledDetections(
-            np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int), np.zeros((0, 3))
+            np.zeros((0, 3)),
+            np.zeros(0),
+            np.zeros(0, int),
+            np.zeros(0, int),
+            np.zeros((0, 3)),
+            dropped,
         )
     return PooledDetections(
         np.vstack(dirs),
@@ -86,6 +104,7 @@ def pool_scans(
         np.concatenate(sids),
         np.concatenate(idxs),
         np.vstack(positions),
+        dropped,
     )
 
 

@@ -13,7 +13,7 @@ from .mission import Scenario, SimData, simulate_mission, suburban_loop_scenario
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, default_rig, rig_from_dict, sensor_extrinsic
 from .scene import DynamicObject, Scene, scene_from_dict, wall_points
-from .trajectory import GroundTruth, TrajectorySpecError, arc_length, gen_trajectory
+from .trajectory import GroundTruth, TrajectorySpecError, gen_trajectory
 
 __all__ = [
     "GRAVITY",
@@ -31,7 +31,6 @@ __all__ = [
     "SensorRig",
     "SimData",
     "TrajectorySpecError",
-    "arc_length",
     "default_rig",
     "gen_trajectory",
     "read_log",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +31,6 @@ class Scenario:
             rig=rig_from_dict(cfg.get("rig", {})),
             imu_noise=ImuNoiseModel.from_dict(noise_cfg) if noise_cfg is not None else None,
         )
-
-    @staticmethod
-    def from_file(path) -> "Scenario":
-        with open(path) as f:
-            return Scenario.from_dict(json.load(f))
 
 
 @dataclass

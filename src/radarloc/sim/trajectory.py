@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..geometry import quat_slerp
-
 
 class TrajectorySpecError(ValueError):
     """Raised for trajectory specs that are malformed or not smooth enough."""
@@ -44,19 +42,6 @@ class GroundTruth:
         if abs(self.t[i] - t) > 1e-6:
             raise ValueError(f"time {t} is not a ground-truth sample")
         return i
-
-    def pose_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated (position, quat) at an arbitrary in-range time."""
-        if t <= self.t[0]:
-            return self.position[0].copy(), self.quat[0].copy()
-        if t >= self.t[-1]:
-            return self.position[-1].copy(), self.quat[-1].copy()
-        j = int(np.searchsorted(self.t, t))
-        i = j - 1
-        alpha = (t - self.t[i]) / (self.t[j] - self.t[i])
-        p = (1.0 - alpha) * self.position[i] + alpha * self.position[j]
-        q = quat_slerp(self.quat[i], self.quat[j], alpha)
-        return p, q
 
 
 def _yaw_quats(yaw: np.ndarray) -> np.ndarray:
@@ -180,8 +165,3 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
 
     raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")
 
-
-def arc_length(positions: np.ndarray) -> np.ndarray:
-    """Cumulative distance along a sampled path, starting at zero."""
-    steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])

@@ -186,6 +186,31 @@ class TestPooling:
         assert set(pooled.sensor_ids) == {0, 2}
         np.testing.assert_allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-12)
 
+    def test_pool_scans_drops_unusable_detections_and_keeps_scan_indices(self):
+        rig = default_rig()
+        points = np.array(
+            [[10.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, np.nan, 0.0], [6.0, 2.0, 0.0], [8.0, 1.0, 1.0]]
+        )
+        doppler = np.array([1.0, 0.5, 0.5, np.inf, 0.3])
+        scan0 = RadarScan(0.0, 0, points, doppler)
+        scan1 = RadarScan(0.0, 1, np.zeros((0, 3)), np.zeros(0))
+        scan2 = RadarScan(0.0, 2, points[[1, 0]], doppler[[1, 0]])
+        pooled = pool_scans([scan0, scan1, scan2], rig.extrinsics, np.zeros(3), np.zeros(3))
+        assert pooled.dropped == 4
+        np.testing.assert_array_equal(pooled.sensor_ids, [0, 0, 2])
+        np.testing.assert_array_equal(pooled.indices, [0, 4, 1])
+        assert np.all(np.isfinite(pooled.directions)) and np.all(np.isfinite(pooled.rates))
+        # the kept detections pool exactly as they would on their own
+        alone = pool_scans(
+            [RadarScan(0.0, 0, points[[0, 4]], doppler[[0, 4]])],
+            rig.extrinsics,
+            np.zeros(3),
+            np.zeros(3),
+        )
+        assert alone.dropped == 0
+        np.testing.assert_array_equal(pooled.rates[:2], alone.rates)
+        np.testing.assert_array_equal(pooled.positions[:2], alone.positions)
+
     def test_pooled_static_consistency_from_sim(self):
         # end to end: simulated noise-free static scans from three sensors
         # pool into an exactly consistent system for the IMU-frame velocity

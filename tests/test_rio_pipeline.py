@@ -6,7 +6,7 @@ from radarloc.config import RunConfig
 from radarloc.geometry import quat_yaw
 from radarloc.rio import RioEstimator, run_odometry
 from radarloc.rio.window import CONVERGED, ITERATION_CAP, NO_DESCENT
-from radarloc.sim import RadarScan, Scenario, simulate_mission
+from radarloc.sim import ImuData, RadarScan, Scenario, simulate_mission
 
 
 def _box_scene(half=25.0, clutter=0.0, dynamic=()):
@@ -114,6 +114,67 @@ class TestDegradedStep:
         # IMU-only propagation: stationary, so the state barely moves
         assert np.linalg.norm(out.v - v_before) < 0.05
         assert np.linalg.norm(out.q - q_before) < 1e-3
+
+
+def _fault_log(fault):
+    """A noisy 1.5 s straight drive with one fault injected halfway through."""
+    scenario, data = _mission(
+        {"kind": "line", "speed": 1.0, "yaw": 0.0}, 1.5, _box_scene(clutter=1.0), seed=4
+    )
+    scans = [RadarScan(s.t, s.sensor_id, s.points.copy(), s.doppler.copy()) for s in data.scans]
+    imu = ImuData(data.imu.t.copy(), data.imu.accel.copy(), data.imu.gyro.copy())
+    k = len(scans) // 2
+    assert len(scans[k]) > 3
+    i = len(imu) // 2 + 3  # between radar times: the IMU still covers every scan group
+    assert i % scenario.rig.imu_per_radar
+    if fault == "zero_range_point":
+        scans[k].points[3] = 0.0
+    elif fault == "nan_point_coordinate":
+        scans[k].points[3, 1] = np.nan
+    elif fault == "nan_doppler":
+        scans[k].doppler[3] = np.nan
+    elif fault == "empty_scan":
+        scans[k] = RadarScan(scans[k].t, scans[k].sensor_id, np.zeros((0, 3)), np.zeros(0))
+    elif fault == "nan_accel_sample":
+        imu.accel[i, 0] = np.nan
+    elif fault == "nan_imu_time":
+        imu.t[i] = np.nan
+    return scenario, sim.SensorLog(imu=imu, scans=scans)
+
+
+class TestFaultInjection:
+    # fault, detections dropped at pooling, IMU samples skipped
+    FAULTS = [
+        ("zero_range_point", 1, 0),
+        ("nan_point_coordinate", 1, 0),
+        ("nan_doppler", 1, 0),
+        ("empty_scan", 0, 0),
+        ("nan_accel_sample", 0, 1),
+        ("nan_imu_time", 0, 1),
+    ]
+
+    @pytest.mark.parametrize("fault, dropped, skipped_imu", FAULTS)
+    def test_fault_is_counted_and_outputs_stay_finite(
+        self, fault, dropped, skipped_imu, monkeypatch
+    ):
+        scenario, log = _fault_log(fault)
+        diagnostics = []
+        process_scans = RioEstimator.process_scans
+
+        def recording(est, t, scans):
+            out = process_scans(est, t, scans)
+            diagnostics.append(est.last_diagnostics)
+            return out
+
+        monkeypatch.setattr(RioEstimator, "process_scans", recording)
+        outputs = run_odometry(log, RunConfig(), extrinsics=scenario.rig.extrinsics)
+        # the IMU covers every scan group, so each gives one output
+        assert len(outputs) == len(log.scans_by_time()) == len(diagnostics)
+        for out in outputs:
+            assert np.all(np.isfinite(np.concatenate([out.q, out.v, out.p])))
+        assert not any(out.degraded for out in outputs)
+        assert sum(d.dropped_detections for d in diagnostics) == dropped
+        assert sum(d.skipped_imu_samples for d in diagnostics) == skipped_imu
 
 
 class TestWindowBounds:

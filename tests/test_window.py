@@ -1,8 +1,10 @@
+import copy
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import radarloc.rio.estimator as estimator_module
 import radarloc.rio.window as window_module
 from conftest import random_imu_segment, random_state
 from radarloc.config import RunConfig
@@ -15,7 +17,7 @@ from radarloc.rio.factors import (
     landmark_residuals,
 )
 from radarloc.rio.preintegration import predict_state, preintegrate
-from radarloc.rio.state import STATE_DIM, State
+from radarloc.rio.state import BA, STATE_DIM, State
 from radarloc.rio.window import (
     CONVERGED,
     DIVERGED,
@@ -29,7 +31,7 @@ from radarloc.rio.window import (
     marginalize_oldest,
     optimize_window,
 )
-from radarloc.sim import default_rig
+from radarloc.sim import Scenario, SensorLog, default_rig, simulate_mission
 
 
 @pytest.fixture
@@ -59,6 +61,39 @@ def _doppler_entry(state, v_true, n, rng, sensor_id=0, extr=None):
         t_oi=np.zeros(3),
         doppler=[DopplerBlock(sensor_id=sensor_id, rays=rays, doppler=doppler, omega=np.zeros(3))],
     )
+
+
+def _drive_window(monkeypatch):
+    """The window the estimator optimizes at the last step of a short drive.
+
+    A noisy 0.6 s straight line in a walled box: a full window of 11 states
+    with a new predicted state, as the pipeline hands it over.
+    """
+    corners = [(-25.0, -25.0), (25.0, -25.0), (25.0, 25.0), (-25.0, 25.0)]
+    walls = [
+        {"start": list(a), "end": list(b), "spacing": 0.8, "weight": 0.95}
+        for a, b in zip(corners, corners[1:] + corners[:1])
+    ]
+    scenario = Scenario.from_dict(
+        {
+            "trajectory": {"kind": "line", "speed": 1.0, "yaw": 0.0},
+            "duration": 0.6,
+            "scene": {"walls": walls, "clutter_density": 0.0},
+            "rig": {},
+            "imu_noise": {},
+        }
+    )
+    data = simulate_mission(scenario, seed=0)
+    captured = []
+
+    def capture(window, extrinsics, cfg):
+        captured.append(copy.deepcopy(window))
+        return optimize_window(window, extrinsics, cfg)
+
+    monkeypatch.setattr(estimator_module, "optimize_window", capture)
+    log = SensorLog(imu=data.imu, scans=data.scans)
+    estimator_module.run_odometry(log, RunConfig(), scenario.rig.extrinsics)
+    return captured[-1], scenario.rig.extrinsics
 
 
 class TestOptimize:
@@ -124,6 +159,33 @@ class TestOptimize:
         np.testing.assert_array_equal(
             np.isnan(window.entries[0].state.v), np.isnan(snapshot_v)
         )
+
+    def test_weak_accel_bias_direction_converges_in_three_iterations(self, cfg, monkeypatch):
+        window, extrinsics = _drive_window(monkeypatch)
+        packed = _PackedWindow(window, extrinsics, cfg)
+        start = State.stack(window.states())
+        # the horizontal accelerometer bias, confounded with tilt, is the
+        # weakest direction of the diagonally scaled normal matrix
+        H, _ = packed.linearize(start)
+        scale = np.sqrt(np.diag(H))
+        eigenvalues, vectors = np.linalg.eigh(H / np.outer(scale, scale))
+        assert eigenvalues[0] < 1e-6
+        weakest = vectors[:, 0].reshape(-1, STATE_DIM)[:, BA]
+        assert np.sum(weakest[:, :2] ** 2) > 0.5
+
+        # oracle: 64 undamped Gauss-Newton steps on the same factors
+        optimum = start
+        for _ in range(64):
+            H, g = packed.linearize(optimum)
+            optimum = optimum.retract(np.linalg.solve(H, -g).reshape(-1, STATE_DIM))
+
+        cfg.window.max_iterations = 3
+        report = optimize_window(window, extrinsics, cfg)
+        result = State.stack(window.states())
+        assert report.cost_final == pytest.approx(packed.cost(optimum), rel=1e-10)
+        ba_start = np.abs(start.ba[:, :2] - optimum.ba[:, :2]).max()
+        assert np.abs(result.ba[:, :2] - optimum.ba[:, :2]).max() < 0.02 * ba_start
+        np.testing.assert_allclose(result.v, optimum.v, atol=1e-5)
 
     def test_iteration_cap_is_reported(self, cfg, extrinsics, imu_params):
         # one Gauss-Newton step cannot settle a window started far off
@@ -240,7 +302,7 @@ def _rel(a, b):
 class TestCompressedFactors:
     def test_cost_gradient_and_step_match_per_row_oracle(self, cfg, extrinsics, imu_params):
         def damped_step(H, g):
-            lam = cfg.window.damping_init
+            lam = 1e-4
             return np.linalg.solve(H + lam * np.diag(np.clip(np.diag(H), 1e-12, None)), -g)
 
         for variant in WINDOW_VARIANTS:
