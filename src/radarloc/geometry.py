@@ -1,4 +1,4 @@
-"""Rotation algebra, frame tags, and rigid transforms shared by every module.
+"""Rotation algebra and rigid transforms shared by every module.
 
 Conventions, fixed here once for the whole project:
 
@@ -222,31 +222,6 @@ def tilt_matrix(q: np.ndarray) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ R
 
 
-def quat_slerp(q0: np.ndarray, q1: np.ndarray, alpha: float) -> np.ndarray:
-    """Spherical interpolation along the shorter arc, alpha in [0, 1]."""
-    q0 = quat_normalize(q0)
-    q1 = quat_normalize(q1)
-    dot = float(np.dot(q0, q1))
-    if dot < 0.0:
-        q1, dot = -q1, -dot
-    if dot > 1.0 - 1e-12:
-        return quat_normalize(q0 + alpha * (q1 - q0))
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.sin(theta)
-    return quat_normalize((np.sin((1.0 - alpha) * theta) / s) * q0 + (np.sin(alpha * theta) / s) * q1)
-
-
-def quat_error_vec(q_est: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
-    """Small-angle rotation error 2 * vec(q_est * q_ref^-1), sign-canonicalized.
-
-    Zero when both quaternions encode the same rotation (including
-    antipodal representations).
-    """
-    e = quat_mul(q_est, quat_conj(q_ref))
-    e = quat_canonical(e)
-    return 2.0 * e[1:4]
-
-
 def quat_local_error(q: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
     """Right (body-frame) error 2 * vec(q_ref^-1 * q); inverts ``retract``."""
     e = quat_mul(quat_conj(q_ref), q)
@@ -317,87 +292,25 @@ def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frames and rigid transforms
+# rigid transforms
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FrameId:
-    """Tag naming the frame a quantity is expressed in."""
-
-    name: str
-    index: int | None = None
-
-    def __str__(self) -> str:
-        return self.name if self.index is None else f"{self.name}{self.index}"
-
-
-GLOBAL_FRAME = FrameId("global")
-IMU_FRAME = FrameId("imu")
-
-
-def radar_frame(sensor_id: int) -> FrameId:
-    return FrameId("radar", sensor_id)
-
-
-class FrameMismatchError(ValueError):
-    """Raised when tagged transforms are chained across incompatible frames."""
-
-
-@dataclass(frozen=True)
 class RigidTransform:
-    """Rigid transform taking src-frame points into dst-frame points.
+    """Rigid transform between two frames.
 
-    ``apply(p_src) = R(q) @ p_src + t``. Frame tags are optional; when both
-    operands carry tags, composition and application check them.
+    A point ``p`` of the source frame is ``R(q) @ p + t`` in the target
+    frame; the sensor extrinsics map radar frames into the IMU frame.
     """
 
     q: np.ndarray
     t: np.ndarray
-    dst: FrameId | None = None
-    src: FrameId | None = None
 
     @staticmethod
-    def identity(dst: FrameId | None = None, src: FrameId | None = None) -> "RigidTransform":
-        return RigidTransform(quat_identity(), np.zeros(3), dst, src)
-
-    @staticmethod
-    def from_parts(
-        q: np.ndarray, t: np.ndarray, dst: FrameId | None = None, src: FrameId | None = None
-    ) -> "RigidTransform":
-        return RigidTransform(quat_canonical(quat_normalize(q)), np.asarray(t, dtype=float), dst, src)
+    def from_parts(q: np.ndarray, t: np.ndarray) -> "RigidTransform":
+        return RigidTransform(quat_canonical(quat_normalize(q)), np.asarray(t, dtype=float))
 
     @property
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.q)
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """Transform one point (3,) or a stack of points (n, 3)."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return self.rotation @ p + self.t
-        return p @ self.rotation.T + self.t
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self (B<-C) composed after other (C<-D) gives B<-D."""
-        if self.src is not None and other.dst is not None and self.src != other.dst:
-            raise FrameMismatchError(f"cannot chain {self.src} <- with -> {other.dst}")
-        return RigidTransform(
-            quat_normalize(quat_mul(self.q, other.q)),
-            self.rotation @ other.t + self.t,
-            self.dst,
-            other.src,
-        )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
-
-    def inverse(self) -> "RigidTransform":
-        q_inv = quat_conj(self.q)
-        return RigidTransform(q_inv, -(quat_to_matrix(q_inv) @ self.t), self.src, self.dst)
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.t
-        return m

@@ -25,7 +25,6 @@ from .landmarks import (
 from .preintegration import (
     PreintegratedImu,
     imu_segment,
-    interpolate_imu,
     predict_state,
     preintegrate,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "imu_residual",
     "imu_segment",
     "imu_sqrt_information",
-    "interpolate_imu",
     "landmark_residuals",
     "marginalize_oldest",
     "optimize_window",

@@ -23,7 +23,7 @@ from ..sim.io import SensorLog
 from ..sim.rig import rig_from_dict
 from .factors import PriorFactor
 from .landmarks import LandmarkTracker
-from .preintegration import imu_segment, predict_state, preintegrate
+from .preintegration import imu_segment, lerp, predict_state, preintegrate
 from .ransac import estimate_velocity, pool_scans
 from .state import State
 from .window import (
@@ -57,15 +57,6 @@ class OdometryOutput:
     v: np.ndarray
     p: np.ndarray
     degraded: bool
-
-    def to_record(self) -> dict:
-        return {
-            "t": float(self.t),
-            "q": [float(x) for x in self.q],
-            "v": [float(x) for x in self.v],
-            "p": [float(x) for x in self.p],
-            "degraded": bool(self.degraded),
-        }
 
 
 @dataclass
@@ -150,8 +141,7 @@ class RioEstimator:
         if i < 0:
             return self._imu_w[0].copy()
         if i + 1 < len(self._imu_t) and self._imu_t[i] < t:
-            a = (t - self._imu_t[i]) / (self._imu_t[i + 1] - self._imu_t[i])
-            return (1.0 - a) * self._imu_w[i] + a * self._imu_w[i + 1]
+            return lerp(t, self._imu_t[i], self._imu_t[i + 1], self._imu_w[i], self._imu_w[i + 1])
         return self._imu_w[i].copy()
 
     # ------------------------------------------------------------------
@@ -190,7 +180,6 @@ class RioEstimator:
             pre = entry.preint_to_next
             if pre is not None and pre.bias_shift(entry.state.ba, entry.state.bg) > thr:
                 entry.preint_to_next = pre.reintegrated(entry.state.ba, entry.state.bg)
-                entry.imu_sqrt_info = None
 
     def _check_health(self) -> None:
         newest = self.window.entries[-1].state
@@ -275,7 +264,7 @@ class RioEstimator:
         last_entry = self.window.entries[-1]
         pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
         x_pred = predict_state(last_entry.state, pre, t1=t)
-        omega = segment[-1].gyro
+        omega = segment.gyro[-1]
 
         pooled = pool_scans(scans, self.extrinsics, omega, x_pred.bg)
         diag.detections = len(pooled)
@@ -297,7 +286,6 @@ class RioEstimator:
                 diag.heading_matches = len(entry.landmarks.bearings)
 
         last_entry.preint_to_next = pre
-        last_entry.imu_sqrt_info = None
         self.window.entries.append(entry)
         self._relinearize_edges()
 
@@ -345,8 +333,13 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
     outputs: list[OdometryOutput] = []
     skipped = 0
     for t, scans in sensor_log.scans_by_time():
-        # a NaN time is fed too, for add_imu to skip, rather than stall the feed
-        while fed < len(imu) and not imu.t[fed] > t + 1e-12:
+        # Feed through t, and past it while the newest fed sample is before t:
+        # a refused sample at t must not leave the group uncovered. A NaN time
+        # is fed too, for add_imu to skip, rather than stall the feed.
+        while fed < len(imu):
+            last = est.last_imu_time
+            if imu.t[fed] > t + 1e-12 and (last is None or last >= t - 1e-9):
+                break
             est.add_imu(imu.t[fed], imu.accel[fed], imu.gyro[fed])
             fed += 1
         last = est.last_imu_time

@@ -141,12 +141,16 @@ def imu_residual(
 
 
 def imu_sqrt_information(pre: PreintegratedImu, floor: float = 1e-12) -> np.ndarray:
-    """Whitening matrix for the IMU residual (block diagonal 12x12)."""
-    cov = np.zeros((IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
-    cov[0:6, 0:6] = pre.cov_rot_vel
-    cov[6:9, 6:9] = np.eye(3) * max(pre.params.gyro_bias_walk**2 * pre.dt, floor)
-    cov[9:12, 9:12] = np.eye(3) * max(pre.params.accel_bias_walk**2 * pre.dt, floor)
-    cov[0:6, 0:6] += np.eye(6) * floor
+    """Whitening matrix for the IMU residual (block diagonal 12x12).
+
+    A ``PreintegratedImu.stack`` of n edges gives the (n, 12, 12) stack of
+    their matrices.
+    """
+    dt = np.asarray(pre.dt)[..., None, None]
+    cov = np.zeros(dt.shape[:-2] + (IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
+    cov[..., 0:6, 0:6] = pre.cov_rot_vel + np.eye(6) * floor
+    cov[..., 6:9, 6:9] = np.eye(3) * np.maximum(pre.params.gyro_bias_walk**2 * dt, floor)
+    cov[..., 9:12, 9:12] = np.eye(3) * np.maximum(pre.params.accel_bias_walk**2 * dt, floor)
     # whiten with inv(L) where cov = L L^T
     L = np.linalg.cholesky(cov)
     return np.linalg.inv(L)

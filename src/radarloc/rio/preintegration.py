@@ -3,9 +3,12 @@
 Between two radar timesteps the IMU buffer is compounded into a single
 relative constraint on orientation and velocity (position is deliberately
 not tracked). Deltas exclude gravity; it is injected at prediction time.
-First-order bias corrections are valid near the linearization biases; the
-raw sample buffer is kept so the compound can be rebuilt when the bias
-estimates move too far.
+
+``imu_segment`` cuts the samples of one radar interval out of the buffer as
+an ``ImuData``: the samples inside the interval as they are, and its two
+endpoints interpolated linearly between their neighbours. First-order bias
+corrections are valid near the linearization biases; the segment is kept so
+the compound can be rebuilt when the bias estimates move too far.
 """
 
 from __future__ import annotations
@@ -26,47 +29,42 @@ from ..geometry import (
     skew,
 )
 from ..config import ImuParams
-from ..sim.imu import ImuData, ImuMeasurement
+from ..sim.imu import ImuData
 from .state import State
 
 
-def interpolate_imu(z0: ImuMeasurement, z1: ImuMeasurement, t: float) -> ImuMeasurement:
-    """Componentwise linear interpolation between two measurements."""
-    if not (z0.t <= t <= z1.t) or not (z0.t < z1.t):
-        raise ValueError(f"t={t} outside interpolation interval [{z0.t}, {z1.t}]")
-    alpha = (t - z0.t) / (z1.t - z0.t)
-    return ImuMeasurement(
-        t,
-        (1.0 - alpha) * z0.accel + alpha * z1.accel,
-        (1.0 - alpha) * z0.gyro + alpha * z1.gyro,
-    )
+def lerp(t: float, t0: float, t1: float, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """The value at ``t`` on the line through ``(t0, z0)`` and ``(t1, z1)``."""
+    a = (t - t0) / (t1 - t0)
+    return (1.0 - a) * z0 + a * z1
 
 
-def imu_segment(imu: ImuData, t0: float, t1: float) -> list[ImuMeasurement]:
-    """Measurements covering [t0, t1], endpoints interpolated to match."""
+def imu_segment(imu: ImuData, t0: float, t1: float) -> ImuData:
+    """Samples covering [t0, t1], endpoints interpolated to match.
+
+    An endpoint within 1e-12 s of a sample is that sample; any other is
+    interpolated between the samples around it.
+    """
     if t1 <= t0:
         raise ValueError("segment requires t1 > t0")
     if imu.t[0] > t0 + 1e-9 or imu.t[-1] < t1 - 1e-9:
         raise ValueError(f"IMU buffer [{imu.t[0]}, {imu.t[-1]}] does not cover [{t0}, {t1}]")
-    i0 = int(np.searchsorted(imu.t, t0, side="right")) - 1
-    i1 = int(np.searchsorted(imu.t, t1, side="left"))
-    i0 = max(i0, 0)
-    i1 = min(i1, len(imu) - 1)
-    out: list[ImuMeasurement] = []
-    first = imu.measurement(i0)
-    if abs(first.t - t0) < 1e-12:
-        out.append(first)
-    else:
-        out.append(interpolate_imu(first, imu.measurement(i0 + 1), t0))
-    for i in range(i0 + 1, i1):
-        if t0 < imu.t[i] < t1:
-            out.append(imu.measurement(i))
-    last = imu.measurement(i1)
-    if abs(last.t - t1) < 1e-12:
-        out.append(last)
-    else:
-        out.append(interpolate_imu(imu.measurement(i1 - 1), last, t1))
-    return out
+    i0 = max(int(np.searchsorted(imu.t, t0, side="right")) - 1, 0)
+    i1 = min(int(np.searchsorted(imu.t, t1, side="left")), len(imu) - 1)
+
+    def endpoint(t: float, i: int, on: int):
+        """Sample ``on`` if it is at ``t``, else the lerp between samples i and i + 1."""
+        if abs(imu.t[on] - t) < 1e-12:
+            return imu.t[on], imu.accel[on], imu.gyro[on]
+        return t, *(lerp(t, imu.t[i], imu.t[i + 1], z[i], z[i + 1]) for z in (imu.accel, imu.gyro))
+
+    (ta, a0, w0), (tb, a1, w1) = endpoint(t0, i0, i0), endpoint(t1, i1 - 1, i1)
+    inner = slice(i0 + 1, i1)
+    return ImuData(
+        np.concatenate([[ta], imu.t[inner], [tb]]),
+        np.vstack([a0, imu.accel[inner], a1]),
+        np.vstack([w0, imu.gyro[inner], w1]),
+    )
 
 
 @dataclass
@@ -80,7 +78,7 @@ class PreintegratedImu:
     over ``dt``.
 
     ``stack`` puts the compounds of several edges along a leading axis for
-    the batched IMU factor; a stack holds no samples and is never
+    the batched IMU factor; a stack holds no samples (``None``) and is never
     reintegrated.
     """
 
@@ -93,7 +91,7 @@ class PreintegratedImu:
     j_vel_ba: np.ndarray
     j_vel_bg: np.ndarray
     cov_rot_vel: np.ndarray
-    samples: list[ImuMeasurement]
+    samples: ImuData | None
     params: ImuParams
 
     @staticmethod
@@ -111,7 +109,7 @@ class PreintegratedImu:
             j_vel_ba=stacked("j_vel_ba"),
             j_vel_bg=stacked("j_vel_bg"),
             cov_rot_vel=stacked("cov_rot_vel"),
-            samples=[],
+            samples=None,
             params=pres[0].params,
         )
 
@@ -131,19 +129,19 @@ class PreintegratedImu:
 
 
 def preintegrate(
-    samples: list[ImuMeasurement],
+    segment: ImuData,
     ba0: np.ndarray,
     bg0: np.ndarray,
     params: ImuParams,
 ) -> PreintegratedImu:
     """Midpoint-rule compounding of an IMU segment at fixed biases."""
-    if len(samples) < 2:
+    if len(segment) < 2:
         raise ValueError("need at least two measurements (one interval)")
-    times = np.array([m.t for m in samples])
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("IMU timestamps must be strictly increasing")
     ba0 = np.asarray(ba0, dtype=float).copy()
     bg0 = np.asarray(bg0, dtype=float).copy()
+    intervals = np.diff(segment.t)
+    w_mids = 0.5 * (segment.gyro[:-1] + segment.gyro[1:]) - bg0
+    a_mids = 0.5 * (segment.accel[:-1] + segment.accel[1:]) - ba0
 
     dR = np.eye(3)
     dv = np.zeros(3)
@@ -154,10 +152,7 @@ def preintegrate(
     var_g = params.gyro_noise_density**2
     var_a = params.accel_noise_density**2
 
-    for z0, z1 in zip(samples[:-1], samples[1:]):
-        dt = z1.t - z0.t
-        w_mid = 0.5 * (z0.gyro + z1.gyro) - bg0
-        a_mid = 0.5 * (z0.accel + z1.accel) - ba0
+    for dt, w_mid, a_mid in zip(intervals, w_mids, a_mids):
         step = w_mid * dt
         R_step = exp_so3(step)
         Jr = right_jacobian_so3(step)
@@ -180,7 +175,7 @@ def preintegrate(
         dR = dR @ R_step
 
     return PreintegratedImu(
-        dt=float(times[-1] - times[0]),
+        dt=float(segment.t[-1] - segment.t[0]),
         delta_q=quat_from_matrix(dR),
         delta_v=dv,
         ba0=ba0,
@@ -189,7 +184,7 @@ def preintegrate(
         j_vel_ba=j_vel_ba,
         j_vel_bg=j_vel_bg,
         cov_rot_vel=cov,
-        samples=list(samples),
+        samples=segment,
         params=params,
     )
 

@@ -24,7 +24,8 @@ leading factor axis:
   the sensor's extrinsic rotation and lever arm, and the gyro rate;
 * heading: state index and the ``HeadingSummary`` fields as arrays;
 * IMU: the index of each edge's first state, ``PreintegratedImu.stack`` of
-  the edges and their whitening matrices.
+  the edges, and their whitening matrices from one ``imu_sqrt_information``
+  call on that stack.
 
 The iterates are one stacked ``State``; ``retract`` updates all of them at
 once and the entries get their states back once, at the end. A pass calls
@@ -99,7 +100,6 @@ class WindowEntry:
     doppler: list[DopplerBlock] = field(default_factory=list)
     landmarks: LandmarkBlock | None = None
     preint_to_next: PreintegratedImu | None = None
-    imu_sqrt_info: np.ndarray | None = None
     degraded: bool = False
 
 
@@ -216,13 +216,10 @@ class _PackedWindow:
         edges = [
             i for i, e in enumerate(entries) if i + 1 < self.n and e.preint_to_next is not None
         ]
-        for i in edges:
-            if entries[i].imu_sqrt_info is None:
-                entries[i].imu_sqrt_info = imu_sqrt_information(entries[i].preint_to_next)
         self.imu_from = np.array(edges, dtype=int)
         if edges:
             self.imu = PreintegratedImu.stack([entries[i].preint_to_next for i in edges])
-            self.imu_W = np.stack([entries[i].imu_sqrt_info for i in edges])
+            self.imu_W = imu_sqrt_information(self.imu)
 
     def _doppler(self, states: State, with_jacobian: bool):
         r, J = doppler_block_residual(

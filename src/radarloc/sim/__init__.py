@@ -1,14 +1,7 @@
 """Deterministic synthetic sensor data generation."""
 
-from .imu import GRAVITY, ImuData, ImuMeasurement, ImuNoiseModel, simulate_imu
-from .io import (
-    GtSamples,
-    LogFormatError,
-    SensorLog,
-    read_log,
-    write_log,
-    write_odometry,
-)
+from .imu import GRAVITY, ImuData, ImuNoiseModel, simulate_imu
+from .io import LogFormatError, SensorLog, read_log, write_log
 from .mission import Scenario, SimData, simulate_mission, suburban_loop_scenario
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, default_rig, rig_from_dict, sensor_extrinsic
@@ -19,9 +12,7 @@ __all__ = [
     "GRAVITY",
     "DynamicObject",
     "GroundTruth",
-    "GtSamples",
     "ImuData",
-    "ImuMeasurement",
     "ImuNoiseModel",
     "LogFormatError",
     "RadarScan",
@@ -43,5 +34,4 @@ __all__ = [
     "suburban_loop_scenario",
     "wall_points",
     "write_log",
-    "write_odometry",
 ]

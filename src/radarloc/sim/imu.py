@@ -10,7 +10,6 @@ streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +17,6 @@ from ..geometry import quat_to_matrix
 from .trajectory import GroundTruth
 
 GRAVITY = 9.81
-
-
-class ImuMeasurement(NamedTuple):
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
 
 
 @dataclass
@@ -40,9 +33,6 @@ class ImuData:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def measurement(self, i: int) -> ImuMeasurement:
-        return ImuMeasurement(float(self.t[i]), self.accel[i], self.gyro[i])
 
 
 @dataclass

@@ -5,7 +5,8 @@ Record schemas, one JSON object per line, time-sorted:
 * ``{"type": "imu", "t": s, "a": [m/s^2 x3], "w": [rad/s x3]}``
 * ``{"type": "radar", "t": s, "sensor": id,
      "detections": [{"p": [m x3], "rr": m/s}, ...]}``
-* ``{"type": "gt", "t": s, "p": [m x3], "q": [w,x,y,z], "v": [m/s x3]}``
+
+Any other record type is a ``LogFormatError``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .imu import ImuData
 from .radar import RadarScan
-from .trajectory import GroundTruth
 
 
 class LogFormatError(ValueError):
@@ -30,23 +30,9 @@ class LogFormatError(ValueError):
 
 
 @dataclass
-class GtSamples:
-    """Ground-truth poses as logged (may be sparser than the IMU stream)."""
-
-    t: np.ndarray
-    position: np.ndarray
-    quat: np.ndarray
-    velocity: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-@dataclass
 class SensorLog:
     imu: ImuData | None = None
     scans: list[RadarScan] = field(default_factory=list)
-    gt: GtSamples | None = None
 
     def scans_by_time(self) -> list[tuple[float, list[RadarScan]]]:
         """Group scans sharing a timestamp (multi-sensor timesteps)."""
@@ -60,33 +46,17 @@ def _floats(x) -> list[float]:
     return [float(v) for v in np.asarray(x).reshape(-1)]
 
 
-def write_log(
-    path,
-    imu: ImuData | None = None,
-    scans: list[RadarScan] | None = None,
-    gt: GroundTruth | GtSamples | None = None,
-    gt_stride: int = 1,
-) -> None:
+def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = None) -> None:
     """Write a merged, time-sorted sensor log.
 
-    At equal timestamps IMU records precede ground truth, which precedes
-    radar, so a streaming consumer always has IMU coverage for a scan.
+    At equal timestamps IMU records precede radar, so a streaming consumer
+    always has IMU coverage for a scan.
     """
     records: list[tuple[float, int, str]] = []
     if imu is not None:
         for i in range(len(imu)):
             rec = {"type": "imu", "t": float(imu.t[i]), "a": _floats(imu.accel[i]), "w": _floats(imu.gyro[i])}
             records.append((rec["t"], 0, json.dumps(rec)))
-    if gt is not None:
-        for i in range(0, len(gt.t), gt_stride):
-            rec = {
-                "type": "gt",
-                "t": float(gt.t[i]),
-                "p": _floats(gt.position[i]),
-                "q": _floats(gt.quat[i]),
-                "v": _floats(gt.velocity[i]),
-            }
-            records.append((rec["t"], 1, json.dumps(rec)))
     for scan in scans or []:
         rec = {
             "type": "radar",
@@ -96,7 +66,7 @@ def write_log(
                 {"p": _floats(scan.points[i]), "rr": float(scan.doppler[i])} for i in range(len(scan))
             ],
         }
-        records.append((rec["t"], 2, json.dumps(rec)))
+        records.append((rec["t"], 1, json.dumps(rec)))
     records.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w") as f:
         for _, _, line in records:
@@ -104,10 +74,9 @@ def write_log(
             f.write("\n")
 
 
-def read_log(path, negate_doppler: bool = False) -> SensorLog:
+def read_log(path) -> SensorLog:
     """Parse a sensor log, validating structure with line-numbered errors."""
     imu_rows: list[tuple[float, list, list]] = []
-    gt_rows: list[tuple[float, list, list, list]] = []
     scans: list[RadarScan] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -124,14 +93,10 @@ def read_log(path, negate_doppler: bool = False) -> SensorLog:
             try:
                 if kind == "imu":
                     imu_rows.append((float(rec["t"]), rec["a"], rec["w"]))
-                elif kind == "gt":
-                    gt_rows.append((float(rec["t"]), rec["p"], rec["q"], rec["v"]))
                 elif kind == "radar":
                     dets = rec.get("detections", [])
                     points = np.array([d["p"] for d in dets], dtype=float).reshape(-1, 3)
                     doppler = np.array([d["rr"] for d in dets], dtype=float)
-                    if negate_doppler:
-                        doppler = -doppler
                     scans.append(
                         RadarScan(float(rec["t"]), int(rec["sensor"]), points, doppler)
                     )
@@ -149,20 +114,4 @@ def read_log(path, negate_doppler: bool = False) -> SensorLog:
             np.array([r[1] for r in imu_rows], dtype=float),
             np.array([r[2] for r in imu_rows], dtype=float),
         )
-    if gt_rows:
-        gt_rows.sort(key=lambda r: r[0])
-        log.gt = GtSamples(
-            np.array([r[0] for r in gt_rows]),
-            np.array([r[1] for r in gt_rows], dtype=float),
-            np.array([r[2] for r in gt_rows], dtype=float),
-            np.array([r[3] for r in gt_rows], dtype=float),
-        )
     return log
-
-
-def write_odometry(path, records: list[dict]) -> None:
-    """Write odometry output records: {"t", "q", "v", "p", "degraded"}."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec))
-            f.write("\n")

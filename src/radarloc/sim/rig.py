@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import IMU_FRAME, RigidTransform, quat_from_axis_angle, radar_frame
+from ..geometry import RigidTransform, quat_from_axis_angle
 
 
 @dataclass
@@ -75,22 +75,19 @@ class SensorRig:
         )
 
 
-def sensor_extrinsic(position, yaw_rad: float, sensor_id: int = 0) -> RigidTransform:
+def sensor_extrinsic(position, yaw_rad: float) -> RigidTransform:
     """Extrinsic for a radar mounted at ``position`` looking along ``yaw_rad``."""
     return RigidTransform.from_parts(
-        quat_from_axis_angle([0.0, 0.0, 1.0], yaw_rad),
-        np.asarray(position, dtype=float),
-        dst=IMU_FRAME,
-        src=radar_frame(sensor_id),
+        quat_from_axis_angle([0.0, 0.0, 1.0], yaw_rad), np.asarray(position, dtype=float)
     )
 
 
 def default_rig(**overrides) -> SensorRig:
     """Three-radar surround rig: front-left, front-right, rear."""
     extrinsics = [
-        sensor_extrinsic([0.35, 0.20, 0.0], np.deg2rad(50.0), 0),
-        sensor_extrinsic([0.35, -0.20, 0.0], np.deg2rad(-50.0), 1),
-        sensor_extrinsic([-0.35, 0.0, 0.0], np.pi, 2),
+        sensor_extrinsic([0.35, 0.20, 0.0], np.deg2rad(50.0)),
+        sensor_extrinsic([0.35, -0.20, 0.0], np.deg2rad(-50.0)),
+        sensor_extrinsic([-0.35, 0.0, 0.0], np.pi),
     ]
     return SensorRig(extrinsics=extrinsics, **overrides)
 
@@ -112,7 +109,7 @@ def rig_from_dict(cfg: dict) -> SensorRig:
     if sensors is None:
         return default_rig(**kwargs)
     extrinsics = []
-    for sid, s in enumerate(sensors):
+    for s in sensors:
         yaw = np.deg2rad(float(s["yaw_deg"])) if "yaw_deg" in s else float(s.get("yaw", 0.0))
-        extrinsics.append(sensor_extrinsic(s.get("position", [0.0, 0.0, 0.0]), yaw, sid))
+        extrinsics.append(sensor_extrinsic(s.get("position", [0.0, 0.0, 0.0]), yaw))
     return SensorRig(extrinsics=extrinsics, **kwargs)

@@ -3,7 +3,7 @@ import pytest
 
 from radarloc.config import ImuParams
 from radarloc.rio.state import STATE_DIM, State
-from radarloc.sim.imu import ImuMeasurement
+from radarloc.sim.imu import ImuData
 
 
 def numeric_state_jacobian(func, x: State, h: float = 1e-6) -> np.ndarray:
@@ -42,18 +42,16 @@ def random_state(rng: np.random.Generator, t: float = 0.0) -> State:
     )
 
 
-def random_imu_segment(rng: np.random.Generator, duration: float = 0.05, rate: float = 200.0):
+def random_imu_segment(
+    rng: np.random.Generator, duration: float = 0.05, rate: float = 200.0
+) -> ImuData:
     n = max(int(round(duration * rate)), 1) + 1
-    t = np.arange(n) / rate
-    samples = [
-        ImuMeasurement(
-            float(ti),
-            np.array([0.0, 0.0, 9.81]) + rng.normal(scale=0.5, size=3),
-            rng.normal(scale=0.3, size=3),
-        )
-        for ti in t
-    ]
-    return samples
+    accel = np.empty((n, 3))
+    gyro = np.empty((n, 3))
+    for i in range(n):  # drawn sample by sample, accel then gyro
+        accel[i] = np.array([0.0, 0.0, 9.81]) + rng.normal(scale=0.5, size=3)
+        gyro[i] = rng.normal(scale=0.3, size=3)
+    return ImuData(np.arange(n) / rate, accel, gyro)
 
 
 @pytest.fixture

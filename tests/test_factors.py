@@ -168,6 +168,18 @@ class TestImuFactor:
         assert W.shape == (12, 12)
         assert np.all(np.isfinite(W))
 
+    def test_sqrt_information_of_a_stack_matches_each_edge(self, imu_params):
+        # edges of different lengths, so the bias blocks differ too
+        rng = np.random.default_rng(6)
+        pres = [
+            preintegrate(random_imu_segment(rng, duration=d), np.zeros(3), np.zeros(3), imu_params)
+            for d in (0.02, 0.05, 0.05, 0.1, 0.3)
+        ]
+        W = imu_sqrt_information(PreintegratedImu.stack(pres))
+        assert W.shape == (len(pres), 12, 12)
+        for W_k, pre in zip(W, pres):
+            np.testing.assert_array_equal(W_k, imu_sqrt_information(pre))
+
 
 class TestLandmarkFactor:
     def test_zero_for_exact_pose(self):

@@ -27,23 +27,24 @@ def test_skew_self_cross_is_zero():
     np.testing.assert_allclose(geo.skew(v) @ v, np.zeros(3), atol=1e-15)
 
 
+# quat_local_error is the rotation part of State.local_error, which the prior factor uses
 def test_quat_error_identical():
     q = geo.quat_from_axis_angle([0.0, 0.0, 1.0], 0.7)
-    np.testing.assert_allclose(geo.quat_error_vec(q, q), np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(geo.quat_local_error(q, q), np.zeros(3), atol=1e-12)
 
 
 def test_quat_error_small_yaw():
     # oracle: error magnitude is 2*sin(theta/2) about the rotation axis
     theta = np.deg2rad(2.0)
     q_est = geo.quat_from_axis_angle([0.0, 0.0, 1.0], theta)
-    err = geo.quat_error_vec(q_est, geo.quat_identity())
+    err = geo.quat_local_error(q_est, geo.quat_identity())
     np.testing.assert_allclose(err, [0.0, 0.0, 2.0 * np.sin(theta / 2.0)], atol=1e-12)
     np.testing.assert_allclose(err, [0.0, 0.0, 0.0349], atol=1e-4)
 
 
 def test_quat_error_antipodal():
     q = geo.quat_from_axis_angle([0.2, -0.5, 0.8], 1.1)
-    np.testing.assert_allclose(geo.quat_error_vec(-q, q), np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(geo.quat_local_error(-q, q), np.zeros(3), atol=1e-12)
 
 
 def test_bearing_axes():
@@ -161,47 +162,3 @@ def test_quat_mul_and_retract_broadcast():
         np.testing.assert_allclose(
             geo.retract(a, dtheta)[k], geo.retract(a[k], dtheta[k]), atol=1e-15
         )
-
-
-def test_transform_composition_matches_matrix_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        qa = geo.quat_normalize(rng.normal(size=4))
-        qb = geo.quat_normalize(rng.normal(size=4))
-        a = geo.RigidTransform.from_parts(qa, rng.normal(size=3))
-        b = geo.RigidTransform.from_parts(qb, rng.normal(size=3))
-        np.testing.assert_allclose((a @ b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-9)
-
-
-def test_transform_inverse_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        a = geo.RigidTransform.from_parts(geo.quat_normalize(rng.normal(size=4)), rng.normal(size=3))
-        ident = a @ a.inverse()
-        np.testing.assert_allclose(ident.as_matrix(), np.eye(4), atol=1e-9)
-
-
-def test_transform_apply_batch():
-    a = geo.RigidTransform.from_parts(geo.quat_from_axis_angle([0, 0, 1], 0.3), np.array([1.0, 2.0, 3.0]))
-    pts = np.random.default_rng(9).normal(size=(17, 3))
-    batch = a.apply(pts)
-    for i in range(len(pts)):
-        np.testing.assert_allclose(batch[i], a.apply(pts[i]), atol=1e-12)
-
-
-def test_frame_tags_checked():
-    imu_from_radar = geo.RigidTransform.identity(dst=geo.IMU_FRAME, src=geo.radar_frame(0))
-    global_from_imu = geo.RigidTransform.identity(dst=geo.GLOBAL_FRAME, src=geo.IMU_FRAME)
-    chained = global_from_imu @ imu_from_radar
-    assert chained.dst == geo.GLOBAL_FRAME and chained.src == geo.radar_frame(0)
-    with pytest.raises(geo.FrameMismatchError):
-        _ = imu_from_radar @ global_from_imu
-
-
-def test_slerp_endpoints_and_midpoint():
-    q0 = geo.quat_identity()
-    q1 = geo.quat_from_axis_angle([0, 0, 1], 1.0)
-    np.testing.assert_allclose(geo.quat_slerp(q0, q1, 0.0), q0, atol=1e-12)
-    np.testing.assert_allclose(geo.quat_slerp(q0, q1, 1.0), q1, atol=1e-12)
-    mid = geo.quat_slerp(q0, q1, 0.5)
-    np.testing.assert_allclose(geo.quat_yaw(mid), 0.5, atol=1e-12)

@@ -4,47 +4,16 @@ import pytest
 from conftest import random_imu_segment
 from radarloc.config import ImuParams
 from radarloc.geometry import exp_so3, log_so3, quat_to_matrix
-from radarloc.rio.preintegration import (
-    imu_segment,
-    interpolate_imu,
-    predict_state,
-    preintegrate,
-)
+from radarloc.rio.preintegration import imu_segment, predict_state, preintegrate
 from radarloc.rio.state import State
-from radarloc.sim.imu import ImuData, ImuMeasurement
+from radarloc.sim.imu import ImuData
 
-
-def _measurements(t, accel, gyro):
-    return [ImuMeasurement(float(ti), np.asarray(a, float), np.asarray(w, float)) for ti, a, w in zip(t, accel, gyro)]
-
-
-class TestInterpolation:
-    def test_endpoint_exact(self):
-        z0 = ImuMeasurement(0.0, np.array([0.0, 0.0, 9.81]), np.zeros(3))
-        z1 = ImuMeasurement(0.1, np.array([0.1, 0.0, 9.81]), np.array([0.0, 0.0, 0.2]))
-        out = interpolate_imu(z0, z1, 0.0)
-        np.testing.assert_array_equal(out.accel, z0.accel)
-        np.testing.assert_array_equal(out.gyro, z0.gyro)
-
-    def test_midpoint(self):
-        z0 = ImuMeasurement(0.0, np.array([0.0, 0.0, 9.81]), np.zeros(3))
-        z1 = ImuMeasurement(0.1, np.array([0.1, 0.0, 9.81]), np.zeros(3))
-        out = interpolate_imu(z0, z1, 0.05)
-        np.testing.assert_allclose(out.accel, [0.05, 0.0, 9.81], atol=1e-15)
-
-    def test_gyro_three_quarters(self):
-        z0 = ImuMeasurement(0.0, np.zeros(3), np.zeros(3))
-        z1 = ImuMeasurement(1.0, np.zeros(3), np.array([0.0, 0.0, 0.2]))
-        out = interpolate_imu(z0, z1, 0.75)
-        np.testing.assert_allclose(out.gyro, [0.0, 0.0, 0.15], atol=1e-15)
-
-    def test_out_of_interval_rejected(self):
-        z0 = ImuMeasurement(0.0, np.zeros(3), np.zeros(3))
-        z1 = ImuMeasurement(0.1, np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            interpolate_imu(z0, z1, 0.2)
-        with pytest.raises(ValueError):
-            interpolate_imu(z1, z0, 0.05)
+# two samples 0.1 s apart: accel x ramps 0 -> 0.1, gyro z 0 -> 0.2
+TWO_SAMPLES = ImuData(
+    np.array([0.0, 0.1]),
+    np.array([[0.0, 0.0, 9.81], [0.1, 0.0, 9.81]]),
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]]),
+)
 
 
 class TestSegment:
@@ -52,22 +21,48 @@ class TestSegment:
         t = np.arange(11) / 100.0
         imu = ImuData(t, np.tile([0.0, 0.0, 9.81], (11, 1)), np.outer(t, [0.0, 0.0, 1.0]))
         seg = imu_segment(imu, 0.013, 0.087)
-        assert seg[0].t == pytest.approx(0.013)
-        assert seg[-1].t == pytest.approx(0.087)
-        np.testing.assert_allclose(seg[0].gyro, [0.0, 0.0, 0.013], atol=1e-12)
-        assert all(seg[i].t < seg[i + 1].t for i in range(len(seg) - 1))
+        assert seg.t[0] == pytest.approx(0.013)
+        assert seg.t[-1] == pytest.approx(0.087)
+        np.testing.assert_allclose(seg.gyro[0], [0.0, 0.0, 0.013], atol=1e-12)
+        assert np.all(np.diff(seg.t) > 0.0)
+        # the samples inside the interval are copied as they are
+        np.testing.assert_array_equal(seg.t[1:-1], t[2:9])
+        np.testing.assert_array_equal(seg.accel[1:-1], imu.accel[2:9])
+        np.testing.assert_array_equal(seg.gyro[1:-1], imu.gyro[2:9])
+
+    @pytest.mark.parametrize(
+        "t0, t1, end, expected, atol",
+        [
+            # an endpoint on a sample is that sample, bit for bit
+            pytest.param(
+                0.0, 0.1, 0, {"accel": [0.0, 0.0, 9.81], "gyro": [0.0, 0.0, 0.0]}, 0.0,
+                id="t0_on_sample",
+            ),
+            pytest.param(0.05, 0.1, 0, {"accel": [0.05, 0.0, 9.81]}, 1e-15, id="midpoint_accel"),
+            pytest.param(0.0, 0.075, -1, {"gyro": [0.0, 0.0, 0.15]}, 1e-15, id="three_quarter_gyro"),
+        ],
+    )
+    def test_endpoint_value(self, t0, t1, end, expected, atol):
+        seg = imu_segment(TWO_SAMPLES, t0, t1)
+        assert seg.t[end] == (t0, t1)[end]
+        for field, value in expected.items():
+            np.testing.assert_allclose(getattr(seg, field)[end], value, rtol=0.0, atol=atol)
 
     def test_coverage_required(self):
         t = np.arange(5) / 100.0
         imu = ImuData(t, np.zeros((5, 3)), np.zeros((5, 3)))
         with pytest.raises(ValueError):
             imu_segment(imu, 0.0, 0.2)
+        with pytest.raises(ValueError):
+            imu_segment(TWO_SAMPLES, 0.0, 0.2)
+        with pytest.raises(ValueError):
+            imu_segment(TWO_SAMPLES, 0.1, 0.05)
 
 
 class TestPreintegration:
     def test_stationary_prediction(self, imu_params):
         t = np.arange(0.0, 1.005, 0.005)
-        samples = _measurements(t, np.tile([0.0, 0.0, 9.81], (len(t), 1)), np.zeros((len(t), 3)))
+        samples = ImuData(t, np.tile([0.0, 0.0, 9.81], (len(t), 1)), np.zeros((len(t), 3)))
         pre = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
         np.testing.assert_allclose(quat_to_matrix(pre.delta_q), np.eye(3), atol=1e-12)
         x0 = State.initial()
@@ -79,7 +74,7 @@ class TestPreintegration:
         rate = 200.0
         t = np.arange(0.0, 1.0 + 0.5 / rate, 1.0 / rate)
         gyro = np.tile([0.0, 0.0, np.pi / 2.0], (len(t), 1))
-        samples = _measurements(t, np.zeros((len(t), 3)), gyro)
+        samples = ImuData(t, np.zeros((len(t), 3)), gyro)
         pre = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
         expected = exp_so3(np.array([0.0, 0.0, np.pi / 2.0]))
         np.testing.assert_allclose(quat_to_matrix(pre.delta_q), expected, atol=1e-6)
@@ -103,9 +98,11 @@ class TestPreintegration:
                 )
 
             t_coarse = np.arange(0.0, 1.0 + 1e-9, 1.0 / 200.0)
-            samples = [
-                ImuMeasurement(float(tt), accel_at(tt), gyro_at(tt)) for tt in t_coarse
-            ]
+            samples = ImuData(
+                t_coarse,
+                np.array([accel_at(tt) for tt in t_coarse]),
+                np.array([gyro_at(tt) for tt in t_coarse]),
+            )
             pre = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
 
             dt = 1.0 / 2000.0
@@ -143,8 +140,8 @@ class TestPreintegration:
         assert np.linalg.norm(dv_c - exact.delta_v) < 0.1 * max(uncorrected, 1e-9)
 
     def test_rejects_non_monotone_times(self, imu_params):
-        samples = _measurements([0.0, 0.01, 0.01], np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
+            samples = ImuData(np.array([0.0, 0.01, 0.01]), np.zeros((3, 3)), np.zeros((3, 3)))
             preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
 
     def test_covariance_psd_and_grows(self, imu_params):

@@ -38,8 +38,8 @@ def _mission(traj, duration, scene, noisy=True, seed=0, imu_noise=None):
     return scenario, simulate_mission(scenario, seed=seed)
 
 
-def _log(data, stride=1):
-    return sim.SensorLog(imu=data.imu, scans=data.scans, gt=None)
+def _log(data):
+    return sim.SensorLog(imu=data.imu, scans=data.scans)
 
 
 class TestStationary:
@@ -127,6 +127,7 @@ def _fault_log(fault):
     assert len(scans[k]) > 3
     i = len(imu) // 2 + 3  # between radar times: the IMU still covers every scan group
     assert i % scenario.rig.imu_per_radar
+    at_radar = i - i % scenario.rig.imu_per_radar  # the sample at a scan group's time
     if fault == "zero_range_point":
         scans[k].points[3] = 0.0
     elif fault == "nan_point_coordinate":
@@ -137,6 +138,8 @@ def _fault_log(fault):
         scans[k] = RadarScan(scans[k].t, scans[k].sensor_id, np.zeros((0, 3)), np.zeros(0))
     elif fault == "nan_accel_sample":
         imu.accel[i, 0] = np.nan
+    elif fault == "nan_accel_at_radar_time":
+        imu.accel[at_radar, 0] = np.nan
     elif fault == "nan_imu_time":
         imu.t[i] = np.nan
     return scenario, sim.SensorLog(imu=imu, scans=scans)
@@ -150,6 +153,7 @@ class TestFaultInjection:
         ("nan_doppler", 1, 0),
         ("empty_scan", 0, 0),
         ("nan_accel_sample", 0, 1),
+        ("nan_accel_at_radar_time", 0, 1),
         ("nan_imu_time", 0, 1),
     ]
 

@@ -7,7 +7,7 @@ from radarloc.sim.trajectory import TrajectorySpecError
 
 
 def _single_sensor_rig(**overrides) -> sim.SensorRig:
-    return sim.SensorRig(extrinsics=[sim.sensor_extrinsic([0.0, 0.0, 0.0], 0.0, 0)], **overrides)
+    return sim.SensorRig(extrinsics=[sim.sensor_extrinsic([0.0, 0.0, 0.0], 0.0)], **overrides)
 
 
 class TestTrajectory:
@@ -191,7 +191,7 @@ class TestLogIo:
         )
         data = sim.simulate_mission(scenario, seed=1)
         path = tmp_path / "log.jsonl"
-        sim.write_log(path, imu=data.imu, scans=data.scans, gt=data.gt, gt_stride=10)
+        sim.write_log(path, imu=data.imu, scans=data.scans)
         log = sim.read_log(path)
         assert len(log.imu) == len(data.imu)
         np.testing.assert_allclose(log.imu.accel, data.imu.accel)
@@ -199,7 +199,6 @@ class TestLogIo:
         total_in = sum(len(s) for s in data.scans)
         total_out = sum(len(s) for s in log.scans)
         assert total_in == total_out
-        assert log.gt is not None and len(log.gt) == (len(data.gt) + 9) // 10
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -207,13 +206,6 @@ class TestLogIo:
         with pytest.raises(sim.LogFormatError) as err:
             sim.read_log(path)
         assert err.value.line_no == 2
-
-    def test_negate_doppler_adapter(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        scan = sim.RadarScan(0.0, 0, np.array([[10.0, 0.0, 0.0]]), np.array([1.5]))
-        sim.write_log(path, scans=[scan])
-        log = sim.read_log(path, negate_doppler=True)
-        assert log.scans[0].doppler[0] == pytest.approx(-1.5)
 
     def test_scan_grouping(self):
         scans = [

@@ -18,6 +18,7 @@ from radarloc.rio.factors import (
 )
 from radarloc.rio.preintegration import predict_state, preintegrate
 from radarloc.rio.state import BA, STATE_DIM, State
+from radarloc.sim.imu import ImuData
 from radarloc.rio.window import (
     CONVERGED,
     DIVERGED,
@@ -473,13 +474,8 @@ class TestMarginalize:
         window = SlidingWindow(prior=prior, entries=[WindowEntry(state=x, t_oi=np.zeros(3))])
         counts = []
         for k in range(60):
-            samples = [
-                s
-                for s in random_imu_segment(rng, duration=0.05)
-            ]
-            shifted = [
-                type(s)(s.t + 0.05 * k, s.accel, s.gyro) for s in samples
-            ]
+            samples = random_imu_segment(rng, duration=0.05)
+            shifted = ImuData(samples.t + 0.05 * k, samples.accel, samples.gyro)
             pre = preintegrate(shifted, np.zeros(3), np.zeros(3), imu_params)
             window.entries[-1].preint_to_next = pre
             x_new = predict_state(window.entries[-1].state, pre)
