@@ -53,6 +53,8 @@ class TestSegment:
         imu = ImuData(t, np.zeros((5, 3)), np.zeros((5, 3)))
         with pytest.raises(ValueError):
             imu_segment(imu, 0.0, 0.2)
+
+    def test_out_of_interval_rejected(self):
         with pytest.raises(ValueError):
             imu_segment(TWO_SAMPLES, 0.0, 0.2)
         with pytest.raises(ValueError):
