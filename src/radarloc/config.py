@@ -27,7 +27,6 @@ class ImuParams:
     gyro_noise_density: float = 0.002  # rad/s per sqrt(Hz)
     accel_bias_walk: float = 2e-4  # m/s^2 per sqrt(s)
     gyro_bias_walk: float = 2e-5  # rad/s per sqrt(s)
-    bias_relin_threshold: float = 1e-3  # re-integrate when biases move further
     gravity: float = 9.81
 
 
@@ -92,7 +91,6 @@ PARAMETER_RANGES: dict[str, tuple[float, float, bool, bool]] = {
     "imu.gyro_noise_density": (0.0, 10.0, True, True),
     "imu.accel_bias_walk": (0.0, 1.0, True, True),
     "imu.gyro_bias_walk": (0.0, 1.0, True, True),
-    "imu.bias_relin_threshold": (0.0, 1.0, False, True),
     "imu.gravity": (0.0, 30.0, False, True),
     "doppler.sigma": (0.0, 10.0, False, True),
     "landmark.range_weight": (0.0, 1000.0, False, True),
@@ -119,7 +117,7 @@ def _apply_overrides(obj, overrides: dict, path: str = "") -> None:
         if key not in known:
             raise ConfigError(f"unknown config key: {path}{key}")
         current = getattr(obj, key)
-        if is_dataclass(current) and not isinstance(value, dict) and value is not None:
+        if is_dataclass(current) and not isinstance(value, dict):
             raise ConfigError(f"config section {path}{key} must be an object")
         if is_dataclass(current):
             _apply_overrides(current, value, path=f"{path}{key}.")
@@ -159,7 +157,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 
 def config_from_dict(overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
-    if overrides:
+    if overrides is not None:
         if not isinstance(overrides, dict):
             raise ConfigError("config root must be a JSON object")
         _apply_overrides(cfg, overrides)

@@ -75,6 +75,8 @@ class StepDiagnostics:
     cost_drop: float = 0.0  # window cost before minus after the optimization
     marginalization_regularized: bool = False
     factor_count: int = 0
+    accel_bias_shift: float = 0.0  # largest |ba - ba0| over the window's IMU edges, m/s^2
+    gyro_bias_shift: float = 0.0  # largest |bg - bg0| over the window's IMU edges, rad/s
 
     def record_optimization(self, report: OptimizeReport) -> None:
         self.optimize_iterations = report.iterations
@@ -173,13 +175,6 @@ class RioEstimator:
         return LandmarkBlock(
             np.arctan2(levelled[:, 1], levelled[:, 0]), landmarks[keep] - t_oi_prov
         )
-
-    def _relinearize_edges(self) -> None:
-        thr = self.cfg.imu.bias_relin_threshold
-        for entry in self.window.entries[:-1]:
-            pre = entry.preint_to_next
-            if pre is not None and pre.bias_shift(entry.state.ba, entry.state.bg) > thr:
-                entry.preint_to_next = pre.reintegrated(entry.state.ba, entry.state.bg)
 
     def _check_health(self) -> None:
         newest = self.window.entries[-1].state
@@ -287,13 +282,15 @@ class RioEstimator:
 
         last_entry.preint_to_next = pre
         self.window.entries.append(entry)
-        self._relinearize_edges()
 
         report = optimize_window(self.window, self.extrinsics, self.cfg)
         diag.record_optimization(report)
         if report.diverged:
             raise EstimatorDivergence("window optimization diverged")
         self._check_health()
+        edges = [(e.state, e.preint_to_next) for e in self.window.entries[:-1]]
+        diag.accel_bias_shift = max(float(np.linalg.norm(x.ba - edge.ba0)) for x, edge in edges)
+        diag.gyro_bias_shift = max(float(np.linalg.norm(x.bg - edge.bg0)) for x, edge in edges)
 
         v_prev = self.window.entries[-2].state.v
         v_new = self.window.entries[-1].state.v

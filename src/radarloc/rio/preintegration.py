@@ -6,9 +6,9 @@ not tracked). Deltas exclude gravity; it is injected at prediction time.
 
 ``imu_segment`` cuts the samples of one radar interval out of the buffer as
 an ``ImuData``: the samples inside the interval as they are, and its two
-endpoints interpolated linearly between their neighbours. First-order bias
-corrections are valid near the linearization biases; the segment is kept so
-the compound can be rebuilt when the bias estimates move too far.
+endpoints interpolated linearly between their neighbours. Each segment is
+compounded once; ``PreintegratedImu.corrected`` carries every later bias
+change to first order (Forster et al., T-RO 2017).
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class PreintegratedImu:
     over ``dt``.
 
     ``stack`` puts the compounds of several edges along a leading axis for
-    the batched IMU factor; a stack holds no samples (``None``) and is never
-    reintegrated.
+    the batched IMU factor; a stack holds no samples (``None``). ``samples``
+    and ``reintegrated`` stay only as the benchmark tracer's target.
     """
 
     dt: float
@@ -120,9 +120,6 @@ class PreintegratedImu:
         dq = quat_normalize(quat_mul(self.delta_q, quat_exp(matvec(self.j_rot_bg, dbg))))
         dv = self.delta_v + matvec(self.j_vel_ba, dba) + matvec(self.j_vel_bg, dbg)
         return dq, dv, dbg
-
-    def bias_shift(self, ba: np.ndarray, bg: np.ndarray) -> float:
-        return float(max(np.linalg.norm(ba - self.ba0), np.linalg.norm(bg - self.bg0)))
 
     def reintegrated(self, ba: np.ndarray, bg: np.ndarray) -> "PreintegratedImu":
         return preintegrate(self.samples, ba, bg, self.params)

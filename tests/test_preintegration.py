@@ -4,6 +4,7 @@ import pytest
 from conftest import random_imu_segment
 from radarloc.config import ImuParams
 from radarloc.geometry import exp_so3, log_so3, quat_to_matrix
+from radarloc.rio.factors import imu_sqrt_information
 from radarloc.rio.preintegration import imu_segment, predict_state, preintegrate
 from radarloc.rio.state import State
 from radarloc.sim.imu import ImuData
@@ -131,7 +132,7 @@ class TestPreintegration:
         dba = rng.normal(scale=2e-4, size=3)
         dbg = rng.normal(scale=2e-4, size=3)
         dq_c, dv_c, _ = pre.corrected(ba0 + dba, bg0 + dbg)
-        exact = pre.reintegrated(ba0 + dba, bg0 + dbg)
+        exact = preintegrate(samples, ba0 + dba, bg0 + dbg, imu_params)
         rot_err = np.linalg.norm(
             log_so3(quat_to_matrix(dq_c).T @ quat_to_matrix(exact.delta_q))
         )
@@ -140,6 +141,31 @@ class TestPreintegration:
         assert np.linalg.norm(dv_c - exact.delta_v) < 5e-6
         uncorrected = np.linalg.norm(pre.delta_v - exact.delta_v)
         assert np.linalg.norm(dv_c - exact.delta_v) < 0.1 * max(uncorrected, 1e-9)
+
+    def test_first_order_error_small_at_largest_window_bias_shift(self, imu_params):
+        # the workloads' edges see bias shifts up to about 0.1 m/s^2 and
+        # 0.05 rad/s over a window's life; the first-order update must stay
+        # well inside the edge's own noise there
+        rng = np.random.default_rng(21)
+
+        def direction():
+            d = rng.normal(size=3)
+            return d / np.linalg.norm(d)
+
+        def whitened(W, dq, dv, exact):
+            rot = log_so3(quat_to_matrix(dq).T @ quat_to_matrix(exact.delta_q))
+            return np.linalg.norm(W @ np.concatenate([rot, dv - exact.delta_v]))
+
+        for _ in range(20):
+            samples = random_imu_segment(rng, duration=0.05)
+            pre = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
+            dba, dbg = 0.1 * direction(), 0.05 * direction()
+            exact = preintegrate(samples, dba, dbg, imu_params)
+            W = imu_sqrt_information(pre)[:6, :6]
+            dq_c, dv_c, _ = pre.corrected(dba, dbg)
+            assert whitened(W, dq_c, dv_c, exact) <= 0.05
+            # the shift itself is many sigmas: the test is not vacuous
+            assert whitened(W, pre.delta_q, pre.delta_v, exact) > 1.0
 
     def test_rejects_non_monotone_times(self, imu_params):
         with pytest.raises(ValueError):

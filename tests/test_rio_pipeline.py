@@ -3,7 +3,7 @@ import pytest
 
 from radarloc import sim
 from radarloc.config import RunConfig
-from radarloc.geometry import quat_yaw
+from radarloc.geometry import quat_to_matrix, quat_yaw, wrap_angle
 from radarloc.rio import RioEstimator, run_odometry
 from radarloc.rio.window import CONVERGED, ITERATION_CAP, NO_DESCENT
 from radarloc.sim import ImuData, RadarScan, Scenario, simulate_mission
@@ -77,6 +77,30 @@ class TestStraightLine:
         assert not any(o.degraded for o in outputs)
 
 
+class TestCircle:
+    def test_noise_free_translation_and_yaw_exact(self):
+        scenario, data = _mission(
+            {"kind": "circle", "radius": 12.0, "speed": 2.0},
+            6.0,
+            _box_scene(half=25.0),
+            noisy=False,
+        )
+        cfg = RunConfig()
+        outputs = run_odometry(_log(data), cfg, extrinsics=scenario.rig.extrinsics)
+        # outputs are in the IMU frame of the first output; the circle starts
+        # at 90 deg yaw, so ground truth is expressed in that frame too
+        i0 = data.gt.index_at(outputs[0].t)
+        R0 = quat_to_matrix(data.gt.quat[i0])
+        yaw0 = quat_yaw(data.gt.quat[i0])
+        for out in outputs:
+            idx = data.gt.index_at(out.t)
+            gt_rel = R0.T @ (data.gt.position[idx] - data.gt.position[i0])
+            assert np.linalg.norm(out.p - gt_rel) < 1e-3
+            yaw_err = wrap_angle(quat_yaw(out.q) - (quat_yaw(data.gt.quat[idx]) - yaw0))
+            assert abs(np.degrees(yaw_err)) < 0.05
+        assert not any(o.degraded for o in outputs)
+
+
 class TestDegradedStep:
     def test_all_dynamic_scan_flagged_and_imu_propagated(self):
         scenario, data = _mission(
@@ -117,7 +141,7 @@ class TestDegradedStep:
 
 
 def _fault_log(fault):
-    """A noisy 1.5 s straight drive with one fault injected halfway through."""
+    """A noisy 1.5 s straight drive with ``fault`` injected halfway through (``None``: none)."""
     scenario, data = _mission(
         {"kind": "line", "speed": 1.0, "yaw": 0.0}, 1.5, _box_scene(clutter=1.0), seed=4
     )
@@ -181,6 +205,28 @@ class TestFaultInjection:
         assert sum(d.skipped_imu_samples for d in diagnostics) == skipped_imu
 
 
+class TestOnePreintegrationPerStep:
+    def test_each_step_preintegrates_once(self, monkeypatch):
+        # every bias change reaches an IMU edge through the first-order
+        # update, so no edge is ever compounded a second time
+        import radarloc.rio.estimator as estimator
+        import radarloc.rio.preintegration as preintegration
+
+        calls = []
+        original = preintegration.preintegrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "preintegrate", counting)
+        monkeypatch.setattr(preintegration, "preintegrate", counting)
+        scenario, log = _fault_log(None)
+        outputs = run_odometry(log, RunConfig(), extrinsics=scenario.rig.extrinsics)
+        assert len(outputs) > 2
+        assert len(calls) == len(outputs) - 1
+
+
 class TestWindowBounds:
     def test_window_size_and_factor_count_bounded(self):
         scenario, data = _mission(
@@ -197,6 +243,7 @@ class TestWindowBounds:
         counts = []
         full_counts = []
         reasons = []
+        shifts = []
         for t, scans in groups:
             while fed < len(data.imu) and data.imu.t[fed] <= t + 1e-12:
                 est.add_imu(data.imu.t[fed], data.imu.accel[fed], data.imu.gyro[fed])
@@ -207,11 +254,18 @@ class TestWindowBounds:
             reasons.append(diag.optimize_reason)
             assert diag.ransac_iterations >= 1
             assert diag.cost_drop >= 0.0
+            # the bias shifts the first-order update is tested to carry
+            # (test_preintegration.py)
+            assert diag.accel_bias_shift <= 0.1
+            assert diag.gyro_bias_shift <= 0.05
+            shifts.append((diag.accel_bias_shift, diag.gyro_bias_shift))
             assert len(est.window) <= cfg.window.size
             if len(est.window) == cfg.window.size:
                 full_counts.append(est.last_diagnostics.factor_count)
         # every step names why its optimization stopped; none diverged
         assert set(reasons) <= {CONVERGED, NO_DESCENT, ITERATION_CAP}
+        # the shifts are recorded, not left at their defaults
+        assert all(max(column) > 0.0 for column in zip(*shifts))
         # factor count bounded by a constant independent of mission length
         assert max(counts) < 5000
         # a full window holds the prior, one range-rate factor per sensor and
