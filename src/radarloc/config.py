@@ -16,7 +16,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RansacParams:
-    iterations: int = 100
+    iterations: int = 100  # cap on draws; the adaptive stop ends sooner
     inlier_threshold: float = 0.12  # m/s, three times the Doppler accuracy
     min_inliers: int = 8
 

@@ -5,7 +5,8 @@ new state, reject dynamic detections by pooled consensus, attach range
 rate and heading factors, optimize the sliding window, dead-reckon the
 translation from optimized velocities, and marginalize once the window
 exceeds its size. When consensus fails the step degrades to IMU-only
-prediction and is flagged in the output.
+prediction and is flagged in the output; a step whose IMU segment bridges a
+gap in the samples is flagged too.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ from .window import (
 
 log = logging.getLogger(__name__)
 
+# A step whose IMU segment holds a sample interval longer than this many
+# times the buffer's median interval is flagged degraded (``imu_gap``).
+IMU_GAP_FACTOR = 5.0
+# Samples the IMU buffer keeps however old: through a gap longer than the
+# buffer's time span, its median interval stays the sampling interval.
+IMU_BUFFER_MIN_SAMPLES = 16
+
 
 class EstimatorDivergence(RuntimeError):
     """The window optimization produced a non-finite or unbounded state."""
@@ -66,8 +74,15 @@ class StepDiagnostics:
     skipped_imu_samples: int = 0  # non-finite IMU samples refused since the previous step
     inliers: int = 0
     heading_matches: int = 0  # matched bearings behind this step's heading factor
+    # tracker after its update: landmarks kept, and inliers matched to one or
+    # turned into a new one; all 0 when the tracker does not run
+    tracked_landmarks: int = 0
+    matched_landmarks: int = 0
+    created_landmarks: int = 0
+    imu_max_interval: float = 0.0  # longest sample interval of the step's IMU segment, s
     ransac_reason: str = ""
-    ransac_iterations: int = 0  # RANSAC samples drawn
+    degraded_reason: str = ""  # "imu_gap", else the RANSAC reason; empty when not degraded
+    ransac_iterations: int = 0  # RANSAC samples drawn, adaptive, at most ransac.iterations
     optimize_iterations: int = 0
     # window.CONVERGED (relative cost decrease or gradient floor), NO_DESCENT
     # (no damped step lowered the cost), ITERATION_CAP or DIVERGED
@@ -130,7 +145,10 @@ class RioEstimator:
         )
 
     def _trim_imu(self, keep_from: float) -> None:
-        cut = bisect.bisect_left(self._imu_t, keep_from) - 1
+        cut = min(
+            bisect.bisect_left(self._imu_t, keep_from) - 1,
+            len(self._imu_t) - IMU_BUFFER_MIN_SAMPLES,
+        )
         if cut > 0:
             del self._imu_t[:cut]
             del self._imu_a[:cut]
@@ -152,15 +170,19 @@ class RioEstimator:
             return [s for s in scans if s.sensor_id == 0]
         return list(scans)
 
-    def _landmark_block(self, pooled, mask, t, x_pred, t_oi_prov):
+    def _landmark_block(self, pooled, mask, t, x_pred, t_oi_prov, diag: StepDiagnostics):
         """Heading block from the inliers (``mask``) of ``pooled``, or None.
 
-        The tracker sees the inliers' IMU-frame positions in pooled order.
+        The tracker sees the inliers' IMU-frame positions in pooled order;
+        its counts go to ``diag``.
         """
         if self.cfg.ablation.disable_heading_constraint:
             return None
         detections = pooled.positions[mask]
         active = self.tracker.update(detections, t, quat_to_matrix(x_pred.q), t_oi_prov)
+        diag.tracked_landmarks = len(self.tracker.landmarks)
+        diag.matched_landmarks = self.tracker.matched
+        diag.created_landmarks = self.tracker.created
         if not active:
             return None
         idx = np.fromiter((m.detection_index for m in active), dtype=int, count=len(active))
@@ -208,7 +230,7 @@ class RioEstimator:
         diag.detections = len(pooled)
         diag.dropped_detections = pooled.dropped
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
-        diag.ransac_reason = result.reason
+        diag.ransac_reason = diag.degraded_reason = result.reason
         diag.ransac_iterations = result.iterations_used
         degraded = result.degraded
         if result.ok:
@@ -225,7 +247,7 @@ class RioEstimator:
         if result.ok:
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
             entry.landmarks = self._landmark_block(
-                pooled, result.inlier_mask, t, state, np.zeros(3)
+                pooled, result.inlier_mask, t, state, np.zeros(3), diag
             )
             report = optimize_window(self.window, self.extrinsics, self.cfg)
             diag.record_optimization(report)
@@ -255,7 +277,10 @@ class RioEstimator:
         if t <= self._last_t:
             raise ValueError("radar timesteps must be strictly increasing")
         dt = t - self._last_t
-        segment = imu_segment(self._imu_data(), self._last_t, t)
+        imu = self._imu_data()
+        segment = imu_segment(imu, self._last_t, t)
+        diag.imu_max_interval = float(np.max(np.diff(segment.t)))
+        imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
         last_entry = self.window.entries[-1]
         pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
         x_pred = predict_state(last_entry.state, pre, t1=t)
@@ -267,15 +292,17 @@ class RioEstimator:
         result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
         diag.ransac_reason = result.reason
         diag.ransac_iterations = result.iterations_used
+        diag.degraded_reason = "imu_gap" if imu_gap else result.reason
+        degraded = result.degraded or imu_gap
 
-        entry = WindowEntry(state=x_pred, t_oi=np.zeros(3), degraded=result.degraded)
+        entry = WindowEntry(state=x_pred, t_oi=np.zeros(3), degraded=degraded)
         if result.ok:
             diag.inliers = int(result.inlier_mask.sum())
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
             v_prov = 0.5 * (last_entry.state.v + x_pred.v)
             t_oi_prov = self.t_oi + v_prov * dt
             entry.landmarks = self._landmark_block(
-                pooled, result.inlier_mask, t, x_pred, t_oi_prov
+                pooled, result.inlier_mask, t, x_pred, t_oi_prov, diag
             )
             if entry.landmarks is not None:
                 diag.heading_matches = len(entry.landmarks.bearings)
@@ -300,7 +327,7 @@ class RioEstimator:
         if len(self.window) > self.cfg.window.size:
             info = marginalize_oldest(self.window, self.extrinsics, self.cfg)
             diag.marginalization_regularized = info.regularized
-        return self._emit(result.degraded)
+        return self._emit(degraded)
 
     def _emit(self, degraded: bool) -> OdometryOutput:
         state = self.window.entries[-1].state

@@ -149,6 +149,10 @@ class ActiveMatch:
 class LandmarkTracker:
     params: LandmarkParams
     landmarks: list[Landmark] = field(default_factory=list)
+    # counts of the latest update: detections matched to a landmark, and
+    # detections that became a new one
+    matched: int = 0
+    created: int = 0
 
     def project(self, R_io: np.ndarray, t_oi: np.ndarray) -> np.ndarray:
         """Landmark positions in the current IMU frame, (n, 3)."""
@@ -189,4 +193,5 @@ class LandmarkTracker:
         for det_idx in unmatched:
             position = R_oi @ detections_imu[det_idx] + t_oi
             self.landmarks.append(Landmark(position=position, created=now, t_last=now))
+        self.matched, self.created = len(matches), len(unmatched)
         return active

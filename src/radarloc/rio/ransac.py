@@ -9,6 +9,7 @@ excluded downstream.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -16,6 +17,11 @@ import numpy as np
 
 from ..config import RansacParams
 from ..geometry import RigidTransform
+
+# Probability that at least one of the draws made was all inliers when the
+# adaptive stop ends the loop (Hartley & Zisserman, Multiple View Geometry,
+# 4.7.1).
+CONFIDENCE = 0.999
 
 
 @dataclass
@@ -121,6 +127,23 @@ class RansacResult:
         return not self.degraded
 
 
+def draws_needed(count: int, n: int, cap: int) -> int:
+    """Draws after which, at an inlier ratio of ``count / n``, an all-inlier
+    minimal sample has been drawn with probability ``CONFIDENCE``.
+
+    At least 1 and at most ``cap``; the cap applies when ``count`` is 0 or
+    the ratio cubed underflows, where no finite number of draws suffices.
+    """
+    ratio_cubed = (count / n) ** 3
+    if ratio_cubed >= 1.0:
+        return 1
+    log_miss = math.log1p(-ratio_cubed)
+    if log_miss == 0.0:
+        return cap
+    draws = math.log1p(-CONFIDENCE) / log_miss
+    return cap if draws >= cap else max(1, math.ceil(draws))
+
+
 def estimate_velocity(
     pooled: PooledDetections,
     params: RansacParams,
@@ -133,6 +156,11 @@ def estimate_velocity(
     consensus inliers by least squares and the mask is recomputed once
     from that refit. Degenerate geometry (rays spanning fewer than three
     directions) and thin consensus both degrade the step.
+
+    The number of draws adapts to the best consensus so far: each time it
+    grows, the loop is set to stop after ``draws_needed`` draws, at most
+    ``params.iterations``. It also stops when every detection is an inlier.
+    A near-coplanar sample is skipped but counts as a draw.
 
     ``seed`` is an int or a sequence of ints, such as ``[run_seed, step]``
     for an independent stream per radar step; ``s`` and ``[s]`` draw the
@@ -151,7 +179,9 @@ def estimate_velocity(
     best_count = 0
     best_mask = empty
     iterations = 0
-    for iterations in range(1, params.iterations + 1):
+    needed = params.iterations
+    while iterations < needed:
+        iterations += 1
         pick = rng.choice(n, size=3, replace=False)
         A = dirs[pick]
         # near-coplanar ray triplets carry no 3D velocity information
@@ -165,6 +195,7 @@ def estimate_velocity(
             best_mask = mask
             if count == n:
                 break
+            needed = draws_needed(count, n, params.iterations)
 
     if best_count < params.min_inliers:
         return RansacResult(None, empty, True, "insufficient_consensus", iterations)

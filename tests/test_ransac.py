@@ -6,6 +6,7 @@ from radarloc.geometry import quat_to_matrix
 from radarloc.rio.ransac import (
     PooledDetections,
     compensate_lever_arm,
+    draws_needed,
     estimate_velocity,
     pool_scans,
 )
@@ -174,6 +175,110 @@ class TestRansac:
             assert np.array_equal(mask_a, mask_b)
             np.testing.assert_array_equal(v_a, v_b)
             assert it_a == it_b
+
+
+def _fixed_draws_reference(pooled, params, seed):
+    """Mask and velocity of RANSAC with every one of ``params.iterations``
+    draws made (early stop only on full consensus), from the same stream."""
+    dirs, rates = pooled.directions, pooled.rates
+    n = len(rates)
+    rng = np.random.default_rng(np.random.SeedSequence([*seed, 0x3303]))
+    best_count, best_mask = 0, np.zeros(n, dtype=bool)
+    for _ in range(params.iterations):
+        pick = rng.choice(n, size=3, replace=False)
+        if abs(np.linalg.det(dirs[pick])) < 1e-6:
+            continue
+        v = np.linalg.solve(dirs[pick], rates[pick])
+        mask = np.abs(rates - dirs @ v) < params.inlier_threshold
+        if mask.sum() > best_count:
+            best_count, best_mask = int(mask.sum()), mask
+            if best_count == n:
+                break
+    mask = best_mask
+    for _ in range(2):
+        v, *_ = np.linalg.lstsq(dirs[mask], rates[mask], rcond=None)
+        mask = np.abs(rates - dirs @ v) < params.inlier_threshold
+    return mask, v
+
+
+MOVER_VELOCITY = np.array([-2.0, 1.5, 0.0])  # relative to the static scene
+
+
+def _scene_with_movers(seed, n, mover_fraction, v_static):
+    """Static detections at ``v_static`` with 0.01 m/s noise; the first
+    ``mover_fraction`` of them move together at ``MOVER_VELOCITY``.
+
+    Also returns the mask of movers whose range rate differs from a static
+    one's by more than twice the inlier threshold.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = _random_dirs(rng, n)
+    rates = dirs @ v_static + 0.01 * rng.standard_normal(n)
+    movers = int(round(mover_fraction * n))
+    rates[:movers] = dirs[:movers] @ (v_static + MOVER_VELOCITY)
+    distinct = np.zeros(n, dtype=bool)
+    distinct[:movers] = np.abs(dirs[:movers] @ MOVER_VELOCITY) > 2 * RansacParams().inlier_threshold
+    return _pooled(dirs, rates), distinct
+
+
+class TestAdaptiveStop:
+    V_STATIC = np.array([3.0, 0.2, -0.1])
+
+    def test_few_outliers_stop_early_with_the_fixed_draw_result(self):
+        params = RansacParams()
+        for seed in range(5):
+            pooled, distinct = _scene_with_movers(seed, 200, 0.02, self.V_STATIC)
+            result = estimate_velocity(pooled, params, seed=[seed, 7])
+            assert result.ok
+            assert 1 <= result.iterations_used <= 10
+            mask, v = _fixed_draws_reference(pooled, params, [seed, 7])
+            np.testing.assert_array_equal(result.inlier_mask, mask)
+            np.testing.assert_array_equal(result.velocity, v)
+            assert not result.inlier_mask[distinct].any()
+
+    def test_coherent_movers_need_more_draws_and_lose(self):
+        params = RansacParams()
+        clean, _ = _scene_with_movers(1, 200, 0.02, self.V_STATIC)
+        crowded, distinct = _scene_with_movers(1, 200, 0.4, self.V_STATIC)
+        few = estimate_velocity(clean, params, seed=[1, 7]).iterations_used
+        result = estimate_velocity(crowded, params, seed=[1, 7])
+        assert result.ok
+        assert few < result.iterations_used <= params.iterations
+        assert not result.inlier_mask[distinct].any()
+        assert result.inlier_mask[80:].mean() > 0.95  # the static 60%
+        np.testing.assert_allclose(result.velocity, self.V_STATIC, atol=0.01)
+
+    def test_coplanar_rays_skip_every_draw_up_to_the_cap(self):
+        rng = np.random.default_rng(8)
+        dirs = _random_dirs(rng, 50)
+        dirs[:, 2] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        params = RansacParams()
+        result = estimate_velocity(_pooled(dirs, dirs @ self.V_STATIC), params, seed=0)
+        assert result.degraded and result.reason == "insufficient_consensus"
+        assert result.iterations_used == params.iterations
+
+    def test_cap_still_applies(self):
+        crowded, _ = _scene_with_movers(1, 200, 0.4, self.V_STATIC)
+        assert estimate_velocity(crowded, RansacParams(), seed=[1, 7]).iterations_used > 5
+        result = estimate_velocity(crowded, RansacParams(iterations=5), seed=[1, 7])
+        assert result.iterations_used == 5
+
+    @pytest.mark.parametrize(
+        "count, n, expected",
+        [
+            (0, 10, 100),  # no consensus: no finite number of draws suffices
+            (1, 10**120, 100),  # the ratio cubed underflows to 0
+            (1, 10**108, 100),  # the ratio cubed is subnormal: the quotient overflows
+            (10, 10, 1),  # full consensus
+            (99, 100, 2),
+            (979, 1000, 3),
+            (600, 1000, 29),
+        ],
+    )
+    def test_draws_needed_is_finite_and_bounded(self, count, n, expected):
+        assert draws_needed(count, n, 100) == expected
+        assert 1 <= draws_needed(count, n, 5) <= 5
 
 
 class TestPooling:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from radarloc import sim
-from radarloc.config import RunConfig
+from radarloc.config import RunConfig, config_from_dict
 from radarloc.geometry import quat_to_matrix, quat_yaw, wrap_angle
 from radarloc.rio import RioEstimator, run_odometry
+from radarloc.rio.estimator import IMU_GAP_FACTOR
 from radarloc.rio.window import CONVERGED, ITERATION_CAP, NO_DESCENT
 from radarloc.sim import ImuData, RadarScan, Scenario, simulate_mission
 
@@ -166,11 +167,30 @@ def _fault_log(fault):
         imu.accel[at_radar, 0] = np.nan
     elif fault == "nan_imu_time":
         imu.t[i] = np.nan
+    elif fault == "imu_gap":
+        keep = (imu.t <= imu.t[i]) | (imu.t > imu.t[i] + 0.3)
+        imu = ImuData(imu.t[keep], imu.accel[keep], imu.gyro[keep])
     return scenario, sim.SensorLog(imu=imu, scans=scans)
 
 
+def _run_recording(log, scenario, monkeypatch, cfg=None):
+    """``run_odometry`` on ``log``, with each step's ``StepDiagnostics``."""
+    diagnostics = []
+    process_scans = RioEstimator.process_scans
+
+    def recording(est, t, scans):
+        out = process_scans(est, t, scans)
+        diagnostics.append(est.last_diagnostics)
+        return out
+
+    monkeypatch.setattr(RioEstimator, "process_scans", recording)
+    outputs = run_odometry(log, cfg or RunConfig(), extrinsics=scenario.rig.extrinsics)
+    return outputs, diagnostics
+
+
 class TestFaultInjection:
-    # fault, detections dropped at pooling, IMU samples skipped
+    # fault, detections dropped at pooling, IMU samples skipped; the imu_gap
+    # fault removes the samples over 0.3 s
     FAULTS = [
         ("zero_range_point", 1, 0),
         ("nan_point_coordinate", 1, 0),
@@ -179,6 +199,7 @@ class TestFaultInjection:
         ("nan_accel_sample", 0, 1),
         ("nan_accel_at_radar_time", 0, 1),
         ("nan_imu_time", 0, 1),
+        ("imu_gap", 0, 0),
     ]
 
     @pytest.mark.parametrize("fault, dropped, skipped_imu", FAULTS)
@@ -186,23 +207,33 @@ class TestFaultInjection:
         self, fault, dropped, skipped_imu, monkeypatch
     ):
         scenario, log = _fault_log(fault)
-        diagnostics = []
-        process_scans = RioEstimator.process_scans
-
-        def recording(est, t, scans):
-            out = process_scans(est, t, scans)
-            diagnostics.append(est.last_diagnostics)
-            return out
-
-        monkeypatch.setattr(RioEstimator, "process_scans", recording)
-        outputs = run_odometry(log, RunConfig(), extrinsics=scenario.rig.extrinsics)
+        outputs, diagnostics = _run_recording(log, scenario, monkeypatch)
         # the IMU covers every scan group, so each gives one output
         assert len(outputs) == len(log.scans_by_time()) == len(diagnostics)
         for out in outputs:
             assert np.all(np.isfinite(np.concatenate([out.q, out.v, out.p])))
-        assert not any(out.degraded for out in outputs)
         assert sum(d.dropped_detections for d in diagnostics) == dropped
         assert sum(d.skipped_imu_samples for d in diagnostics) == skipped_imu
+        # only a gap degrades a step: each step whose IMU segment bridges one
+        # and no other, and every degraded step names it
+        reasons = [d.degraded_reason for d in diagnostics]
+        assert [out.degraded for out in outputs] == [bool(r) for r in reasons]
+        gap_bound = IMU_GAP_FACTOR * np.median(np.diff(log.imu.t))
+        bridged = [d.imu_max_interval > gap_bound for d in diagnostics]
+        assert reasons == ["imu_gap" if b else "" for b in bridged]
+        assert any(bridged) == (fault == "imu_gap")
+
+
+class TestAdaptiveRansac:
+    def test_draws_stay_few_on_a_clean_drive(self, monkeypatch):
+        # at this drive's inlier ratio a handful of draws reaches 99.9%
+        # confidence; drawing the full cap again would fail here
+        scenario, log = _fault_log(None)
+        _, diagnostics = _run_recording(log, scenario, monkeypatch)
+        draws = [d.ransac_iterations for d in diagnostics]
+        cap = RunConfig().ransac.iterations
+        assert all(1 <= k <= cap for k in draws)
+        assert np.mean(draws) <= 10
 
 
 class TestOnePreintegrationPerStep:
@@ -244,6 +275,7 @@ class TestWindowBounds:
         full_counts = []
         reasons = []
         shifts = []
+        tracked = []
         for t, scans in groups:
             while fed < len(data.imu) and data.imu.t[fed] <= t + 1e-12:
                 est.add_imu(data.imu.t[fed], data.imu.accel[fed], data.imu.gyro[fed])
@@ -259,13 +291,18 @@ class TestWindowBounds:
             assert diag.accel_bias_shift <= 0.1
             assert diag.gyro_bias_shift <= 0.05
             shifts.append((diag.accel_bias_shift, diag.gyro_bias_shift))
+            # every inlier handed to the tracker is matched or made a landmark
+            assert diag.created_landmarks + diag.matched_landmarks == diag.inliers
+            assert diag.tracked_landmarks == len(est.tracker.landmarks)
+            tracked.append(diag.tracked_landmarks)
             assert len(est.window) <= cfg.window.size
             if len(est.window) == cfg.window.size:
                 full_counts.append(est.last_diagnostics.factor_count)
         # every step names why its optimization stopped; none diverged
         assert set(reasons) <= {CONVERGED, NO_DESCENT, ITERATION_CAP}
-        # the shifts are recorded, not left at their defaults
+        # the shifts and the tracker counts are recorded, not left at their defaults
         assert all(max(column) > 0.0 for column in zip(*shifts))
+        assert min(tracked) > 0
         # factor count bounded by a constant independent of mission length
         assert max(counts) < 5000
         # a full window holds the prior, one range-rate factor per sensor and
@@ -275,12 +312,18 @@ class TestWindowBounds:
         assert full_counts
         assert max(full_counts) <= 1 + size * (n_sensors + 1) + (size - 1)
 
+    def test_tracker_counts_are_zero_with_heading_off(self, monkeypatch):
+        scenario, log = _fault_log(None)
+        cfg = config_from_dict({"ablation": {"disable_heading_constraint": True}})
+        _, diagnostics = _run_recording(log, scenario, monkeypatch, cfg)
+        assert all(d.inliers > 0 for d in diagnostics)
+        for d in diagnostics:
+            assert d.tracked_landmarks == d.matched_landmarks == d.created_landmarks == 0
+
     def test_single_sensor_ablation_uses_front_only(self):
         scenario, data = _mission(
             {"kind": "stationary"}, 1.0, _box_scene(), noisy=True, seed=2
         )
-        from radarloc.config import config_from_dict
-
         cfg = config_from_dict({"ablation": {"single_sensor": True}})
         est = RioEstimator(cfg, scenario.rig.extrinsics)
         groups = sim.SensorLog(scans=data.scans).scans_by_time()
