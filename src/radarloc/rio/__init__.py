@@ -15,8 +15,6 @@ from .factors import (
     landmark_residuals,
 )
 from .landmarks import (
-    ActiveMatch,
-    Landmark,
     LandmarkTracker,
     associate,
     polar_distance,
@@ -48,10 +46,8 @@ from .window import (
 )
 
 __all__ = [
-    "ActiveMatch",
     "DopplerBlock",
     "EstimatorDivergence",
-    "Landmark",
     "LandmarkBlock",
     "LandmarkTracker",
     "MarginalizationInfo",

@@ -24,7 +24,7 @@ from ..sim.io import SensorLog
 from ..sim.rig import rig_from_dict
 from .factors import PriorFactor
 from .landmarks import LandmarkTracker
-from .preintegration import imu_segment, lerp, predict_state, preintegrate
+from .preintegration import imu_segment, lerp, predict_state, preintegrate, segment_span
 from .ransac import estimate_velocity, pool_scans
 from .state import State
 from .window import (
@@ -39,8 +39,8 @@ from .window import (
 
 log = logging.getLogger(__name__)
 
-# A step whose IMU segment holds a sample interval longer than this many
-# times the buffer's median interval is flagged degraded (``imu_gap``).
+# A step whose IMU segment is built across a sample interval longer than this
+# many times the buffer's median interval is flagged degraded (``imu_gap``).
 IMU_GAP_FACTOR = 5.0
 # Samples the IMU buffer keeps however old: through a gap longer than the
 # buffer's time span, its median interval stays the sampling interval.
@@ -79,7 +79,9 @@ class StepDiagnostics:
     tracked_landmarks: int = 0
     matched_landmarks: int = 0
     created_landmarks: int = 0
-    imu_max_interval: float = 0.0  # longest sample interval of the step's IMU segment, s
+    # longest interval between the buffer samples the step's IMU segment is
+    # built from, the two around each interpolated endpoint included, s
+    imu_max_interval: float = 0.0
     ransac_reason: str = ""
     degraded_reason: str = ""  # "imu_gap", else the RANSAC reason; empty when not degraded
     ransac_iterations: int = 0  # RANSAC samples drawn, adaptive, at most ransac.iterations
@@ -183,13 +185,12 @@ class RioEstimator:
         diag.tracked_landmarks = len(self.tracker.landmarks)
         diag.matched_landmarks = self.tracker.matched
         diag.created_landmarks = self.tracker.created
-        if not active:
+        if len(active) == 0:
             return None
-        idx = np.fromiter((m.detection_index for m in active), dtype=int, count=len(active))
-        landmarks = np.array([m.landmark.position for m in active])
+        landmarks = self.tracker.landmarks[active[:, 1]]
         # bearings are taken in the gravity-levelled frame so the heading
         # factor constrains yaw only
-        levelled = detections[idx] @ tilt_matrix(x_pred.q).T
+        levelled = detections[active[:, 0]] @ tilt_matrix(x_pred.q).T
         keep = np.hypot(levelled[:, 0], levelled[:, 1]) >= 1e-9
         if not np.any(keep):
             return None  # only degenerate bearings
@@ -241,7 +242,7 @@ class RioEstimator:
         prior = PriorFactor.from_sigmas(
             state, p.sigma_rotation, p.sigma_velocity, p.sigma_accel_bias, p.sigma_gyro_bias
         )
-        entry = WindowEntry(state=state, t_oi=np.zeros(3), degraded=degraded)
+        entry = WindowEntry(state=state)
         self.window = SlidingWindow(prior=prior, entries=[entry])
 
         if result.ok:
@@ -279,7 +280,8 @@ class RioEstimator:
         dt = t - self._last_t
         imu = self._imu_data()
         segment = imu_segment(imu, self._last_t, t)
-        diag.imu_max_interval = float(np.max(np.diff(segment.t)))
+        i0, i1 = segment_span(imu, self._last_t, t)
+        diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
         imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
         last_entry = self.window.entries[-1]
         pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
@@ -295,7 +297,7 @@ class RioEstimator:
         diag.degraded_reason = "imu_gap" if imu_gap else result.reason
         degraded = result.degraded or imu_gap
 
-        entry = WindowEntry(state=x_pred, t_oi=np.zeros(3), degraded=degraded)
+        entry = WindowEntry(state=x_pred)
         if result.ok:
             diag.inliers = int(result.inlier_mask.sum())
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
@@ -322,7 +324,6 @@ class RioEstimator:
         v_prev = self.window.entries[-2].state.v
         v_new = self.window.entries[-1].state.v
         self.t_oi = self.t_oi + 0.5 * (v_prev + v_new) * dt
-        entry.t_oi = self.t_oi.copy()
 
         if len(self.window) > self.cfg.window.size:
             info = marginalize_oldest(self.window, self.extrinsics, self.cfg)

@@ -6,6 +6,14 @@ range difference) solved as a one-to-one assignment. Landmarks promote
 into the constraint set only after enough consistent matches and retire
 when stale.
 
+``LandmarkTracker`` keeps one row per landmark in parallel arrays: the
+``(n, 3)`` global positions ``landmarks``, fixed at the dead-reckoned
+position of the first observation, beside the re-match count ``n_obs``, the
+worst association distance ``max_err`` and the time last seen ``t_last``.
+Retiring drops rows and keeps the order of the rest; new landmarks are
+appended. ``update`` hands the estimator (detection index, row) pairs that
+index the arrays as they stand after it.
+
 The assignment is solved over the dense cost matrix and gated only
 afterwards, on purpose. The dense optimum also weighs near-miss pairs
 beyond the gate, which keeps matches consistent along evenly spaced wall
@@ -25,7 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ..config import LandmarkParams
-from ..geometry import bearing, wrap_angle
+from ..geometry import bearing, matvec, wrap_angle
 
 # Rows of the cost matrix built per block: a block's temporaries (about
 # 128 x 2,400 doubles on the suburban drive) stay in cache.
@@ -125,41 +133,18 @@ def associate(
 
 
 @dataclass
-class Landmark:
-    """A tracked static radar target.
-
-    ``position`` is fixed at the dead-reckoned global position of the
-    first observation; ``n_obs`` counts successful re-matches.
-    """
-
-    position: np.ndarray
-    created: float
-    n_obs: int = 0
-    max_err: float = 0.0
-    t_last: float = 0.0
-
-
-@dataclass
-class ActiveMatch:
-    detection_index: int
-    landmark: Landmark
-
-
-@dataclass
 class LandmarkTracker:
+    """Tracked landmarks, one row of each array per landmark (see the module docstring)."""
+
     params: LandmarkParams
-    landmarks: list[Landmark] = field(default_factory=list)
+    landmarks: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    n_obs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    max_err: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    t_last: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # counts of the latest update: detections matched to a landmark, and
     # detections that became a new one
     matched: int = 0
     created: int = 0
-
-    def project(self, R_io: np.ndarray, t_oi: np.ndarray) -> np.ndarray:
-        """Landmark positions in the current IMU frame, (n, 3)."""
-        if not self.landmarks:
-            return np.zeros((0, 3))
-        positions = np.array([lm.position for lm in self.landmarks])
-        return (positions - t_oi) @ R_io.T
 
     def update(
         self,
@@ -167,31 +152,39 @@ class LandmarkTracker:
         now: float,
         R_oi: np.ndarray,
         t_oi: np.ndarray,
-    ) -> list[ActiveMatch]:
+    ) -> np.ndarray:
         """One tracking step: match, promote, retire, initialize.
 
         ``detections_imu`` are IMU-frame positions of the static (inlier)
-        detections. Returns the matches eligible to constrain heading this
-        step: landmarks re-observed more than ``n_obs_min`` times whose
+        detections; stale landmarks still take part in this step's
+        assignment. Returns the matches eligible to constrain heading as an
+        ``(n_active, 2)`` int array of (detection index, row after the
+        update): landmarks re-observed more than ``n_obs_min`` times whose
         worst association distance stays below ``max_err_max``.
         """
         p = self.params
-        projected = self.project(R_oi.T, t_oi)
+        projected = (self.landmarks - t_oi) @ R_oi
         matches, unmatched = associate(detections_imu, projected, p.range_weight, p.gate)
 
-        active: list[ActiveMatch] = []
-        for det_idx, lm_idx, dist in matches:
-            lm = self.landmarks[lm_idx]
-            lm.n_obs += 1
-            lm.max_err = max(lm.max_err, dist)
-            lm.t_last = now
-            if lm.n_obs > p.n_obs_min and lm.max_err < p.max_err_max:
-                active.append(ActiveMatch(det_idx, lm))
+        det, row, dist = np.array(matches, dtype=float).reshape(-1, 3).T
+        det, row = det.astype(int), row.astype(int)
+        self.n_obs[row] += 1
+        self.max_err[row] = np.maximum(self.max_err[row], dist)
+        self.t_last[row] = now
+        promoted = (self.n_obs[row] > p.n_obs_min) & (self.max_err[row] < p.max_err_max)
 
-        self.landmarks = [lm for lm in self.landmarks if now - lm.t_last <= p.staleness]
+        # a matched landmark was seen now, so it is kept: its new row is its
+        # index among the kept rows
+        keep = now - self.t_last <= p.staleness
+        kept_row = np.cumsum(keep) - 1
+        active = np.column_stack([det[promoted], kept_row[row[promoted]]])
 
-        for det_idx in unmatched:
-            position = R_oi @ detections_imu[det_idx] + t_oi
-            self.landmarks.append(Landmark(position=position, created=now, t_last=now))
-        self.matched, self.created = len(matches), len(unmatched)
+        n_new = len(unmatched)
+        self.landmarks = np.concatenate(
+            [self.landmarks[keep], matvec(R_oi, detections_imu[unmatched]) + t_oi]
+        )
+        self.n_obs = np.concatenate([self.n_obs[keep], np.zeros(n_new, dtype=int)])
+        self.max_err = np.concatenate([self.max_err[keep], np.zeros(n_new)])
+        self.t_last = np.concatenate([self.t_last[keep], np.full(n_new, now)])
+        self.matched, self.created = len(matches), n_new
         return active

@@ -39,18 +39,24 @@ def lerp(t: float, t0: float, t1: float, z0: np.ndarray, z1: np.ndarray) -> np.n
     return (1.0 - a) * z0 + a * z1
 
 
-def imu_segment(imu: ImuData, t0: float, t1: float) -> ImuData:
-    """Samples covering [t0, t1], endpoints interpolated to match.
-
-    An endpoint within 1e-12 s of a sample is that sample; any other is
-    interpolated between the samples around it.
-    """
+def segment_span(imu: ImuData, t0: float, t1: float) -> tuple[int, int]:
+    """First and last buffer sample ``imu_segment`` builds [t0, t1] from."""
     if t1 <= t0:
         raise ValueError("segment requires t1 > t0")
     if imu.t[0] > t0 + 1e-9 or imu.t[-1] < t1 - 1e-9:
         raise ValueError(f"IMU buffer [{imu.t[0]}, {imu.t[-1]}] does not cover [{t0}, {t1}]")
     i0 = max(int(np.searchsorted(imu.t, t0, side="right")) - 1, 0)
     i1 = min(int(np.searchsorted(imu.t, t1, side="left")), len(imu) - 1)
+    return i0, i1
+
+
+def imu_segment(imu: ImuData, t0: float, t1: float) -> ImuData:
+    """Samples covering [t0, t1], endpoints interpolated to match.
+
+    An endpoint within 1e-12 s of a sample is that sample; any other is
+    interpolated between the samples around it.
+    """
+    i0, i1 = segment_span(imu, t0, t1)
 
     def endpoint(t: float, i: int, on: int):
         """Sample ``on`` if it is at ``t``, else the lerp between samples i and i + 1."""

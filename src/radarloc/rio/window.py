@@ -96,11 +96,9 @@ class LandmarkBlock:
 @dataclass
 class WindowEntry:
     state: State
-    t_oi: np.ndarray
     doppler: list[DopplerBlock] = field(default_factory=list)
     landmarks: LandmarkBlock | None = None
     preint_to_next: PreintegratedImu | None = None
-    degraded: bool = False
 
 
 @dataclass
@@ -165,7 +163,6 @@ class OptimizeReport:
     cost_final: float
     converged: bool  # reason is CONVERGED or NO_DESCENT
     diverged: bool
-    step_norm: float
     reason: str
     costs: list[float] = field(default_factory=list)
 
@@ -315,11 +312,10 @@ def optimize_window(
     cost = packed.cost(states)
     costs = [cost]
     if not np.isfinite(cost):
-        return OptimizeReport(0, cost, cost, False, True, np.inf, DIVERGED, costs)
+        return OptimizeReport(0, cost, cost, False, True, DIVERGED, costs)
 
     lam = DAMPING_INIT
     nu = 2.0
-    step_norm = np.inf
     reason = ITERATION_CAP
     iterations = 0
 
@@ -327,9 +323,7 @@ def optimize_window(
         iterations += 1
         H, g = packed.linearize(states)
         if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
-            return OptimizeReport(
-                iterations, costs[0], np.inf, False, True, np.inf, DIVERGED, costs
-            )
+            return OptimizeReport(iterations, costs[0], np.inf, False, True, DIVERGED, costs)
         diag = np.clip(np.diag(H), 1e-12, None)
         if np.max(np.abs(g) / np.sqrt(diag)) <= GRADIENT_FLOOR:
             reason = CONVERGED
@@ -355,7 +349,6 @@ def optimize_window(
         small_drop = cost - new_cost <= RELATIVE_DECREASE * cost
         states, cost = candidate, new_cost
         costs.append(cost)
-        step_norm = float(np.linalg.norm(delta))
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), DAMPING_MIN)
         nu = 2.0
         if small_drop:
@@ -365,7 +358,7 @@ def optimize_window(
     for entry, s in zip(window.entries, states.unstack()):
         entry.state = s
     converged = reason in (CONVERGED, NO_DESCENT)
-    return OptimizeReport(iterations, costs[0], cost, converged, False, step_norm, reason, costs)
+    return OptimizeReport(iterations, costs[0], cost, converged, False, reason, costs)
 
 
 @dataclass

@@ -195,12 +195,13 @@ class TestTracker:
         for k in range(params.n_obs_min + 1):
             active = tracker.update(det, now=0.05 * k, R_oi=eye, t_oi=np.zeros(3))
             if k <= params.n_obs_min:
-                assert active == []
-        assert tracker.landmarks[0].n_obs == params.n_obs_min
+                assert len(active) == 0
+        assert tracker.n_obs[0] == params.n_obs_min
         # one more match exceeds the threshold
         active = tracker.update(det, now=0.05 * (params.n_obs_min + 1), R_oi=eye, t_oi=np.zeros(3))
         assert len(active) == 1
-        assert active[0].landmark.n_obs == params.n_obs_min + 1
+        np.testing.assert_array_equal(active, [[0, 0]])
+        assert tracker.n_obs[active[0, 1]] == params.n_obs_min + 1
 
     def test_high_error_landmark_never_promoted(self):
         params = self._params(max_err_max=0.05, gate=0.5)
@@ -211,7 +212,7 @@ class TestTracker:
         for k in range(1, 10):
             noisy = np.array([[10.0 + 0.2 * rng.choice([-1, 1]), 0.0, 0.0]])
             active = tracker.update(noisy, 0.05 * k, eye, np.zeros(3))
-            assert active == []
+            assert len(active) == 0
 
     def test_stale_landmark_removed(self):
         params = self._params(staleness=0.2)
@@ -227,9 +228,9 @@ class TestTracker:
         tracker = LandmarkTracker(params)
         eye = np.eye(3)
         tracker.update(np.array([[10.0, 0.0, 0.0]]), 0.0, eye, np.zeros(3))
-        first = tracker.landmarks[0].position.copy()
+        first = tracker.landmarks[0].copy()
         tracker.update(np.array([[10.05, 0.0, 0.0]]), 0.05, eye, np.array([0.1, 0.0, 0.0]))
-        np.testing.assert_array_equal(tracker.landmarks[0].position, first)
+        np.testing.assert_array_equal(tracker.landmarks[0], first)
 
     def test_new_landmark_in_global_frame(self):
         params = self._params()
@@ -238,4 +239,22 @@ class TestTracker:
         R_oi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         t_oi = np.array([5.0, 0.0, 0.0])
         tracker.update(np.array([[10.0, 0.0, 0.0]]), 0.0, R_oi, t_oi)
-        np.testing.assert_allclose(tracker.landmarks[0].position, [5.0, 10.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(tracker.landmarks[0], [5.0, 10.0, 0.0], atol=1e-12)
+
+    def test_active_row_indexes_landmarks_after_retirement(self):
+        # a stale landmark is retired in the update that promotes a later
+        # one, so the promoted landmark moves up a row
+        params = self._params(n_obs_min=1, staleness=0.2)
+        tracker = LandmarkTracker(params)
+        eye = np.eye(3)
+        stale, kept = [10.0, 0.0, 0.0], [0.0, 20.0, 0.0]
+        tracker.update(np.array([stale]), 0.0, eye, np.zeros(3))
+        tracker.update(np.array([kept]), 0.1, eye, np.zeros(3))
+        tracker.update(np.array([kept]), 0.15, eye, np.zeros(3))
+        np.testing.assert_array_equal(tracker.landmarks, [stale, kept])
+        new = [-15.0, 0.0, 0.0]
+        active = tracker.update(np.array([new, kept]), 0.25, eye, np.zeros(3))
+        np.testing.assert_array_equal(active, [[1, 0]])
+        np.testing.assert_array_equal(tracker.landmarks, [kept, new])
+        np.testing.assert_array_equal(tracker.n_obs, [2, 0])
+        np.testing.assert_array_equal(tracker.landmarks[active[:, 1]], [kept])

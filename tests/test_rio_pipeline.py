@@ -222,6 +222,17 @@ class TestFaultInjection:
         bridged = [d.imu_max_interval > gap_bound for d in diagnostics]
         assert reasons == ["imu_gap" if b else "" for b in bridged]
         assert any(bridged) == (fault == "imu_gap")
+        if fault == "imu_gap":
+            # exactly the steps whose interval overlaps the missing samples,
+            # the one that ends the gap included
+            j = int(np.argmax(np.diff(log.imu.t)))
+            gap_start, gap_end = log.imu.t[j], log.imu.t[j + 1]
+            times = [out.t for out in outputs]
+            overlaps = [False] + [
+                t0 < gap_end and t1 > gap_start for t0, t1 in zip(times, times[1:])
+            ]
+            assert bridged == overlaps
+            assert sum(overlaps) == 7
 
 
 class TestAdaptiveRansac:

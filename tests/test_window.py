@@ -59,7 +59,6 @@ def _doppler_entry(state, v_true, n, rng, sensor_id=0, extr=None):
     doppler = rays @ (R_ir.T @ v_true)  # identity orientation, zero body rate
     return WindowEntry(
         state=state,
-        t_oi=np.zeros(3),
         doppler=[DopplerBlock(sensor_id=sensor_id, rays=rays, doppler=doppler, omega=np.zeros(3))],
     )
 
@@ -242,7 +241,6 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
         entries.append(
             WindowEntry(
                 state=state,
-                t_oi=np.zeros(3),
                 doppler=blocks,
                 landmarks=LandmarkBlock(bearings, offsets),
             )
@@ -397,7 +395,7 @@ class TestMarginalize:
         x1 = predict_state(x0, pre)
         x1.v += 0.05 * rng.standard_normal(3)  # leave some residual
         prior = PriorFactor.from_sigmas(x0, 0.02, 0.5, 0.1, 0.01)
-        e0 = WindowEntry(state=x0, t_oi=np.zeros(3), preint_to_next=pre)
+        e0 = WindowEntry(state=x0, preint_to_next=pre)
         if with_doppler:
             e0.doppler = [
                 DopplerBlock(
@@ -407,7 +405,7 @@ class TestMarginalize:
                     np.zeros(3),
                 )
             ]
-        e1 = WindowEntry(state=x1, t_oi=np.zeros(3))
+        e1 = WindowEntry(state=x1)
         return SlidingWindow(prior=prior, entries=[e0, e1])
 
     def test_matches_dense_batch_oracle(self, cfg, extrinsics, imu_params):
@@ -471,7 +469,7 @@ class TestMarginalize:
         cfg.window.size = 6
         x = State.initial(v=np.array([1.0, 0.0, 0.0]))
         prior = PriorFactor.from_sigmas(x, 0.02, 0.5, 0.1, 0.01)
-        window = SlidingWindow(prior=prior, entries=[WindowEntry(state=x, t_oi=np.zeros(3))])
+        window = SlidingWindow(prior=prior, entries=[WindowEntry(state=x)])
         counts = []
         for k in range(60):
             samples = random_imu_segment(rng, duration=0.05)
@@ -479,7 +477,7 @@ class TestMarginalize:
             pre = preintegrate(shifted, np.zeros(3), np.zeros(3), imu_params)
             window.entries[-1].preint_to_next = pre
             x_new = predict_state(window.entries[-1].state, pre)
-            window.entries.append(WindowEntry(state=x_new, t_oi=np.zeros(3)))
+            window.entries.append(WindowEntry(state=x_new))
             if len(window.entries) > cfg.window.size:
                 marginalize_oldest(window, extrinsics, cfg)
             counts.append(window.factor_count())
