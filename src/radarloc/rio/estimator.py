@@ -7,6 +7,11 @@ translation from optimized velocities, and marginalize once the window
 exceeds its size. When consensus fails the step degrades to IMU-only
 prediction and is flagged in the output; a step whose IMU segment bridges a
 gap in the samples is flagged too.
+
+The first step runs the same path. With no predecessor, its prediction is
+at rest at identity orientation, with the interpolated gyro rate and no IMU
+edge; the RANSAC velocity, when there is one, seeds that state and the
+window's prior.
 """
 
 from __future__ import annotations
@@ -210,52 +215,18 @@ class RioEstimator:
 
     # ------------------------------------------------------------------
     def process_scans(self, t: float, scans) -> OdometryOutput:
+        if self._last_t is not None and t <= self._last_t:
+            raise ValueError("radar timesteps must be strictly increasing")
         scans = self._filter_scans(scans)
         diag = StepDiagnostics(skipped_imu_samples=self._skipped_imu)
         self._skipped_imu = 0
         self.last_diagnostics = diag
-        if self.window is None:
-            out = self._bootstrap(t, scans, diag)
-        else:
-            out = self._step(t, scans, diag)
+        out = self._step(t, scans, diag)
         diag.factor_count = self.window.factor_count()
         self.step_count += 1
         self._last_t = t
         self._trim_imu(t - 0.2)
         return out
-
-    def _bootstrap(self, t: float, scans, diag: StepDiagnostics) -> OdometryOutput:
-        omega = self._gyro_at(t)
-        state = State.initial(t=t)
-        pooled = pool_scans(scans, self.extrinsics, omega, state.bg)
-        diag.detections = len(pooled)
-        diag.dropped_detections = pooled.dropped
-        result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
-        diag.ransac_reason = diag.degraded_reason = result.reason
-        diag.ransac_iterations = result.iterations_used
-        degraded = result.degraded
-        if result.ok:
-            state.v = result.velocity.copy()  # identity initial orientation
-            diag.inliers = int(result.inlier_mask.sum())
-
-        p = self.cfg.prior
-        prior = PriorFactor.from_sigmas(
-            state, p.sigma_rotation, p.sigma_velocity, p.sigma_accel_bias, p.sigma_gyro_bias
-        )
-        entry = WindowEntry(state=state)
-        self.window = SlidingWindow(prior=prior, entries=[entry])
-
-        if result.ok:
-            entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
-            entry.landmarks = self._landmark_block(
-                pooled, result.inlier_mask, t, state, np.zeros(3), diag
-            )
-            report = optimize_window(self.window, self.extrinsics, self.cfg)
-            diag.record_optimization(report)
-            if report.diverged:
-                raise EstimatorDivergence("optimization diverged at bootstrap")
-            self._check_health()
-        return self._emit(degraded)
 
     def _doppler_blocks(self, scans, mask, pooled, omega):
         blocks = []
@@ -275,18 +246,24 @@ class RioEstimator:
         return blocks
 
     def _step(self, t: float, scans, diag: StepDiagnostics) -> OdometryOutput:
-        if t <= self._last_t:
-            raise ValueError("radar timesteps must be strictly increasing")
-        dt = t - self._last_t
-        imu = self._imu_data()
-        segment = imu_segment(imu, self._last_t, t)
-        i0, i1 = segment_span(imu, self._last_t, t)
-        diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
-        imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
-        last_entry = self.window.entries[-1]
-        pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
-        x_pred = predict_state(last_entry.state, pre, t1=t)
-        omega = segment.gyro[-1]
+        last_entry = self.window.entries[-1] if self.window is not None else None
+        if last_entry is None:
+            # no predecessor to predict from: at rest at identity, no IMU edge
+            x_pred = State.initial(t=t)
+            omega = self._gyro_at(t)
+            imu_gap = False
+            t_oi_prov = self.t_oi
+        else:
+            dt = t - self._last_t
+            imu = self._imu_data()
+            segment = imu_segment(imu, self._last_t, t)
+            i0, i1 = segment_span(imu, self._last_t, t)
+            diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
+            imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
+            pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
+            x_pred = predict_state(last_entry.state, pre, t1=t)
+            omega = segment.gyro[-1]
+            t_oi_prov = self.t_oi + 0.5 * (last_entry.state.v + x_pred.v) * dt
 
         pooled = pool_scans(scans, self.extrinsics, omega, x_pred.bg)
         diag.detections = len(pooled)
@@ -298,19 +275,25 @@ class RioEstimator:
         degraded = result.degraded or imu_gap
 
         entry = WindowEntry(state=x_pred)
+        if last_entry is None:
+            if result.ok:
+                x_pred.v = result.velocity.copy()  # identity initial orientation
+            p = self.cfg.prior
+            prior = PriorFactor.from_sigmas(
+                x_pred, p.sigma_rotation, p.sigma_velocity, p.sigma_accel_bias, p.sigma_gyro_bias
+            )
+            self.window = SlidingWindow(prior=prior, entries=[entry])
+        else:
+            last_entry.preint_to_next = pre
+            self.window.entries.append(entry)
         if result.ok:
             diag.inliers = int(result.inlier_mask.sum())
             entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
-            v_prov = 0.5 * (last_entry.state.v + x_pred.v)
-            t_oi_prov = self.t_oi + v_prov * dt
             entry.landmarks = self._landmark_block(
                 pooled, result.inlier_mask, t, x_pred, t_oi_prov, diag
             )
             if entry.landmarks is not None:
                 diag.heading_matches = len(entry.landmarks.bearings)
-
-        last_entry.preint_to_next = pre
-        self.window.entries.append(entry)
 
         report = optimize_window(self.window, self.extrinsics, self.cfg)
         diag.record_optimization(report)
@@ -318,12 +301,15 @@ class RioEstimator:
             raise EstimatorDivergence("window optimization diverged")
         self._check_health()
         edges = [(e.state, e.preint_to_next) for e in self.window.entries[:-1]]
-        diag.accel_bias_shift = max(float(np.linalg.norm(x.ba - edge.ba0)) for x, edge in edges)
-        diag.gyro_bias_shift = max(float(np.linalg.norm(x.bg - edge.bg0)) for x, edge in edges)
+        diag.accel_bias_shift = max(
+            (float(np.linalg.norm(x.ba - edge.ba0)) for x, edge in edges), default=0.0
+        )
+        diag.gyro_bias_shift = max(
+            (float(np.linalg.norm(x.bg - edge.bg0)) for x, edge in edges), default=0.0
+        )
 
-        v_prev = self.window.entries[-2].state.v
-        v_new = self.window.entries[-1].state.v
-        self.t_oi = self.t_oi + 0.5 * (v_prev + v_new) * dt
+        if last_entry is not None:
+            self.t_oi = self.t_oi + 0.5 * (last_entry.state.v + entry.state.v) * dt
 
         if len(self.window) > self.cfg.window.size:
             info = marginalize_oldest(self.window, self.extrinsics, self.cfg)
@@ -369,7 +355,7 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
             fed += 1
         last = est.last_imu_time
         covered = last is not None and last >= t - 1e-9
-        if not covered or (est._last_t is not None and est._last_t >= t):
+        if not covered:
             skipped += 1
             continue
         outputs.append(est.process_scans(t, scans))

@@ -41,6 +41,8 @@ BLOCK_ROWS = 128
 # Finite stand-in for the cost of a degenerate pair in the assignment; a
 # gate is at most 100 (config.PARAMETER_RANGES), so these pairs never pass.
 DEGENERATE_COST = 1e9
+# One row of ``associate``'s matches.
+MATCH_DTYPE = np.dtype([("detection", int), ("landmark", int), ("distance", float)])
 
 
 def polar_distance(p_a: np.ndarray, p_b: np.ndarray, range_weight: float) -> float:
@@ -112,13 +114,13 @@ def associate(
     The assignment minimises the total distance over all pairs, gated or
     not; pairs at ``gate`` or beyond are then dropped.
 
-    Returns ``(matches, unmatched)`` where matches are
-    ``(detection_index, landmark_index, distance)`` triples and unmatched
-    lists detection indices with no valid landmark.
+    Returns ``(matches, unmatched)``: ``matches`` is a ``MATCH_DTYPE``
+    array, one row per match in detection order, and ``unmatched`` the int
+    array of detection indices with no valid landmark.
     """
     n_det = len(detections)
     if n_det == 0 or len(landmarks) == 0:
-        return [], list(range(n_det))
+        return np.zeros(0, dtype=MATCH_DTYPE), np.arange(n_det)
     cost = polar_distance_matrix(
         detections, landmarks, range_weight, degenerate=DEGENERATE_COST
     )
@@ -126,10 +128,11 @@ def associate(
     dist = cost[rows, cols]
     keep = dist < gate
     rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    matches = np.empty(len(rows), dtype=MATCH_DTYPE)
+    matches["detection"], matches["landmark"], matches["distance"] = rows, cols, dist
     matched = np.zeros(n_det, dtype=bool)
     matched[rows] = True
-    matches = list(zip(rows.tolist(), cols.tolist(), dist.tolist()))
-    return matches, np.flatnonzero(~matched).tolist()
+    return matches, np.flatnonzero(~matched)
 
 
 @dataclass
@@ -166,10 +169,9 @@ class LandmarkTracker:
         projected = (self.landmarks - t_oi) @ R_oi
         matches, unmatched = associate(detections_imu, projected, p.range_weight, p.gate)
 
-        det, row, dist = np.array(matches, dtype=float).reshape(-1, 3).T
-        det, row = det.astype(int), row.astype(int)
+        det, row = matches["detection"], matches["landmark"]
         self.n_obs[row] += 1
-        self.max_err[row] = np.maximum(self.max_err[row], dist)
+        self.max_err[row] = np.maximum(self.max_err[row], matches["distance"])
         self.t_last[row] = now
         promoted = (self.n_obs[row] > p.n_obs_min) & (self.max_err[row] < p.max_err_max)
 

@@ -118,9 +118,12 @@ def pool_scans(
 class RansacResult:
     velocity: np.ndarray | None  # IMU-frame velocity, None when degraded
     inlier_mask: np.ndarray
-    degraded: bool
-    reason: str = ""
+    reason: str = ""  # why no velocity was found; empty on success
     iterations_used: int = 0
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.reason)
 
     @property
     def ok(self) -> bool:
@@ -169,7 +172,7 @@ def estimate_velocity(
     n = len(pooled)
     empty = np.zeros(n, dtype=bool)
     if n < max(3, params.min_inliers):
-        return RansacResult(None, empty, True, "too_few_detections")
+        return RansacResult(None, empty, "too_few_detections")
 
     dirs = pooled.directions
     rates = pooled.rates
@@ -198,7 +201,7 @@ def estimate_velocity(
             needed = draws_needed(count, n, params.iterations)
 
     if best_count < params.min_inliers:
-        return RansacResult(None, empty, True, "insufficient_consensus", iterations)
+        return RansacResult(None, empty, "insufficient_consensus", iterations)
 
     def refit(mask):
         A = dirs[mask]
@@ -209,7 +212,7 @@ def estimate_velocity(
 
     v = refit(best_mask)
     if v is None:
-        return RansacResult(None, empty, True, "degenerate_geometry", iterations)
+        return RansacResult(None, empty, "degenerate_geometry", iterations)
     mask = np.abs(rates - dirs @ v) < params.inlier_threshold
     if int(mask.sum()) >= params.min_inliers:
         refined = refit(mask)
@@ -217,5 +220,5 @@ def estimate_velocity(
             v = refined
             mask = np.abs(rates - dirs @ v) < params.inlier_threshold
     if int(mask.sum()) < params.min_inliers:
-        return RansacResult(None, empty, True, "insufficient_consensus", iterations)
-    return RansacResult(v, mask, False, "", iterations)
+        return RansacResult(None, empty, "insufficient_consensus", iterations)
+    return RansacResult(v, mask, "", iterations)

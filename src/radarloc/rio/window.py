@@ -161,10 +161,16 @@ class OptimizeReport:
     iterations: int
     cost_initial: float
     cost_final: float
-    converged: bool  # reason is CONVERGED or NO_DESCENT
-    diverged: bool
     reason: str
     costs: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in (CONVERGED, NO_DESCENT)
+
+    @property
+    def diverged(self) -> bool:
+        return self.reason == DIVERGED
 
 
 class _PackedWindow:
@@ -312,7 +318,7 @@ def optimize_window(
     cost = packed.cost(states)
     costs = [cost]
     if not np.isfinite(cost):
-        return OptimizeReport(0, cost, cost, False, True, DIVERGED, costs)
+        return OptimizeReport(0, cost, cost, DIVERGED, costs)
 
     lam = DAMPING_INIT
     nu = 2.0
@@ -323,7 +329,7 @@ def optimize_window(
         iterations += 1
         H, g = packed.linearize(states)
         if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
-            return OptimizeReport(iterations, costs[0], np.inf, False, True, DIVERGED, costs)
+            return OptimizeReport(iterations, costs[0], np.inf, DIVERGED, costs)
         diag = np.clip(np.diag(H), 1e-12, None)
         if np.max(np.abs(g) / np.sqrt(diag)) <= GRADIENT_FLOOR:
             reason = CONVERGED
@@ -357,8 +363,7 @@ def optimize_window(
 
     for entry, s in zip(window.entries, states.unstack()):
         entry.state = s
-    converged = reason in (CONVERGED, NO_DESCENT)
-    return OptimizeReport(iterations, costs[0], cost, converged, False, reason, costs)
+    return OptimizeReport(iterations, costs[0], cost, reason, costs)
 
 
 @dataclass

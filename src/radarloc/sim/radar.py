@@ -4,8 +4,8 @@ Range rate convention: a detection's Doppler equals the projection of the
 sensor's full velocity (including the lever-arm contribution of body
 rotation) onto the sensor-to-target ray, so driving toward a static target
 yields a positive range rate. Moving targets additionally contribute the
-projection of their own velocity. Real sensors that report the negated
-closing speed can be adapted at ingestion with the negate-doppler option.
+projection of their own velocity. Logs from a sensor that reports the
+negated closing speed must be converted to this convention before replay.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 from scipy.optimize import linear_sum_assignment
 
@@ -7,6 +8,7 @@ from radarloc.config import LandmarkParams
 from radarloc.geometry import DegenerateBearingError, wrap_angle
 from radarloc.rio.landmarks import (
     BLOCK_ROWS,
+    MATCH_DTYPE,
     LandmarkTracker,
     associate,
     polar_distance,
@@ -83,7 +85,9 @@ class TestPolarDistance:
         for i in (0, 2):
             assert M[i, 1] == pytest.approx(polar_distance(dets[i], lms[1], 5.0), abs=1e-12)
         matches, unmatched = associate(dets, lms, 5.0, gate=100.0)
-        assert [(r, c) for r, c, _ in matches] == [(0, 1)] and unmatched == [1, 2, 3]
+        assert_array_equal(matches["detection"], [0])
+        assert_array_equal(matches["landmark"], [1])
+        assert_array_equal(unmatched, [1, 2, 3])
 
     def test_bearing_wrap(self):
         a = np.array([-10.0, 0.01, 0.0])
@@ -96,8 +100,8 @@ class TestAssociation:
         matches, unmatched = associate(
             np.array([[10.0, 0.0, 0.0]]), np.array([[10.1, 0.0, 0.0]]), 5.0, gate=0.5
         )
-        assert len(matches) == 1 and not unmatched
-        assert matches[0][2] == pytest.approx(0.1, abs=1e-9)
+        assert len(matches) == 1 and len(unmatched) == 0
+        assert matches["distance"][0] == pytest.approx(0.1, abs=1e-9)
 
     def test_optimal_not_greedy(self):
         # hand-built 2x2 cost where greedy row-wise picks 1 + 10 = 11 but the
@@ -109,7 +113,7 @@ class TestAssociation:
         perms = [cost[0, 0] + cost[1, 1], cost[0, 1] + cost[1, 0]]
         best = min(perms)
         matches, _ = associate(dets, lms, 1.0, gate=10.0)
-        total = sum(m[2] for m in matches)
+        total = matches["distance"].sum()
         assert total == pytest.approx(best, abs=1e-12)
 
     def test_hungarian_beats_greedy_on_classic_case(self):
@@ -128,9 +132,10 @@ class TestAssociation:
         dets = at_bearings([0.3, 0.3], [9.4, 10.4])
         lms = at_bearings([0.3, 0.3], [10.0, 10.85])
         matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
-        assert [(r, c) for r, c, _ in matches] == [(1, 1)]
-        assert matches[0][2] == pytest.approx(0.45, abs=1e-12)
-        assert unmatched == [0]
+        assert_array_equal(matches["detection"], [1])
+        assert_array_equal(matches["landmark"], [1])
+        assert matches["distance"][0] == pytest.approx(0.45, abs=1e-12)
+        assert_array_equal(unmatched, [0])
 
     def test_matches_reference_on_wall_scene(self):
         # a scene like the benchmark drives: evenly spaced wall points (0.8 m
@@ -160,24 +165,26 @@ class TestAssociation:
 
         matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
         expected = reference_associate(dets, lms, 5.0, 0.5)
-        assert [(r, c) for r, c, _ in matches] == [(r, c) for r, c, _ in expected]
-        for got, want in zip(matches, expected):
-            assert got[2] == pytest.approx(want[2], abs=1e-12)
+        assert_array_equal(matches["detection"], [r for r, _, _ in expected])
+        assert_array_equal(matches["landmark"], [c for _, c, _ in expected])
+        assert_allclose(matches["distance"], [d for _, _, d in expected], rtol=0, atol=1e-12)
         matched = {r for r, _, _ in expected}
-        assert unmatched == [i for i in range(len(dets)) if i not in matched]
+        assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
         assert len(matches) > 200
 
     def test_far_detection_unmatched(self):
         matches, unmatched = associate(
             np.array([[10.0, 0.0, 0.0]]), np.array([[15.0, 0.0, 0.0]]), 5.0, gate=0.5
         )
-        assert not matches and unmatched == [0]
+        assert len(matches) == 0
+        assert_array_equal(unmatched, [0])
 
     def test_empty_inputs(self):
         matches, unmatched = associate(np.zeros((0, 3)), np.zeros((0, 3)), 5.0, 0.5)
-        assert matches == [] and unmatched == []
+        assert len(matches) == 0 and len(unmatched) == 0
         matches, unmatched = associate(np.array([[1.0, 0, 0]]), np.zeros((0, 3)), 5.0, 0.5)
-        assert matches == [] and unmatched == [0]
+        assert len(matches) == 0 and matches.dtype == MATCH_DTYPE
+        assert_array_equal(unmatched, [0])
 
 
 class TestTracker:

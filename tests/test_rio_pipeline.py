@@ -140,6 +140,42 @@ class TestDegradedStep:
         assert np.linalg.norm(out.v - v_before) < 0.05
         assert np.linalg.norm(out.q - q_before) < 1e-3
 
+    def test_empty_first_step_starts_at_rest_at_identity(self, monkeypatch):
+        scenario, log = _fault_log(None)
+        t0 = log.scans_by_time()[0][0]
+        log.scans = [
+            RadarScan(s.t, s.sensor_id, np.zeros((0, 3)), np.zeros(0))
+            if round(s.t, 9) == t0
+            else s
+            for s in log.scans
+        ]
+        window_sizes = []
+        process_scans = RioEstimator.process_scans
+
+        def recording(est, t, scans):
+            out = process_scans(est, t, scans)
+            window_sizes.append(len(est.window))
+            return out
+
+        monkeypatch.setattr(RioEstimator, "process_scans", recording)
+        outputs, diagnostics = _run_recording(log, scenario, monkeypatch)
+        first, diag = outputs[0], diagnostics[0]
+        assert first.degraded
+        assert diag.degraded_reason == diag.ransac_reason == "too_few_detections"
+        assert np.array_equal(first.q, [1.0, 0.0, 0.0, 0.0])
+        assert not np.any(first.v) and not np.any(first.p)
+        # the window holds the first state and its prior only
+        assert window_sizes[0] == 1 and diag.factor_count == 1
+        # the prior alone is at its mean: the optimization stops at once
+        assert diag.optimize_reason == CONVERGED and diag.optimize_iterations == 1
+        assert diag.cost_drop == 0.0
+        assert diag.imu_max_interval == 0.0
+        assert diag.accel_bias_shift == diag.gyro_bias_shift == 0.0
+        assert len(outputs) > 2
+        for out in outputs[1:]:
+            assert not out.degraded
+            assert np.all(np.isfinite(np.concatenate([out.q, out.v, out.p])))
+
 
 def _fault_log(fault):
     """A noisy 1.5 s straight drive with ``fault`` injected halfway through (``None``: none)."""
