@@ -26,10 +26,6 @@ import numpy as np
 _SMALL_ANGLE = 1e-10
 
 
-class DegenerateBearingError(ValueError):
-    """Raised when a bearing is requested for a point on the z axis."""
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Return the 3x3 matrix S with S @ w == cross(v, w); (n, 3) gives (n, 3, 3)."""
     x, y, z = np.asarray(v, dtype=float).T
@@ -57,14 +53,6 @@ def wrap_angle(a):
     wrapped = np.mod(np.asarray(a) + np.pi, 2.0 * np.pi) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.ndim(a) == 0 else wrapped
-
-
-def bearing(p: np.ndarray) -> float:
-    """Planar bearing atan2(y, x) of a point, in (-pi, pi]."""
-    x, y = float(p[0]), float(p[1])
-    if x == 0.0 and y == 0.0:
-        raise DegenerateBearingError("bearing undefined for a point on the z axis")
-    return float(np.arctan2(y, x))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .factors import (
 from .landmarks import (
     LandmarkTracker,
     associate,
-    polar_distance,
     polar_distance_matrix,
 )
 from .preintegration import (
@@ -73,7 +72,6 @@ __all__ = [
     "landmark_residuals",
     "marginalize_oldest",
     "optimize_window",
-    "polar_distance",
     "polar_distance_matrix",
     "pool_scans",
     "predict_state",

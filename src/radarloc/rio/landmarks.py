@@ -22,34 +22,43 @@ the benchmark's ``yard_circle`` drive: one assignment per connected
 component of the gated candidate graph raised the yaw RMSE from 0.033 to
 0.084 deg, and a sparse minimum-weight matching over a 3 m candidate
 radius still read 0.037 deg. The dense matrix is instead built cheaply,
-in row blocks (``polar_distance_matrix``).
+in row blocks (``polar_distance_matrix``). From ``SPLIT_ENTRIES`` entries
+up its rows are split between the calling thread and one worker thread,
+and the matrix comes out bitwise the same as on one thread. The assignment
+itself (``linear_sum_assignment``) stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ..config import LandmarkParams
-from ..geometry import bearing, matvec, wrap_angle
+from ..geometry import matvec
 
 # Rows of the cost matrix built per block: a block's temporaries (about
-# 128 x 2,400 doubles on the suburban drive) stay in cache.
-BLOCK_ROWS = 128
+# 32 x 2,100 doubles on the suburban drive) stay in cache.
+BLOCK_ROWS = 32
+# Matrices of at least this many entries are built on two threads; below
+# it (the ``yard_circle`` drive holds about 0.4M) the thread hand-off costs
+# more CPU than it saves wall time.
+SPLIT_ENTRIES = 1_000_000
+# CPUs this process may run on; one CPU keeps every matrix on the caller.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# The worker of polar_distance_matrix and the process that started it: a
+# forked child holds no copy of the thread, so it starts its own.
+_WORKER: tuple[int, ThreadPoolExecutor] | None = None
+_WORKER_LOCK = threading.Lock()
 # Finite stand-in for the cost of a degenerate pair in the assignment; a
 # gate is at most 100 (config.PARAMETER_RANGES), so these pairs never pass.
 DEGENERATE_COST = 1e9
 # One row of ``associate``'s matches.
 MATCH_DTYPE = np.dtype([("detection", int), ("landmark", int), ("distance", float)])
-
-
-def polar_distance(p_a: np.ndarray, p_b: np.ndarray, range_weight: float) -> float:
-    """sqrt(L^2 * dbearing^2 + drange^2) between two IMU-frame points."""
-    dphi = wrap_angle(bearing(p_a) - bearing(p_b))
-    drange = np.linalg.norm(p_a) - np.linalg.norm(p_b)
-    return float(np.hypot(range_weight * dphi, drange))
 
 
 def _polar(points: np.ndarray):
@@ -59,32 +68,12 @@ def _polar(points: np.ndarray):
     return np.arctan2(points[:, 1], points[:, 0]), np.linalg.norm(points, axis=1), degenerate
 
 
-def polar_distance_matrix(
-    detections: np.ndarray,
-    landmarks: np.ndarray,
-    range_weight: float,
-    *,
-    degenerate: float = np.inf,
-) -> np.ndarray:
-    """Pairwise polar distances, (n_det, n_lm).
-
-    Pairs with a degenerate point (no planar bearing, or a non-finite
-    coordinate) get ``degenerate``. The bearing term uses
-    ``|wrap(dphi)| = min(|dphi|, 2 pi - |dphi|)``, exact for bearings in
-    (-pi, pi]; the matrix is built in blocks of ``BLOCK_ROWS`` rows with
-    in-place ufuncs, so no full-size temporary is made.
-    """
-    n_det, n_lm = len(detections), len(landmarks)
-    if n_det == 0 or n_lm == 0:
-        return np.zeros((n_det, n_lm))
-    phi_d, r_d, bad_d = _polar(detections)
-    phi_l, r_l, bad_l = _polar(landmarks)
-    phi_d, r_d = phi_d[:, None], r_d[:, None]
-    cost = np.empty((n_det, n_lm))
-    dphi_buf = np.empty((min(n_det, BLOCK_ROWS), n_lm))
+def _fill_rows(cost, phi_d, r_d, phi_l, r_l, range_weight, start, stop):
+    """Fill ``cost[start:stop]`` block by block with in-place ufuncs."""
+    dphi_buf = np.empty((min(stop - start, BLOCK_ROWS), len(phi_l)))
     other_buf = np.empty_like(dphi_buf)
-    for start in range(0, n_det, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
+    for first in range(start, stop, BLOCK_ROWS):
+        rows = slice(first, min(first + BLOCK_ROWS, stop))
         out = cost[rows]
         dphi = dphi_buf[: len(out)]
         other = other_buf[: len(out)]
@@ -98,6 +87,55 @@ def polar_distance_matrix(
         np.square(out, out=out)
         np.add(out, dphi, out=out)
         np.sqrt(out, out=out)
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one worker thread of ``polar_distance_matrix``, started on first use."""
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None or _WORKER[0] != os.getpid():
+            _WORKER = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="polar-rows")
+        return _WORKER[1]
+
+
+def polar_distance_matrix(
+    detections: np.ndarray,
+    landmarks: np.ndarray,
+    range_weight: float,
+    *,
+    degenerate: float = np.inf,
+) -> np.ndarray:
+    """Pairwise polar distances ``sqrt(L^2 dbearing^2 + drange^2)``, (n_det, n_lm).
+
+    Pairs with a degenerate point (no planar bearing, or a non-finite
+    coordinate) get ``degenerate``. The bearing term uses
+    ``|wrap(dphi)| = min(|dphi|, 2 pi - |dphi|)``, exact for bearings in
+    (-pi, pi]; the matrix is built in blocks of ``BLOCK_ROWS`` rows with
+    in-place ufuncs, so no full-size temporary is made.
+
+    From ``SPLIT_ENTRIES`` entries up, on a process allowed two or more
+    CPUs, the calling thread fills the first half of the rows and one
+    worker thread the second (NumPy releases the GIL inside the ufuncs).
+    Each entry goes through the same ufuncs either way, so the matrix is
+    bitwise the same. Smaller matrices never start the worker. The worker
+    is done with the matrix before this returns or raises.
+    """
+    n_det, n_lm = len(detections), len(landmarks)
+    if n_det == 0 or n_lm == 0:
+        return np.zeros((n_det, n_lm))
+    phi_d, r_d, bad_d = _polar(detections)
+    phi_l, r_l, bad_l = _polar(landmarks)
+    cost = np.empty((n_det, n_lm))
+    args = (cost, phi_d[:, None], r_d[:, None], phi_l, r_l, range_weight)
+    if n_det * n_lm >= SPLIT_ENTRIES and CPUS >= 2:
+        half = (n_det + 1) // 2
+        future = _worker().submit(_fill_rows, *args, half, n_det)
+        try:
+            _fill_rows(*args, 0, half)
+        finally:
+            future.result()
+    else:
+        _fill_rows(*args, 0, n_det)
     cost[bad_d, :] = degenerate
     cost[:, bad_l] = degenerate
     return cost

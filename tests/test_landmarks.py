@@ -1,19 +1,25 @@
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from scipy.optimize import linear_sum_assignment
 
-from radarloc.config import LandmarkParams
-from radarloc.geometry import DegenerateBearingError, wrap_angle
+from oracles import DegenerateBearingError, polar_distance
+from radarloc.config import LandmarkParams, config_from_dict
+from radarloc.geometry import wrap_angle
+from radarloc.rio import landmarks, run_odometry
 from radarloc.rio.landmarks import (
     BLOCK_ROWS,
     MATCH_DTYPE,
     LandmarkTracker,
     associate,
-    polar_distance,
     polar_distance_matrix,
 )
+from test_rio_pipeline import _fault_log
 
 
 def at_bearings(bearings, ranges, z=0.0):
@@ -40,6 +46,38 @@ def reference_associate(detections, landmarks, range_weight, gate):
         for r, c in zip(rows, cols)
         if np.isfinite(cost[r, c]) and cost[r, c] < gate
     ]
+
+
+def wall_scene(rng, extent, n_seam, n_clutter, n_seen, n_new):
+    """Detections and landmarks like the benchmark drives.
+
+    Four walls of points 0.8 m apart (against a 0.5 m gate) reaching
+    ``extent`` metres along, ``n_seam`` points on both sides of the bearing
+    seam, ``n_clutter`` clutter points and one point on the z axis in each
+    set. The detections re-observe ``n_seen`` landmarks with noise under a
+    small pose error, beside ``n_new`` new points.
+    """
+    along = np.arange(-extent, extent, 0.8)
+    walls = np.vstack(
+        [
+            np.column_stack([along, np.full_like(along, 9.0), np.zeros_like(along)]),
+            np.column_stack([along, np.full_like(along, -7.5), np.zeros_like(along)]),
+            np.column_stack([np.full_like(along, -18.0), 0.3 * along, np.zeros_like(along)]),
+            np.column_stack([np.full_like(along, 21.0), 0.3 * along, np.zeros_like(along)]),
+        ]
+    )
+    seam = at_bearings(
+        np.pi - rng.uniform(-1e-3, 1e-3, n_seam), rng.uniform(5.0, 30.0, n_seam)
+    )
+    clutter = rng.uniform(-30.0, 30.0, size=(n_clutter, 3))
+    lms = np.vstack([walls, seam, clutter, [[0.0, 0.0, 1.0]]])
+    yaw = 0.01
+    R = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0, 0, 1]])
+    seen = rng.choice(len(lms) - 1, size=n_seen, replace=False)
+    reobserved = (lms[seen] - [0.1, 0.05, 0.0]) @ R.T + rng.normal(scale=0.05, size=(n_seen, 3))
+    new = rng.uniform(-30.0, 30.0, size=(n_new, 3))
+    dets = rng.permutation(np.vstack([reobserved, new, [[0.0, 0.0, -2.0]]]))
+    return dets, lms
 
 
 class TestPolarDistance:
@@ -138,29 +176,7 @@ class TestAssociation:
         assert_array_equal(unmatched, [0])
 
     def test_matches_reference_on_wall_scene(self):
-        # a scene like the benchmark drives: evenly spaced wall points (0.8 m
-        # against the 0.5 m gate), points on both sides of the bearing seam,
-        # clutter, and one point on the z axis in each set; the detections
-        # re-observe most landmarks with noise under a small pose error
-        rng = np.random.default_rng(7)
-        along = np.arange(-24.0, 24.0, 0.8)
-        walls = np.vstack(
-            [
-                np.column_stack([along, np.full_like(along, 9.0), np.zeros_like(along)]),
-                np.column_stack([along, np.full_like(along, -7.5), np.zeros_like(along)]),
-                np.column_stack([np.full_like(along, -18.0), 0.3 * along, np.zeros_like(along)]),
-                np.column_stack([np.full_like(along, 21.0), 0.3 * along, np.zeros_like(along)]),
-            ]
-        )
-        seam = at_bearings(np.pi - rng.uniform(-1e-3, 1e-3, 30), rng.uniform(5.0, 30.0, 30))
-        clutter = rng.uniform(-30.0, 30.0, size=(60, 3))
-        lms = np.vstack([walls, seam, clutter, [[0.0, 0.0, 1.0]]])
-        yaw = 0.01
-        R = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0], [0, 0, 1]])
-        seen = rng.choice(len(lms) - 1, size=260, replace=False)
-        reobserved = (lms[seen] - [0.1, 0.05, 0.0]) @ R.T + rng.normal(scale=0.05, size=(260, 3))
-        new = rng.uniform(-30.0, 30.0, size=(40, 3))
-        dets = rng.permutation(np.vstack([reobserved, new, [[0.0, 0.0, -2.0]]]))
+        dets, lms = wall_scene(np.random.default_rng(7), 24.0, 30, 60, 260, 40)
         assert len(dets) > 2 * BLOCK_ROWS and 300 <= len(lms) <= 400
 
         matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
@@ -185,6 +201,111 @@ class TestAssociation:
         matches, unmatched = associate(np.array([[1.0, 0, 0]]), np.zeros((0, 3)), 5.0, 0.5)
         assert len(matches) == 0 and matches.dtype == MATCH_DTYPE
         assert_array_equal(unmatched, [0])
+
+
+class TestSplitRows:
+    """The cost matrix built on two threads equals the one built on one."""
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        """Force a two-CPU host and record each ``_fill_rows`` range and thread."""
+        monkeypatch.setattr(landmarks, "CPUS", 2)
+        fill_rows, calls = landmarks._fill_rows, []
+
+        def recording(*args):
+            calls.append((args[-2], args[-1], threading.get_ident()))
+            fill_rows(*args)
+
+        monkeypatch.setattr(landmarks, "_fill_rows", recording)
+        return calls
+
+    @staticmethod
+    def points(n, rng):
+        # bearings within 1e-6 of +-pi on both sides of the seam (with
+        # atan2(-0.0, -x) = -pi), a point on the z axis and a non-finite one
+        # come first, so that even one or two rows hold a seam or degenerate point
+        seam = np.pi - np.array([0.0, 1e-12, 1e-9, 1e-6])
+        special = np.vstack(
+            [
+                at_bearings(seam[:1], 12.0),
+                [[0.0, 0.0, 2.0], [1.0, np.nan, 0.0], [-8.0, -0.0, 0.5]],
+                at_bearings(seam[1:], 12.0),
+                at_bearings(-seam, 12.5),
+            ]
+        )
+        return np.vstack([special, rng.uniform(-20, 20, size=(max(n - len(special), 0), 3))])[:n]
+
+    @pytest.mark.parametrize("n_det", [1, 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
+    def test_two_ranges_equal_one_bitwise(self, n_det, split_calls, monkeypatch):
+        rng = np.random.default_rng(n_det)
+        dets = self.points(n_det, rng)
+        lms = self.points(40, rng)[::-1].copy()
+        one = polar_distance_matrix(dets, lms, 5.0, degenerate=1e9)
+        assert [c[:2] for c in split_calls] == [(0, n_det)]
+        split_calls.clear()
+        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
+        two = polar_distance_matrix(dets, lms, 5.0, degenerate=1e9)
+        half = (n_det + 1) // 2
+        assert sorted(c[:2] for c in split_calls) == [(0, half), (half, n_det)]
+        assert split_calls[0][2] != split_calls[1][2]
+        assert np.array_equal(one, two) and one.tobytes() == two.tobytes()
+        assert (one == 1e9).all(axis=0).sum() == 2  # the two degenerate landmarks
+
+    def test_matches_reference_above_cutover(self, split_calls):
+        dets, lms = wall_scene(np.random.default_rng(11), 96.0, 60, 80, 900, 100)
+        assert len(dets) * len(lms) >= landmarks.SPLIT_ENTRIES
+        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
+        assert len({thread for _, _, thread in split_calls}) == 2
+        expected = reference_associate(dets, lms, 5.0, 0.5)
+        assert_array_equal(matches["detection"], [r for r, _, _ in expected])
+        assert_array_equal(matches["landmark"], [c for _, c, _ in expected])
+        assert_allclose(matches["distance"], [d for _, _, d in expected], rtol=0, atol=1e-12)
+        matched = {r for r, _, _ in expected}
+        assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
+        assert len(matches) > 700
+
+    def test_no_worker_below_cutover(self, split_calls, monkeypatch):
+        monkeypatch.setattr(landmarks, "_WORKER", None)
+        before = threading.active_count()
+        scenario, log = _fault_log(None)
+        cfg = config_from_dict({"ablation": {"disable_heading_constraint": True}})
+        assert len(run_odometry(log, cfg, extrinsics=scenario.rig.extrinsics)) > 5
+        assert 999 * 1001 < landmarks.SPLIT_ENTRIES
+        polar_distance_matrix(np.ones((999, 3)), np.ones((1001, 3)), 5.0)
+        assert len(split_calls) == 1
+        assert threading.active_count() == before and landmarks._WORKER is None
+
+    def test_caller_error_waits_for_the_worker(self, split_calls, monkeypatch):
+        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
+        caller, worker_done = threading.get_ident(), threading.Event()
+        fill_rows = landmarks._fill_rows
+
+        def caller_fails(*args):
+            if threading.get_ident() == caller:
+                raise RuntimeError("caller half failed")
+            time.sleep(0.05)
+            fill_rows(*args)
+            worker_done.set()
+
+        monkeypatch.setattr(landmarks, "_fill_rows", caller_fails)
+        with pytest.raises(RuntimeError, match="caller half failed"):
+            polar_distance_matrix(np.ones((4, 3)), np.ones((3, 3)), 5.0)
+        assert worker_done.is_set()
+
+    def test_forked_child_starts_its_own_worker(self, split_calls, monkeypatch):
+        # the child of a fork has no copy of the parent's worker thread; work
+        # handed to the parent's executor would never run
+        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
+        args = (np.ones((4, 3)), np.ones((3, 3)), 5.0)
+        polar_distance_matrix(*args)
+        child = multiprocessing.get_context("fork").Process(target=polar_distance_matrix, args=args)
+        child.start()
+        child.join(timeout=20)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
 
 class TestTracker:
