@@ -48,7 +48,7 @@ class LandmarkParams:
 @dataclass
 class WindowParams:
     size: int = 10
-    max_iterations: int = 8  # guard on linearizations; the stop tests end sooner
+    max_iterations: int = 8  # guard on LM iterations; the stop tests end sooner
     accel_bias_max: float = 1.0  # m/s^2, divergence guard
     gyro_bias_max: float = 0.2  # rad/s, divergence guard
     marginal_epsilon: float = 1e-8

@@ -237,28 +237,6 @@ def exp_so3(rotvec: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def log_so3(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of R; inverse of ``exp_so3`` on (-pi, pi]."""
-    cos_angle = np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0)
-    angle = np.arccos(cos_angle)
-    if angle < _SMALL_ANGLE:
-        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle > np.pi - 1e-7:
-        # near pi the off-diagonal formula degenerates; recover axis from R + I
-        A = 0.5 * (R + np.eye(3))
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        # fix signs from the largest component
-        k = int(np.argmax(axis))
-        if axis[k] > 0.0:
-            axis = axis * np.sign(A[k] / axis[k])
-            axis[k] = abs(axis[k])
-        axis = axis / np.linalg.norm(axis)
-        return angle * axis
-    return (angle / (2.0 * np.sin(angle))) * np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
-    )
-
-
 def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
     """Right Jacobian Jr with Exp(phi + Jr(phi) @ d) ~ Exp(phi) Exp(d)."""
     rotvec = np.asarray(rotvec, dtype=float)

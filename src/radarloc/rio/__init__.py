@@ -9,7 +9,6 @@ from .estimator import (
 )
 from .factors import (
     PriorFactor,
-    doppler_residuals,
     imu_residual,
     imu_sqrt_information,
     landmark_residuals,
@@ -64,7 +63,6 @@ __all__ = [
     "WindowEntry",
     "associate",
     "compensate_lever_arm",
-    "doppler_residuals",
     "estimate_velocity",
     "imu_residual",
     "imu_segment",

@@ -91,6 +91,7 @@ class StepDiagnostics:
     degraded_reason: str = ""  # "imu_gap", else the RANSAC reason; empty when not degraded
     ransac_iterations: int = 0  # RANSAC samples drawn, adaptive, at most ransac.iterations
     optimize_iterations: int = 0
+    linearizations: int = 0  # window factor passes, rejected candidates included
     # window.CONVERGED (relative cost decrease or gradient floor), NO_DESCENT
     # (no damped step lowered the cost), ITERATION_CAP or DIVERGED
     optimize_reason: str = ""
@@ -102,6 +103,7 @@ class StepDiagnostics:
 
     def record_optimization(self, report: OptimizeReport) -> None:
         self.optimize_iterations = report.iterations
+        self.linearizations = report.linearizations
         self.optimize_reason = report.reason
         self.cost_drop = report.cost_initial - report.cost_final
 
@@ -312,7 +314,7 @@ class RioEstimator:
             self.t_oi = self.t_oi + 0.5 * (last_entry.state.v + entry.state.v) * dt
 
         if len(self.window) > self.cfg.window.size:
-            info = marginalize_oldest(self.window, self.extrinsics, self.cfg)
+            info = marginalize_oldest(self.window, report.linearization, self.cfg)
             diag.marginalization_regularized = info.regularized
         return self._emit(degraded)
 

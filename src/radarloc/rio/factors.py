@@ -46,43 +46,7 @@ def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
     return M[..., 1:4, 1:4]
 
 
-def doppler_residuals(
-    state: State,
-    rays: np.ndarray,
-    doppler: np.ndarray,
-    R_imu_radar: np.ndarray,
-    t_imu_radar: np.ndarray,
-    omega: np.ndarray,
-    with_jacobian: bool = True,
-):
-    """Range-rate residuals for one sensor's inlier detections.
-
-    ``rays`` are unit sensor-frame directions; the prediction projects the
-    global velocity rotated into the radar frame plus the lever-arm
-    velocity induced by the bias-corrected body rate onto each ray.
-    """
-    A = R_imu_radar.T  # radar <- imu
-    t_ri = -(A @ t_imu_radar)
-    R_io = quat_to_matrix(state.q).T
-    lever_rows = np.cross(rays, t_ri) @ A  # rows: d(prediction)/d(omega - bg)
-    vel_rows = rays @ (A @ R_io)
-    residual = doppler - vel_rows @ state.v - lever_rows @ (omega - state.bg)
-    if not with_jacobian:
-        return residual, None
-    J = np.zeros((len(rays), STATE_DIM))
-    m = R_io @ state.v
-    J[:, THETA] = -np.cross(rays @ A, np.broadcast_to(m, rays.shape))
-    J[:, VEL] = -vel_rows
-    J[:, BG] = lever_rows
-    return residual, J
-
-
-def imu_residual(
-    x_k: State,
-    x_k1: State,
-    pre: PreintegratedImu,
-    with_jacobian: bool = True,
-):
+def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     """12-dim consistency residual between two states and the IMU compound.
 
     Zero exactly when ``x_k1`` equals the propagation of ``x_k``. Rows are
@@ -105,8 +69,6 @@ def imu_residual(
     res = np.concatenate(
         [2.0 * e_q[..., 1:4], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba], axis=-1
     )
-    if not with_jacobian:
-        return res, None, None
 
     shape = res.shape[:-1] + (IMU_RESIDUAL_DIM, STATE_DIM)
     J_k = np.zeros(shape)
@@ -217,13 +179,13 @@ def doppler_block_residual(
     R_imu_radar: np.ndarray,
     t_imu_radar: np.ndarray,
     omega: np.ndarray,
-    with_jacobian: bool = True,
 ):
     """Compressed range-rate residual of one sensor block.
 
     ``sqrt_rows`` is ``compress_doppler(rays, doppler)``. The squared norm,
-    Jacobian Gram matrix and gradient equal those of ``doppler_residuals``
-    over the same detections. For n blocks at once, pass the states of the
+    Jacobian Gram matrix and gradient equal those of the per-detection rows
+    over the same detections (the oracle ``doppler_residuals`` of
+    ``tests/oracles.py``). For n blocks at once, pass the states of the
     blocks stacked and every other argument with a leading axis of n;
     ``sqrt_rows`` zero-padded to (n, 4, 4) gives zero rows for the padding.
     """
@@ -234,8 +196,6 @@ def doppler_block_residual(
     u = matvec(A, m - matvec(S_t, omega - state.bg))  # sensor velocity in the radar frame
     T = sqrt_rows[..., :3]
     residual = sqrt_rows[..., 3] - matvec(T, u)
-    if not with_jacobian:
-        return residual, None
     TA = T @ A
     J = np.zeros(residual.shape + (STATE_DIM,))
     J[..., THETA] = -TA @ skew(m)
@@ -274,7 +234,7 @@ def compress_landmarks(bearings_meas: np.ndarray, offsets_global: np.ndarray) ->
     return HeadingSummary(len(d), yaw_ref, mean, float(np.linalg.norm(d - mean)))
 
 
-def heading_block_residual(state: State, summary: HeadingSummary, with_jacobian: bool = True):
+def heading_block_residual(state: State, summary: HeadingSummary):
     """Two-row residual whose squared norm equals the block's heading cost.
 
     Row 0 is ``sqrt(n) (mean + wrap(yaw - yaw_ref))``; row 1 is the constant
@@ -286,8 +246,6 @@ def heading_block_residual(state: State, summary: HeadingSummary, with_jacobian:
     count, yaw_ref, mean, spread = (np.asarray(f, dtype=float) for f in summary)
     scale = np.sqrt(count)
     residual = np.stack([scale * (mean + wrap_angle(yaw - yaw_ref)), spread], axis=-1)
-    if not with_jacobian:
-        return residual, None
     J = np.zeros(residual.shape + (STATE_DIM,))
     J[..., 0, THETA] = scale[..., None] * J_yaw
     return residual, J
@@ -334,11 +292,9 @@ class PriorFactor:
         rhs = np.linalg.solve(L, b)
         return PriorFactor(mean.copy(), sqrt_info, rhs, regularized)
 
-    def residual(self, x: State, with_jacobian: bool = True):
+    def residual(self, x: State):
         delta = x.local_error(self.mean)
         res = self.sqrt_info @ delta + self.rhs
-        if not with_jacobian:
-            return res, None
         e_q = quat_mul(quat_conj(self.mean.q), x.q)
         sign = -1.0 if e_q[0] < 0.0 else 1.0
         J_delta = np.eye(STATE_DIM)

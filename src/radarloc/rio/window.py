@@ -5,19 +5,25 @@ measurement blocks. Optimization is Levenberg-Marquardt over the prior,
 range-rate, heading and IMU-consistency factors, with Marquardt's diagonal
 scaling and Nielsen's gain-ratio damping update started close to
 Gauss-Newton. It stops once a step lowers the cost by a negligible fraction
-or the scaled gradient is negligible: about three linearizations a step on
-the benchmark drives. Each sensor's range-rate block and each state's
-heading block enter as one compressed factor with the same cost, gradient
-and Gauss-Newton matrix as its per-detection rows; the RANSAC consensus
-gate has already removed dynamic detections, so the loss is plain least
-squares. Removing the oldest state takes the Schur complement of its block
-over every factor touching it, leaving a Gaussian prior on the new oldest
-state so cost and factor count stay bounded for arbitrarily long runs.
+or the scaled gradient is negligible: about three iterations a step on the
+benchmark drives. Each sensor's range-rate block and each state's heading
+block enter as one compressed factor with the same cost, gradient and
+Gauss-Newton matrix as its per-detection rows; the RANSAC consensus gate
+has already removed dynamic detections, so the loss is plain least squares.
+Removing the oldest state takes the Schur complement of its block over
+every factor touching it, leaving a Gaussian prior on the new oldest state
+so cost and factor count stay bounded for arbitrarily long runs.
 
-Cost, linearization and marginalization share one packed window
-(``_PackedWindow``), built once per ``optimize_window`` or
-``marginalize_oldest`` call. It stacks each factor kind into arrays with a
-leading factor axis:
+One pass over the factors serves all three: ``_PackedWindow.linearize``
+gives the cost, the Gauss-Newton matrix and the gradient from the same
+residuals (a ``Linearization``). ``optimize_window`` linearizes the start
+and each damped candidate once; an accepted candidate's matrix and gradient
+are the next iteration's. Its last accepted linearization is the one
+``marginalize_oldest`` takes the Schur complement from, so no factor is
+evaluated twice at the same states.
+
+The packed window is built once per ``optimize_window`` call. It stacks
+each factor kind into arrays with a leading factor axis:
 
 * range rate: state index, the QR factor ``sqrt_rows`` zero-padded to 4x4
   (a block of 1 to 3 detections has fewer rows; zero rows add nothing),
@@ -138,7 +144,7 @@ class SlidingWindow:
 # ``lam`` near that holds steps along it back for several iterations.
 DAMPING_INIT = 1e-10
 DAMPING_MIN = 1e-12  # keeps ``lam`` off zero, from which no rejection could raise it
-MAX_TRIES = 8  # damped solves per linearization before giving up on descent
+MAX_TRIES = 8  # damped solves per iteration before giving up on descent
 # Stop tests (Madsen, Nielsen & Tingleff 2004) on a cost that sums
 # whitened squared residuals. The relative decrease ends a converging run; the
 # gradient floor, in whitened residual units, ends one that starts at a zero
@@ -152,8 +158,27 @@ GRADIENT_FLOOR = 1e-10
 # GRADIENT_FLOOR.
 CONVERGED = "converged"
 NO_DESCENT = "no_descent"  # MAX_TRIES damped steps all failed to lower the cost
-ITERATION_CAP = "iteration_cap"  # ``window.max_iterations`` linearizations
+ITERATION_CAP = "iteration_cap"  # ``window.max_iterations`` iterations
 DIVERGED = "diverged"  # non-finite cost or normal equations; the states are kept
+
+
+@dataclass
+class Linearization:
+    """One pass over the window's factors at ``states``.
+
+    ``cost`` sums the squared whitened residuals; ``H`` is the Gauss-Newton
+    matrix ``J^T J`` and ``g`` the gradient ``J^T r`` of the same residuals.
+    ``first_edge`` is the ``(J^T J, J^T r)`` block that the IMU edge from the
+    first state to the second adds on the second state, or None without
+    that edge: marginalization needs it apart from the second state's other
+    factors.
+    """
+
+    states: State
+    cost: float
+    H: np.ndarray
+    g: np.ndarray
+    first_edge: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -163,6 +188,9 @@ class OptimizeReport:
     cost_final: float
     reason: str
     costs: list[float] = field(default_factory=list)
+    linearizations: int = 0  # factor passes, rejected candidates included
+    # at the returned states, for ``marginalize_oldest``; None when diverged
+    linearization: Linearization | None = None
 
     @property
     def converged(self) -> bool:
@@ -176,23 +204,15 @@ class OptimizeReport:
 class _PackedWindow:
     """The window's factors stacked into arrays, one stack per factor kind.
 
-    Built once per ``optimize_window`` or ``marginalize_oldest`` call from
-    the measurement blocks of the first ``owners`` entries and the IMU edges
-    among the first ``n_states`` states. Each cost or linearization pass
-    calls each factor function once for all factors of its kind.
+    Built once per ``optimize_window`` call from the entries' measurement
+    blocks and IMU edges. Each linearization calls each factor function
+    once for all factors of its kind.
     """
 
-    def __init__(
-        self,
-        window: SlidingWindow,
-        extrinsics: list[RigidTransform],
-        cfg: RunConfig,
-        n_states: int | None = None,
-        owners: int | None = None,
-    ):
+    def __init__(self, window: SlidingWindow, extrinsics: list[RigidTransform], cfg: RunConfig):
         self.prior = window.prior
-        self.n = len(window.entries) if n_states is None else n_states
-        entries = window.entries[: self.n if owners is None else owners]
+        entries = window.entries
+        self.n = len(entries)
         self.doppler_sigma = cfg.doppler.sigma
         self.bearing_sigma = cfg.landmark.bearing_sigma
 
@@ -216,50 +236,30 @@ class _PackedWindow:
         if headings:
             self.head = HeadingSummary(*(np.array(f) for f in zip(*[h for _, h in headings])))
 
-        edges = [
-            i for i, e in enumerate(entries) if i + 1 < self.n and e.preint_to_next is not None
-        ]
+        edges = [i for i, e in enumerate(entries[:-1]) if e.preint_to_next is not None]
         self.imu_from = np.array(edges, dtype=int)
         if edges:
             self.imu = PreintegratedImu.stack([entries[i].preint_to_next for i in edges])
             self.imu_W = imu_sqrt_information(self.imu)
 
-    def _doppler(self, states: State, with_jacobian: bool):
+    def _doppler(self, states: State):
         r, J = doppler_block_residual(
-            states[self.dop_state],
-            self.dop_rows,
-            self.dop_R,
-            self.dop_t,
-            self.dop_omega,
-            with_jacobian=with_jacobian,
+            states[self.dop_state], self.dop_rows, self.dop_R, self.dop_t, self.dop_omega
         )
-        return r / self.doppler_sigma, None if J is None else J / self.doppler_sigma
+        return r / self.doppler_sigma, J / self.doppler_sigma
 
-    def _heading(self, states: State, with_jacobian: bool):
-        r, J = heading_block_residual(states[self.head_state], self.head, with_jacobian)
-        return r / self.bearing_sigma, None if J is None else J / self.bearing_sigma
+    def _heading(self, states: State):
+        r, J = heading_block_residual(states[self.head_state], self.head)
+        return r / self.bearing_sigma, J / self.bearing_sigma
 
-    def _imu(self, states: State, with_jacobian: bool):
+    def _imu(self, states: State):
         i = self.imu_from
-        r, J_k, J_k1 = imu_residual(states[i], states[i + 1], self.imu, with_jacobian)
+        r, J_k, J_k1 = imu_residual(states[i], states[i + 1], self.imu)
         W = self.imu_W
-        if not with_jacobian:
-            return matvec(W, r), None, None
         return matvec(W, r), W @ J_k, W @ J_k1
 
-    def cost(self, states: State) -> float:
-        r, _ = self.prior.residual(states[0], with_jacobian=False)
-        total = float(r @ r)
-        if len(self.dop_state):
-            total += float(np.sum(self._doppler(states, False)[0] ** 2))
-        if len(self.head_state):
-            total += float(np.sum(self._heading(states, False)[0] ** 2))
-        if len(self.imu_from):
-            total += float(np.sum(self._imu(states, False)[0] ** 2))
-        return total
-
-    def linearize(self, states: State):
-        """Gauss-Newton matrix ``J^T J`` and gradient ``J^T r`` of the window.
+    def linearize(self, states: State) -> Linearization:
+        """Cost, Gauss-Newton matrix and gradient of the window at ``states``.
 
         Single-state factors add into the diagonal blocks and the IMU edges
         into the block tridiagonal; no dense Jacobian is formed.
@@ -268,31 +268,39 @@ class _PackedWindow:
         diag = np.zeros((n, STATE_DIM, STATE_DIM))
         grad = np.zeros((n, STATE_DIM))
         r, J = self.prior.residual(states[0])
+        cost = float(r @ r)
         diag[0] += J.T @ J
         grad[0] += J.T @ r
         for index, kind in ((self.dop_state, self._doppler), (self.head_state, self._heading)):
             if len(index):
-                r, J = kind(states, True)
+                r, J = kind(states)
+                cost += float(np.sum(r**2))
                 Jt = np.swapaxes(J, -1, -2)
                 # sum each state's factors: one product with the (n, factors) 0/1 matrix
                 to_state = np.eye(n)[index].T
                 diag += (to_state @ (Jt @ J).reshape(len(J), -1)).reshape(diag.shape)
                 grad += to_state @ matvec(Jt, r)
         H = np.zeros((n, STATE_DIM, n, STATE_DIM))
+        first_edge = None
         if len(self.imu_from):
             i = self.imu_from  # distinct edges: each indexed += adds once
-            r, J_k, J_k1 = self._imu(states, True)
+            r, J_k, J_k1 = self._imu(states)
+            cost += float(np.sum(r**2))
             Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
+            H_k1, g_k1 = Jt_k1 @ J_k1, matvec(Jt_k1, r)
             diag[i] += Jt_k @ J_k
-            diag[i + 1] += Jt_k1 @ J_k1
+            diag[i + 1] += H_k1
             grad[i] += matvec(Jt_k, r)
-            grad[i + 1] += matvec(Jt_k1, r)
+            grad[i + 1] += g_k1
             off = Jt_k @ J_k1
             H[i, :, i + 1, :] = off
             H[i + 1, :, i, :] = np.swapaxes(off, -1, -2)
+            if i[0] == 0:
+                first_edge = (H_k1[0], g_k1[0])
         k = np.arange(n)
         H[k, :, k, :] = diag
-        return H.reshape(n * STATE_DIM, n * STATE_DIM), grad.reshape(-1)
+        H = H.reshape(n * STATE_DIM, n * STATE_DIM)
+        return Linearization(states, cost, H, grad.reshape(-1), first_edge)
 
 
 def optimize_window(
@@ -300,25 +308,29 @@ def optimize_window(
 ) -> OptimizeReport:
     """Levenberg-Marquardt over the window; states updated in place.
 
-    The damping ``lam * diag(H)`` follows the gain ratio of each step (see
-    ``DAMPING_INIT``), and the loop stops on the tests named by ``CONVERGED``
-    or at ``window.max_iterations`` linearizations. Steps are accepted only
-    when the total cost decreases, so the reported cost sequence is
-    decreasing. The states are iterated as one stacked ``State`` and written
-    back to the entries once at the end. On a non-finite cost or normal
-    equations the entries keep their input states and the report is flagged
-    diverged.
+    One factor pass per iterate: the start is linearized once, and each
+    damped candidate once, which gives its cost for the gain ratio and,
+    when accepted, the next iteration's normal equations. The damping
+    ``lam * diag(H)`` follows the gain ratio of each step (see
+    ``DAMPING_INIT``), and the loop stops on the tests named by
+    ``CONVERGED`` or after ``window.max_iterations`` iterations. Steps are
+    accepted only when the total cost decreases, so the reported cost
+    sequence is decreasing. The states are iterated as one stacked
+    ``State`` and written back to the entries once at the end; the report
+    carries the linearization at those states for ``marginalize_oldest``.
+    On a non-finite cost or normal equations the entries keep their input
+    states and the report is flagged diverged.
     """
     if not window.entries:
         raise ValueError("cannot optimize an empty window")
     packed = _PackedWindow(window, extrinsics, cfg)
-    states = State.stack(window.states())
     n = len(window.entries)
 
-    cost = packed.cost(states)
-    costs = [cost]
-    if not np.isfinite(cost):
-        return OptimizeReport(0, cost, cost, DIVERGED, costs)
+    lin = packed.linearize(State.stack(window.states()))
+    linearizations = 1
+    costs = [lin.cost]
+    if not np.isfinite(lin.cost):
+        return OptimizeReport(0, lin.cost, lin.cost, DIVERGED, costs, linearizations)
 
     lam = DAMPING_INIT
     nu = 2.0
@@ -327,9 +339,9 @@ def optimize_window(
 
     while iterations < cfg.window.max_iterations:
         iterations += 1
-        H, g = packed.linearize(states)
+        H, g, cost = lin.H, lin.g, lin.cost
         if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
-            return OptimizeReport(iterations, costs[0], np.inf, DIVERGED, costs)
+            return OptimizeReport(iterations, costs[0], np.inf, DIVERGED, costs, linearizations)
         diag = np.clip(np.diag(H), 1e-12, None)
         if np.max(np.abs(g) / np.sqrt(diag)) <= GRADIENT_FLOOR:
             reason = CONVERGED
@@ -340,11 +352,11 @@ def optimize_window(
             except np.linalg.LinAlgError:
                 gain = -np.inf
             else:
-                candidate = states.retract(delta.reshape(n, STATE_DIM))
-                new_cost = packed.cost(candidate)
+                candidate = packed.linearize(lin.states.retract(delta.reshape(n, STATE_DIM)))
+                linearizations += 1
                 # cost drop the linearized model predicts: ||r||^2 - ||r + J delta||^2
                 predicted = float(delta @ (lam * diag * delta - g))
-                gain = (cost - new_cost) / predicted if predicted > 0.0 else -np.inf
+                gain = (cost - candidate.cost) / predicted if predicted > 0.0 else -np.inf
             if gain > 0.0:  # false for a non-finite cost too
                 break
             lam *= nu
@@ -352,18 +364,18 @@ def optimize_window(
         else:
             reason = NO_DESCENT
             break
-        small_drop = cost - new_cost <= RELATIVE_DECREASE * cost
-        states, cost = candidate, new_cost
-        costs.append(cost)
+        small_drop = cost - candidate.cost <= RELATIVE_DECREASE * cost
+        lin = candidate
+        costs.append(lin.cost)
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), DAMPING_MIN)
         nu = 2.0
         if small_drop:
             reason = CONVERGED
             break
 
-    for entry, s in zip(window.entries, states.unstack()):
+    for entry, s in zip(window.entries, lin.states.unstack()):
         entry.state = s
-    return OptimizeReport(iterations, costs[0], cost, reason, costs)
+    return OptimizeReport(iterations, costs[0], lin.cost, reason, costs, linearizations, lin)
 
 
 @dataclass
@@ -371,27 +383,41 @@ class MarginalizationInfo:
     regularized: bool
 
 
+def _same_state(a: State, b: State) -> bool:
+    return a.t == b.t and all(
+        np.array_equal(x, y) for x, y in ((a.q, b.q), (a.v, b.v), (a.ba, b.ba), (a.bg, b.bg))
+    )
+
+
 def marginalize_oldest(
-    window: SlidingWindow, extrinsics: list[RigidTransform], cfg: RunConfig
+    window: SlidingWindow, linearization: Linearization, cfg: RunConfig
 ) -> MarginalizationInfo:
     """Absorb the oldest state into a Gaussian prior on its successor.
 
-    Linearizes every factor touching the oldest state (prior, its own
-    measurement blocks, and the IMU edge to the next state) at the current
-    estimates, then takes the Schur complement of the old state's block.
+    ``linearization`` is the window's, taken at its current states: the
+    ``OptimizeReport.linearization`` of the last ``optimize_window``. Its
+    blocks on the oldest state hold exactly the factors touching that state
+    (the prior, the oldest entry's range-rate and heading blocks, and the
+    IMU edge to the next state), and ``first_edge`` holds what that edge
+    adds on the next state. The Schur complement of the oldest state's
+    block over these is the new prior; no factor is evaluated again.
     Singular information is regularized with the configured epsilon and
-    flagged.
+    flagged. Raises ``ValueError`` when the linearization was taken at
+    other states than the window's first two.
     """
     if len(window.entries) < 2:
         raise ValueError("marginalization needs at least two states")
-    packed = _PackedWindow(window, extrinsics, cfg, n_states=2, owners=1)
     states = window.states()[:2]
-    H, b = packed.linearize(State.stack(states))
-    H00 = H[:STATE_DIM, :STATE_DIM]
-    H01 = H[:STATE_DIM, STATE_DIM:]
-    H11 = H[STATE_DIM:, STATE_DIM:]
-    b0 = b[:STATE_DIM]
-    b1 = b[STATE_DIM:]
+    if not all(_same_state(linearization.states[k], s) for k, s in enumerate(states)):
+        raise ValueError("linearization is not at the window's first two states")
+    S = STATE_DIM
+    H00 = linearization.H[:S, :S]
+    H01 = linearization.H[:S, S : 2 * S]
+    b0 = linearization.g[:S]
+    if linearization.first_edge is None:
+        H11, b1 = np.zeros((S, S)), np.zeros(S)
+    else:
+        H11, b1 = linearization.first_edge
 
     regularized = False
     try:

@@ -1,14 +1,18 @@
-"""Scalar reference implementations that the vectorized code is tested against.
+"""Reference implementations that the estimator's code is tested against.
 
-They compute one pair at a time, the plain way, and are used only by the
-tests: ``polar_distance`` is the oracle of ``polar_distance_matrix``.
+They compute the plain way, one pair or one detection at a time, and are
+used only by the tests: ``polar_distance`` is the oracle of
+``polar_distance_matrix``, ``doppler_residuals`` (one row per detection) the
+oracle of the compressed ``doppler_block_residual``, and ``log_so3`` the
+inverse of ``exp_so3``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from radarloc.geometry import wrap_angle
+from radarloc.geometry import _SMALL_ANGLE, quat_to_matrix, wrap_angle
+from radarloc.rio.state import BG, STATE_DIM, THETA, VEL, State
 
 
 class DegenerateBearingError(ValueError):
@@ -28,3 +32,56 @@ def polar_distance(p_a: np.ndarray, p_b: np.ndarray, range_weight: float) -> flo
     dphi = wrap_angle(bearing(p_a) - bearing(p_b))
     drange = np.linalg.norm(p_a) - np.linalg.norm(p_b)
     return float(np.hypot(range_weight * dphi, drange))
+
+
+def doppler_residuals(
+    state: State,
+    rays: np.ndarray,
+    doppler: np.ndarray,
+    R_imu_radar: np.ndarray,
+    t_imu_radar: np.ndarray,
+    omega: np.ndarray,
+    with_jacobian: bool = True,
+):
+    """Range-rate residuals for one sensor's inlier detections.
+
+    ``rays`` are unit sensor-frame directions; the prediction projects the
+    global velocity rotated into the radar frame plus the lever-arm
+    velocity induced by the bias-corrected body rate onto each ray.
+    """
+    A = R_imu_radar.T  # radar <- imu
+    t_ri = -(A @ t_imu_radar)
+    R_io = quat_to_matrix(state.q).T
+    lever_rows = np.cross(rays, t_ri) @ A  # rows: d(prediction)/d(omega - bg)
+    vel_rows = rays @ (A @ R_io)
+    residual = doppler - vel_rows @ state.v - lever_rows @ (omega - state.bg)
+    if not with_jacobian:
+        return residual, None
+    J = np.zeros((len(rays), STATE_DIM))
+    m = R_io @ state.v
+    J[:, THETA] = -np.cross(rays @ A, np.broadcast_to(m, rays.shape))
+    J[:, VEL] = -vel_rows
+    J[:, BG] = lever_rows
+    return residual, J
+
+
+def log_so3(R: np.ndarray) -> np.ndarray:
+    """Rotation vector of R; inverse of ``exp_so3`` on (-pi, pi]."""
+    cos_angle = np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0)
+    angle = np.arccos(cos_angle)
+    if angle < _SMALL_ANGLE:
+        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if angle > np.pi - 1e-7:
+        # near pi the off-diagonal formula degenerates; recover axis from R + I
+        A = 0.5 * (R + np.eye(3))
+        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
+        # fix signs from the largest component
+        k = int(np.argmax(axis))
+        if axis[k] > 0.0:
+            axis = axis * np.sign(A[k] / axis[k])
+            axis[k] = abs(axis[k])
+        axis = axis / np.linalg.norm(axis)
+        return angle * axis
+    return (angle / (2.0 * np.sin(angle))) * np.array(
+        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
+    )

@@ -44,7 +44,8 @@ def test_traced_counts_match_step_records(monkeypatch):
 
     monkeypatch.setattr(RioEstimator, "process_scans", recording)
     stats = LayerStats(data.gt, cfg.window.max_iterations)
-    with patched(Tracer(stats.observers()).wrappers()):
+    tracer = Tracer(stats.observers())
+    with patched(tracer.wrappers()):
         outputs = run_odometry(
             SensorLog(imu=data.imu, scans=data.scans), cfg, extrinsics=scenario.rig.extrinsics
         )
@@ -55,3 +56,5 @@ def test_traced_counts_match_step_records(monkeypatch):
     assert stats.count["created"] == sum(d.created_landmarks for d in records) > 0
     assert stats.count["active"] == sum(d.heading_matches for d in records) > 0
     assert stats.count["optimize_iterations"] == sum(d.optimize_iterations for d in records)
+    doppler_passes = sum(name == "factors.doppler" for name, *_ in tracer.spans)
+    assert doppler_passes == sum(d.linearizations for d in records)
