@@ -230,23 +230,6 @@ class RioEstimator:
         self._trim_imu(t - 0.2)
         return out
 
-    def _doppler_blocks(self, scans, mask, pooled, omega):
-        blocks = []
-        by_sensor = {s.sensor_id: s for s in scans}
-        for sid, scan in sorted(by_sensor.items()):
-            sel = mask & (pooled.sensor_ids == sid)
-            if not np.any(sel):
-                continue
-            idx = pooled.indices[sel]
-            points = scan.points[idx]
-            rays = points / np.linalg.norm(points, axis=1, keepdims=True)
-            blocks.append(
-                DopplerBlock(
-                    sensor_id=sid, rays=rays, doppler=scan.doppler[idx], omega=omega.copy()
-                )
-            )
-        return blocks
-
     def _step(self, t: float, scans, diag: StepDiagnostics) -> OdometryOutput:
         last_entry = self.window.entries[-1] if self.window is not None else None
         if last_entry is None:
@@ -289,15 +272,18 @@ class RioEstimator:
             last_entry.preint_to_next = pre
             self.window.entries.append(entry)
         if result.ok:
-            diag.inliers = int(result.inlier_mask.sum())
-            entry.doppler = self._doppler_blocks(scans, result.inlier_mask, pooled, omega)
-            entry.landmarks = self._landmark_block(
-                pooled, result.inlier_mask, t, x_pred, t_oi_prov, diag
+            mask = result.inlier_mask
+            diag.inliers = int(mask.sum())
+            levers = pooled.levers[mask]
+            # compensated rate + bg . lever = raw rate + omega . lever, free of the bias
+            entry.doppler = DopplerBlock(
+                pooled.directions[mask], levers, pooled.rates[mask] + levers @ x_pred.bg
             )
+            entry.landmarks = self._landmark_block(pooled, mask, t, x_pred, t_oi_prov, diag)
             if entry.landmarks is not None:
                 diag.heading_matches = len(entry.landmarks.bearings)
 
-        report = optimize_window(self.window, self.extrinsics, self.cfg)
+        report = optimize_window(self.window, self.cfg)
         diag.record_optimization(report)
         if report.diverged:
             raise EstimatorDivergence("window optimization diverged")

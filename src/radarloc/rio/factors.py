@@ -23,7 +23,6 @@ import numpy as np
 from ..geometry import (
     matvec,
     quat_conj,
-    quat_from_axis_angle,
     quat_identity,
     quat_left_mat,
     quat_mul,
@@ -131,76 +130,39 @@ def yaw_and_jacobian(q: np.ndarray):
     return np.arctan2(R[..., 1, 0], R[..., 0, 0]), J / planar_sq[..., None]
 
 
-def landmark_residuals(
-    state: State,
-    bearings_meas: np.ndarray,
-    offsets_global: np.ndarray,
-    with_jacobian: bool = True,
-):
-    """Heading residuals for tracked landmarks.
+def compress_doppler(rays: np.ndarray, levers: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Triangular factor ``T`` (at most 7x7) of the QR of ``[rays, levers, rates]``.
 
-    ``bearings_meas`` are detection bearings in the gravity-levelled frame:
-    the IMU-frame detection rotated by ``tilt_matrix`` of the predicted
-    orientation, so roll and pitch are removed before the bearing is taken.
-    ``offsets_global[i]`` is the (constant) landmark position minus the
-    dead-reckoned robot position. The residual
-    ``wrap(bearing - atan2(offset_y, offset_x) + yaw(q))`` compares the
-    measured bearing with the landmark bearing in the yaw-rotated frame and
-    depends on the state through yaw alone: roll, pitch, velocity and the
-    biases are unconstrained. Offsets with no planar extent are invalid and
-    get a zero residual and Jacobian.
+    The rows are one step's pooled inliers of every sensor: IMU-frame unit
+    ``rays``, their ``levers`` (``PooledDetections.levers``) and ``rates``,
+    the raw range rates plus ``omega . lever``. A static detection's raw
+    rate is ``ray . R^T v - (omega - bg) . lever``, so its residual is
+    ``[ray, lever, rate] @ [-R^T v; -bg; 1]`` and the block's squared
+    residual equals ``|T @ [-R^T v; -bg; 1]|^2`` exactly. Unlike a Cholesky
+    factor of the Gram matrix, QR needs no full rank.
     """
-    planar_sq = offsets_global[:, 0] ** 2 + offsets_global[:, 1] ** 2
-    valid = planar_sq > 1e-12
-    yaw, J_yaw = yaw_and_jacobian(state.q)
-    predicted = np.arctan2(offsets_global[:, 1], offsets_global[:, 0])
-    residual = np.where(valid, wrap_angle(bearings_meas - predicted + yaw), 0.0)
-    if not with_jacobian:
-        return residual, None, valid
-    J = np.zeros((len(offsets_global), STATE_DIM))
-    J[valid, THETA] = J_yaw
-    return residual, J, valid
+    return np.linalg.qr(np.column_stack([rays, levers, rates]), mode="r")
 
 
-def compress_doppler(rays: np.ndarray, doppler: np.ndarray) -> np.ndarray:
-    """Triangular factor ``T`` (at most 4x4) of the QR of ``[rays, doppler]``.
+def doppler_block_residual(state: State, sqrt_rows: np.ndarray):
+    """Compressed range-rate residual of one step's pooled detections.
 
-    Every range-rate prediction of one sensor is ``ray . u`` with ``u`` the
-    sensor-frame velocity, so the block's squared residual is
-    ``|[rays, doppler] @ [-u; 1]|^2 = |T @ [-u; 1]|^2`` exactly. Unlike a
-    Cholesky factor of the Gram matrix, QR needs no full rank.
+    ``sqrt_rows`` is ``compress_doppler(rays, levers, rates)``, and the
+    residual is ``T[:, 6] - T[:, :3] R^T v - T[:, 3:6] bg``. Its squared
+    norm, Jacobian Gram matrix and gradient equal those of the per-detection
+    rows of every sensor over the same detections (the oracle
+    ``doppler_residuals`` of ``tests/oracles.py``, per sensor frame). For n
+    blocks at once, pass the states of the blocks stacked and ``sqrt_rows``
+    zero-padded to (n, 7, 7); the padding gives zero rows.
     """
-    return np.linalg.qr(np.column_stack([rays, doppler]), mode="r")
-
-
-def doppler_block_residual(
-    state: State,
-    sqrt_rows: np.ndarray,
-    R_imu_radar: np.ndarray,
-    t_imu_radar: np.ndarray,
-    omega: np.ndarray,
-):
-    """Compressed range-rate residual of one sensor block.
-
-    ``sqrt_rows`` is ``compress_doppler(rays, doppler)``. The squared norm,
-    Jacobian Gram matrix and gradient equal those of the per-detection rows
-    over the same detections (the oracle ``doppler_residuals`` of
-    ``tests/oracles.py``). For n blocks at once, pass the states of the
-    blocks stacked and every other argument with a leading axis of n;
-    ``sqrt_rows`` zero-padded to (n, 4, 4) gives zero rows for the padding.
-    """
-    A = np.swapaxes(R_imu_radar, -1, -2)  # radar <- imu
     R_io = np.swapaxes(quat_to_matrix(state.q), -1, -2)
-    m = matvec(R_io, state.v)
-    S_t = skew(t_imu_radar)
-    u = matvec(A, m - matvec(S_t, omega - state.bg))  # sensor velocity in the radar frame
-    T = sqrt_rows[..., :3]
-    residual = sqrt_rows[..., 3] - matvec(T, u)
-    TA = T @ A
+    m = matvec(R_io, state.v)  # IMU-frame velocity
+    T_v, T_b = sqrt_rows[..., :3], sqrt_rows[..., 3:6]
+    residual = sqrt_rows[..., 6] - matvec(T_v, m) - matvec(T_b, state.bg)
     J = np.zeros(residual.shape + (STATE_DIM,))
-    J[..., THETA] = -TA @ skew(m)
-    J[..., VEL] = -TA @ R_io
-    J[..., BG] = -TA @ S_t
+    J[..., THETA] = -T_v @ skew(m)
+    J[..., VEL] = -T_v @ R_io
+    J[..., BG] = -T_b
     return residual, J
 
 
@@ -216,10 +178,13 @@ class HeadingSummary(NamedTuple):
 def compress_landmarks(bearings_meas: np.ndarray, offsets_global: np.ndarray) -> HeadingSummary:
     """Reduce a block of heading rows to ``HeadingSummary``.
 
-    Every row of ``landmark_residuals`` has the same yaw Jacobian, so with
-    ``d_i`` the residuals at ``yaw_ref`` the block's squared cost at any yaw
-    is ``n (mean + wrap(yaw - yaw_ref))^2 + spread^2``, exact while no row
-    crosses the +-pi wrap.
+    Row i's residual at yaw is ``wrap(bearing_i - atan2(offset_i) + yaw)``
+    (the oracle ``landmark_residuals`` of ``tests/oracles.py``), and every
+    row has the same yaw Jacobian. So with ``d_i`` the residuals at
+    ``yaw_ref`` the block's squared cost at any yaw is
+    ``n (mean + wrap(yaw - yaw_ref))^2 + spread^2``, exact while no row
+    crosses the +-pi wrap. Offsets with no planar extent have no bearing and
+    are left out.
     """
     planar_sq = offsets_global[:, 0] ** 2 + offsets_global[:, 1] ** 2
     valid = planar_sq > 1e-12
@@ -228,8 +193,7 @@ def compress_landmarks(bearings_meas: np.ndarray, offsets_global: np.ndarray) ->
     bearings, offsets = bearings_meas[valid], offsets_global[valid]
     at_zero_yaw = bearings - np.arctan2(offsets[:, 1], offsets[:, 0])
     yaw_ref = -float(np.arctan2(np.sin(at_zero_yaw).sum(), np.cos(at_zero_yaw).sum()))
-    ref = State.initial(q=quat_from_axis_angle([0.0, 0.0, 1.0], yaw_ref))
-    d, _, _ = landmark_residuals(ref, bearings, offsets, with_jacobian=False)
+    d = wrap_angle(at_zero_yaw + yaw_ref)
     mean = float(d.mean())
     return HeadingSummary(len(d), yaw_ref, mean, float(np.linalg.norm(d - mean)))
 

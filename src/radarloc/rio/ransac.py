@@ -31,7 +31,7 @@ class PooledDetections:
     directions: np.ndarray  # (n, 3) unit rays rotated into the IMU frame
     rates: np.ndarray  # (n,) lever-arm-compensated range rates
     sensor_ids: np.ndarray  # (n,)
-    indices: np.ndarray  # (n,) index within the original scan
+    levers: np.ndarray  # (n, 3) direction x lever arm: a raw rate's coefficient of -(omega - bg)
     positions: np.ndarray | None = None  # (n, 3) IMU-frame detection positions
     dropped: int = 0  # detections left out for a non-finite value or no positive range
 
@@ -74,10 +74,12 @@ def pool_scans(
     """All sensors' detections at one timestep, lever-arm compensated.
 
     A detection with a non-finite coordinate or range rate, or at zero range,
-    has no ray; it is left out and counted in ``dropped``. ``indices`` keep
-    each pooled detection's index in its own scan.
+    has no ray; it is left out and counted in ``dropped``. Whatever its
+    sensor, a static detection's raw range rate is
+    ``direction . v_imu - (omega - bg) . lever`` with its ``levers`` row and
+    the true gyro bias ``bg``.
     """
-    dirs, rates, sids, idxs, positions = [], [], [], [], []
+    dirs, rates, sids, levers, positions = [], [], [], [], []
     dropped = 0
     for scan in scans:
         if len(scan) == 0:
@@ -93,14 +95,14 @@ def pool_scans(
         dirs.append(rays_imu)
         rates.append(compensated)
         sids.append(np.full(len(keep), scan.sensor_id, dtype=int))
-        idxs.append(keep)
+        levers.append(np.cross(rays_imu, extrinsics[scan.sensor_id].t))
         positions.append(positions_imu)
     if not dirs:
         return PooledDetections(
             np.zeros((0, 3)),
             np.zeros(0),
             np.zeros(0, int),
-            np.zeros(0, int),
+            np.zeros((0, 3)),
             np.zeros((0, 3)),
             dropped,
         )
@@ -108,7 +110,7 @@ def pool_scans(
         np.vstack(dirs),
         np.concatenate(rates),
         np.concatenate(sids),
-        np.concatenate(idxs),
+        np.vstack(levers),
         np.vstack(positions),
         dropped,
     )

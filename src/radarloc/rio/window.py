@@ -6,10 +6,11 @@ range-rate, heading and IMU-consistency factors, with Marquardt's diagonal
 scaling and Nielsen's gain-ratio damping update started close to
 Gauss-Newton. It stops once a step lowers the cost by a negligible fraction
 or the scaled gradient is negligible: about three iterations a step on the
-benchmark drives. Each sensor's range-rate block and each state's heading
-block enter as one compressed factor with the same cost, gradient and
-Gauss-Newton matrix as its per-detection rows; the RANSAC consensus gate
-has already removed dynamic detections, so the loss is plain least squares.
+benchmark drives. Each state's range-rate block, which pools the inliers
+of every sensor, and its heading block enter as one compressed factor each,
+with the same cost, gradient and Gauss-Newton matrix as their per-detection
+rows; the RANSAC consensus gate has already removed dynamic detections, so
+the loss is plain least squares.
 Removing the oldest state takes the Schur complement of its block over
 every factor touching it, leaving a Gaussian prior on the new oldest state
 so cost and factor count stay bounded for arbitrarily long runs.
@@ -25,9 +26,10 @@ evaluated twice at the same states.
 The packed window is built once per ``optimize_window`` call. It stacks
 each factor kind into arrays with a leading factor axis:
 
-* range rate: state index, the QR factor ``sqrt_rows`` zero-padded to 4x4
-  (a block of 1 to 3 detections has fewer rows; zero rows add nothing),
-  the sensor's extrinsic rotation and lever arm, and the gyro rate;
+* range rate: state index and the QR factor ``sqrt_rows`` zero-padded to
+  7x7 (a block of 1 to 6 detections has fewer rows; zero rows add
+  nothing). Every raw rate is linear in the IMU-frame velocity and the gyro
+  bias, whatever its sensor, so the factor needs no extrinsic or gyro rate;
 * heading: state index and the ``HeadingSummary`` fields as arrays;
 * IMU: the index of each edge's first state, ``PreintegratedImu.stack`` of
   the edges, and their whitening matrices from one ``imu_sqrt_information``
@@ -50,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from ..config import RunConfig
-from ..geometry import RigidTransform, matvec
+from ..geometry import matvec
 from .factors import (
     HeadingSummary,
     PriorFactor,
@@ -67,20 +69,19 @@ from .state import STATE_DIM, State
 
 @dataclass
 class DopplerBlock:
-    """Inlier detections of one sensor attached to one state.
+    """Inlier detections of every sensor attached to one state.
 
     Enters the window as one factor: ``sqrt_rows`` is computed on first
     use, so the raw arrays may still be edited in place before that.
     """
 
-    sensor_id: int
-    rays: np.ndarray  # (n, 3) unit rays, sensor frame
-    doppler: np.ndarray  # (n,)
-    omega: np.ndarray  # interpolated gyro at the scan time
+    rays: np.ndarray  # (n, 3) unit rays, IMU frame
+    levers: np.ndarray  # (n, 3) ``PooledDetections.levers``
+    rates: np.ndarray  # (n,) raw range rates plus omega . lever
 
     @cached_property
     def sqrt_rows(self) -> np.ndarray:
-        return compress_doppler(self.rays, self.doppler)
+        return compress_doppler(self.rays, self.levers, self.rates)
 
 
 @dataclass
@@ -102,7 +103,7 @@ class LandmarkBlock:
 @dataclass
 class WindowEntry:
     state: State
-    doppler: list[DopplerBlock] = field(default_factory=list)
+    doppler: DopplerBlock | None = None
     landmarks: LandmarkBlock | None = None
     preint_to_next: PreintegratedImu | None = None
 
@@ -121,18 +122,14 @@ class SlidingWindow:
     def factor_count(self) -> int:
         """Number of factors, each one whitened residual block.
 
-        The prior, one per sensor range-rate block, one per heading block
-        and one per IMU edge; independent of how many detections each
+        The prior, one per range-rate block, one per heading block and one
+        per IMU edge; independent of how many detections or sensors each
         block holds.
         """
-        n = 1  # prior
-        for e in self.entries:
-            n += len(e.doppler)
-            if e.landmarks is not None:
-                n += 1
-            if e.preint_to_next is not None:
-                n += 1
-        return n
+        return 1 + sum(
+            (e.doppler is not None) + (e.landmarks is not None) + (e.preint_to_next is not None)
+            for e in self.entries
+        )
 
 
 # Levenberg-Marquardt schedule of ``optimize_window`` (Nielsen 1999; Madsen,
@@ -209,23 +206,19 @@ class _PackedWindow:
     once for all factors of its kind.
     """
 
-    def __init__(self, window: SlidingWindow, extrinsics: list[RigidTransform], cfg: RunConfig):
+    def __init__(self, window: SlidingWindow, cfg: RunConfig):
         self.prior = window.prior
         entries = window.entries
         self.n = len(entries)
         self.doppler_sigma = cfg.doppler.sigma
         self.bearing_sigma = cfg.landmark.bearing_sigma
 
-        blocks = [(i, b) for i, e in enumerate(entries) for b in e.doppler]
+        blocks = [(i, e.doppler) for i, e in enumerate(entries) if e.doppler is not None]
         self.dop_state = np.array([i for i, _ in blocks], dtype=int)
-        self.dop_rows = np.zeros((len(blocks), 4, 4))
+        self.dop_rows = np.zeros((len(blocks), 7, 7))
         for k, (_, b) in enumerate(blocks):
-            T = b.sqrt_rows  # fewer than 4 rows when the block has fewer detections
+            T = b.sqrt_rows  # fewer than 7 rows when the block has fewer detections
             self.dop_rows[k, : len(T)] = T
-        sensor = np.array([b.sensor_id for _, b in blocks], dtype=int)
-        self.dop_R = np.array([e.rotation for e in extrinsics])[sensor]
-        self.dop_t = np.array([e.t for e in extrinsics])[sensor]
-        self.dop_omega = np.array([b.omega for _, b in blocks]).reshape(-1, 3)
 
         headings = [
             (i, e.landmarks.summary)
@@ -243,9 +236,7 @@ class _PackedWindow:
             self.imu_W = imu_sqrt_information(self.imu)
 
     def _doppler(self, states: State):
-        r, J = doppler_block_residual(
-            states[self.dop_state], self.dop_rows, self.dop_R, self.dop_t, self.dop_omega
-        )
+        r, J = doppler_block_residual(states[self.dop_state], self.dop_rows)
         return r / self.doppler_sigma, J / self.doppler_sigma
 
     def _heading(self, states: State):
@@ -303,9 +294,7 @@ class _PackedWindow:
         return Linearization(states, cost, H, grad.reshape(-1), first_edge)
 
 
-def optimize_window(
-    window: SlidingWindow, extrinsics: list[RigidTransform], cfg: RunConfig
-) -> OptimizeReport:
+def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
     """Levenberg-Marquardt over the window; states updated in place.
 
     One factor pass per iterate: the start is linearized once, and each
@@ -323,7 +312,7 @@ def optimize_window(
     """
     if not window.entries:
         raise ValueError("cannot optimize an empty window")
-    packed = _PackedWindow(window, extrinsics, cfg)
+    packed = _PackedWindow(window, cfg)
     n = len(window.entries)
 
     lin = packed.linearize(State.stack(window.states()))

@@ -2,9 +2,11 @@
 
 They compute the plain way, one pair or one detection at a time, and are
 used only by the tests: ``polar_distance`` is the oracle of
-``polar_distance_matrix``, ``doppler_residuals`` (one row per detection) the
-oracle of the compressed ``doppler_block_residual``, and ``log_so3`` the
-inverse of ``exp_so3``.
+``polar_distance_matrix``, ``doppler_residuals`` (one row per detection, in
+each sensor's own frame) the oracle of the pooled and compressed
+``doppler_block_residual``, ``landmark_residuals`` (one row per match) the
+oracle of ``compress_landmarks`` and ``heading_block_residual``, and
+``log_so3`` the inverse of ``exp_so3``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from radarloc.geometry import _SMALL_ANGLE, quat_to_matrix, wrap_angle
+from radarloc.rio.factors import yaw_and_jacobian
 from radarloc.rio.state import BG, STATE_DIM, THETA, VEL, State
 
 
@@ -63,6 +66,37 @@ def doppler_residuals(
     J[:, VEL] = -vel_rows
     J[:, BG] = lever_rows
     return residual, J
+
+
+def landmark_residuals(
+    state: State,
+    bearings_meas: np.ndarray,
+    offsets_global: np.ndarray,
+    with_jacobian: bool = True,
+):
+    """Heading residuals for tracked landmarks.
+
+    ``bearings_meas`` are detection bearings in the gravity-levelled frame:
+    the IMU-frame detection rotated by ``tilt_matrix`` of the predicted
+    orientation, so roll and pitch are removed before the bearing is taken.
+    ``offsets_global[i]`` is the (constant) landmark position minus the
+    dead-reckoned robot position. The residual
+    ``wrap(bearing - atan2(offset_y, offset_x) + yaw(q))`` compares the
+    measured bearing with the landmark bearing in the yaw-rotated frame and
+    depends on the state through yaw alone: roll, pitch, velocity and the
+    biases are unconstrained. Offsets with no planar extent are invalid and
+    get a zero residual and Jacobian.
+    """
+    planar_sq = offsets_global[:, 0] ** 2 + offsets_global[:, 1] ** 2
+    valid = planar_sq > 1e-12
+    yaw, J_yaw = yaw_and_jacobian(state.q)
+    predicted = np.arctan2(offsets_global[:, 1], offsets_global[:, 0])
+    residual = np.where(valid, wrap_angle(bearings_meas - predicted + yaw), 0.0)
+    if not with_jacobian:
+        return residual, None, valid
+    J = np.zeros((len(offsets_global), STATE_DIM))
+    J[valid, THETA] = J_yaw
+    return residual, J, valid
 
 
 def log_so3(R: np.ndarray) -> np.ndarray:

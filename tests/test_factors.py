@@ -7,7 +7,7 @@ from conftest import (
     random_imu_segment,
     random_state,
 )
-from oracles import doppler_residuals
+from oracles import doppler_residuals, landmark_residuals
 from radarloc.config import ImuParams, PriorParams
 from radarloc.geometry import quat_from_axis_angle, quat_mul, quat_to_matrix, quat_yaw
 from radarloc.rio.factors import (
@@ -19,7 +19,6 @@ from radarloc.rio.factors import (
     heading_block_residual,
     imu_residual,
     imu_sqrt_information,
-    landmark_residuals,
 )
 from radarloc.rio.preintegration import PreintegratedImu, predict_state, preintegrate
 from radarloc.rio.state import BA, BG, STATE_DIM, VEL, State
@@ -69,30 +68,23 @@ class TestDopplerFactor:
             assert jacobian_close(J, J_num)
 
     def test_block_residual_batch_matches_finite_differences(self):
-        # several blocks in one call, each with its own state, sensor and gyro
-        # rate; 1 to 3 detections give fewer than 4 QR rows, zero-padded
+        # several blocks in one call, each with its own state and lever arm;
+        # 1 to 6 detections give fewer than 7 QR rows, zero-padded
         rng = np.random.default_rng(13)
-        sizes = [1, 2, 3, 5, 40]
+        sizes = [1, 2, 3, 6, 7, 40]
         n = len(sizes)
         x = State.stack([random_state(rng) for _ in range(n)])
-        extrinsics = [
-            sensor_extrinsic(rng.normal(scale=0.5, size=3), rng.uniform(-np.pi, np.pi))
-            for _ in range(n)
-        ]
-        R = np.stack([e.rotation for e in extrinsics])
-        t = np.stack([e.t for e in extrinsics])
-        omega = rng.normal(scale=0.5, size=(n, 3))
-        rows = np.zeros((n, 4, 4))
+        rows = np.zeros((n, 7, 7))
         for k, m in enumerate(sizes):
-            T = compress_doppler(_random_rays(rng, m), rng.normal(size=m))
+            rays = _random_rays(rng, m)
+            levers = np.cross(rays, rng.normal(scale=0.5, size=3))
+            T = compress_doppler(rays, levers, rng.normal(size=m))
             rows[k, : len(T)] = T
-        r, J = doppler_block_residual(x, rows, R, t, omega)
-        assert r.shape == (n, 4) and J.shape == (n, 4, STATE_DIM)
-        J_num = numeric_state_jacobian(
-            lambda s: doppler_block_residual(s, rows, R, t, omega)[0], x
-        )
+        r, J = doppler_block_residual(x, rows)
+        assert r.shape == (n, 7) and J.shape == (n, 7, STATE_DIM)
+        J_num = numeric_state_jacobian(lambda s: doppler_block_residual(s, rows)[0], x)
         for k in range(n):
-            r_k, J_k = doppler_block_residual(x[k], rows[k], R[k], t[k], omega[k])
+            r_k, J_k = doppler_block_residual(x[k], rows[k])
             np.testing.assert_allclose(r[k], r_k, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(J[k], J_k, rtol=1e-12, atol=1e-12)
             assert jacobian_close(J[k], J_num[k])

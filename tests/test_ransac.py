@@ -19,7 +19,7 @@ def _pooled(directions, rates):
         np.asarray(directions, dtype=float),
         np.asarray(rates, dtype=float),
         np.zeros(n, dtype=int),
-        np.arange(n),
+        np.zeros((n, 3)),
     )
 
 
@@ -138,8 +138,8 @@ class TestRansac:
         v_true = np.array([2.0, -1.0, 0.2])
         rates = dirs @ v_true + 0.02 * rng.standard_normal(60)
         rates[:10] += 2.0
-        pooled_a = PooledDetections(dirs, rates, np.zeros(60, int), np.arange(60))
-        pooled_b = PooledDetections(dirs, rates, rng.integers(0, 3, 60), np.arange(60))
+        pooled_a = PooledDetections(dirs, rates, np.zeros(60, int), np.zeros((60, 3)))
+        pooled_b = PooledDetections(dirs, rates, rng.integers(0, 3, 60), np.zeros((60, 3)))
         res_a = estimate_velocity(pooled_a, RansacParams(), seed=9)
         res_b = estimate_velocity(pooled_b, RansacParams(), seed=9)
         assert np.array_equal(res_a.inlier_mask, res_b.inlier_mask)
@@ -291,7 +291,7 @@ class TestPooling:
         assert set(pooled.sensor_ids) == {0, 2}
         np.testing.assert_allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-12)
 
-    def test_pool_scans_drops_unusable_detections_and_keeps_scan_indices(self):
+    def test_pool_scans_drops_unusable_detections_and_keeps_levers(self):
         rig = default_rig()
         points = np.array(
             [[10.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, np.nan, 0.0], [6.0, 2.0, 0.0], [8.0, 1.0, 1.0]]
@@ -303,7 +303,9 @@ class TestPooling:
         pooled = pool_scans([scan0, scan1, scan2], rig.extrinsics, np.zeros(3), np.zeros(3))
         assert pooled.dropped == 4
         np.testing.assert_array_equal(pooled.sensor_ids, [0, 0, 2])
-        np.testing.assert_array_equal(pooled.indices, [0, 4, 1])
+        # each kept detection's lever is its IMU-frame ray crossed with its own sensor's arm
+        arms = np.array([rig.extrinsics[s].t for s in pooled.sensor_ids])
+        np.testing.assert_array_equal(pooled.levers, np.cross(pooled.directions, arms))
         assert np.all(np.isfinite(pooled.directions)) and np.all(np.isfinite(pooled.rates))
         # the kept detections pool exactly as they would on their own
         alone = pool_scans(
@@ -335,6 +337,11 @@ class TestPooling:
         assert len(pooled) >= 10
         v_imu_true = q2m(gt.quat[index]).T @ gt.velocity[index]
         np.testing.assert_allclose(pooled.rates, pooled.directions @ v_imu_true, atol=1e-9)
+        # the raw rates are linear in the body rate through the levers
+        raw = np.concatenate([s.doppler for s in scans])
+        np.testing.assert_allclose(
+            raw, pooled.directions @ v_imu_true - pooled.levers @ omega, atol=1e-9
+        )
         result = estimate_velocity(pooled, RansacParams(), seed=0)
         assert result.ok
         np.testing.assert_allclose(result.velocity, v_imu_true, atol=1e-8)

@@ -58,3 +58,6 @@ def test_traced_counts_match_step_records(monkeypatch):
     assert stats.count["optimize_iterations"] == sum(d.optimize_iterations for d in records)
     doppler_passes = sum(name == "factors.doppler" for name, *_ in tracer.spans)
     assert doppler_passes == sum(d.linearizations for d in records)
+    # one range-rate block per step with a RANSAC consensus, compressed once
+    compressions = sum(name == "factors.compress_doppler" for name, *_ in tracer.spans)
+    assert compressions == sum(d.inliers > 0 for d in records) > 0

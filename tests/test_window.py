@@ -7,16 +7,16 @@ import pytest
 import radarloc.rio.estimator as estimator_module
 import radarloc.rio.window as window_module
 from conftest import random_imu_segment, random_state
-from oracles import doppler_residuals
+from oracles import doppler_residuals, landmark_residuals
 from radarloc.config import RunConfig
 from radarloc.geometry import quat_from_axis_angle, quat_to_matrix, quat_yaw, tilt_matrix
 from radarloc.rio.factors import (
     PriorFactor,
     imu_residual,
     imu_sqrt_information,
-    landmark_residuals,
 )
 from radarloc.rio.preintegration import predict_state, preintegrate
+from radarloc.rio.ransac import pool_scans
 from radarloc.rio.state import BA, STATE_DIM, State
 from radarloc.sim.imu import ImuData
 from radarloc.rio.window import (
@@ -32,7 +32,7 @@ from radarloc.rio.window import (
     marginalize_oldest,
     optimize_window,
 )
-from radarloc.sim import Scenario, SensorLog, default_rig, simulate_mission
+from radarloc.sim import RadarScan, Scenario, SensorLog, default_rig, simulate_mission
 
 
 @pytest.fixture
@@ -50,17 +50,22 @@ def _loose_prior(state, scale=100.0):
     return p
 
 
-def _doppler_entry(state, v_true, n, rng, sensor_id=0, extr=None):
+def _pooled_block(scans, extrinsics, omega, bg):
+    """One ``DopplerBlock`` of every scan's detections, as the estimator builds it."""
+    pooled = pool_scans(scans, extrinsics, omega, bg)
+    return DopplerBlock(pooled.directions, pooled.levers, pooled.rates + pooled.levers @ bg)
+
+
+def _sensor_rays(scan):
+    return scan.points / np.linalg.norm(scan.points, axis=1, keepdims=True)
+
+
+def _doppler_entry(state, v_true, n, rng, extr):
+    """One sensor's noise-free detections at identity orientation and zero body rate."""
     rays = rng.normal(size=(n, 3))
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    R_ir = extr.rotation if extr is not None else np.eye(3)
-    t_ir = extr.t if extr is not None else np.zeros(3)
-    t_ri = -(R_ir.T @ t_ir)
-    doppler = rays @ (R_ir.T @ v_true)  # identity orientation, zero body rate
-    return WindowEntry(
-        state=state,
-        doppler=[DopplerBlock(sensor_id=sensor_id, rays=rays, doppler=doppler, omega=np.zeros(3))],
-    )
+    scan = RadarScan(0.0, 0, 10.0 * rays, rays @ (extr.rotation.T @ v_true))
+    return WindowEntry(state=state, doppler=_pooled_block([scan], [extr], np.zeros(3), np.zeros(3)))
 
 
 def _drive_window(monkeypatch):
@@ -86,14 +91,14 @@ def _drive_window(monkeypatch):
     data = simulate_mission(scenario, seed=0)
     captured = []
 
-    def capture(window, extrinsics, cfg):
+    def capture(window, cfg):
         captured.append(copy.deepcopy(window))
-        return optimize_window(window, extrinsics, cfg)
+        return optimize_window(window, cfg)
 
     monkeypatch.setattr(estimator_module, "optimize_window", capture)
     log = SensorLog(imu=data.imu, scans=data.scans)
     estimator_module.run_odometry(log, RunConfig(), scenario.rig.extrinsics)
-    return captured[-1], scenario.rig.extrinsics
+    return captured[-1]
 
 
 class TestOptimize:
@@ -103,7 +108,7 @@ class TestOptimize:
         state = State.initial(v=v_true.copy())
         entry = _doppler_entry(state, v_true, 40, rng, extr=extrinsics[0])
         window = SlidingWindow(prior=_loose_prior(state), entries=[entry])
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         assert report.iterations == 1
         assert report.converged and not report.diverged
         assert report.reason in (CONVERGED, NO_DESCENT)
@@ -121,7 +126,7 @@ class TestOptimize:
         prior = PriorFactor.from_sigmas(state, 1e-4, 100.0, 1e-5, 1e-5)
         entry = _doppler_entry(state, v_true, 50, rng, extr=extrinsics[0])
         window = SlidingWindow(prior=prior, entries=[entry])
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         assert not report.diverged
         np.testing.assert_allclose(window.entries[0].state.v, v_true, atol=1e-6)
 
@@ -135,13 +140,13 @@ class TestOptimize:
             state = State.initial(t=0.05 * k, v=v_true + 0.3 * rng.standard_normal(3))
             state.q = random_state(rng).q  # deliberately off
             entry = _doppler_entry(state, v_true, 30, rng, extr=extrinsics[0])
-            entry.doppler[0].doppler += 0.04 * rng.standard_normal(30)
+            entry.doppler.rates += 0.04 * rng.standard_normal(30)  # before first use
             entries.append(entry)
         for k in range(4):
             samples = random_imu_segment(rng, duration=0.05)
             entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
         window = SlidingWindow(prior=_loose_prior(entries[0].state, scale=10.0), entries=entries)
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         assert not report.diverged
         diffs = np.diff(report.costs)
         assert np.all(diffs <= 1e-9)
@@ -150,10 +155,10 @@ class TestOptimize:
     def test_divergence_rolls_back(self, cfg, extrinsics):
         rng = np.random.default_rng(3)
         state = State.initial(v=np.array([np.nan, 0.0, 0.0]))
-        entry = _doppler_entry(state, np.array([1.0, 0, 0]), 10, rng)
+        entry = _doppler_entry(state, np.array([1.0, 0, 0]), 10, rng, extrinsics[0])
         window = SlidingWindow(prior=_loose_prior(state), entries=[entry])
         snapshot_v = window.entries[0].state.v.copy()
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         assert report.diverged
         assert report.reason == DIVERGED
         np.testing.assert_array_equal(
@@ -161,8 +166,8 @@ class TestOptimize:
         )
 
     def test_weak_accel_bias_direction_converges_in_three_iterations(self, cfg, monkeypatch):
-        window, extrinsics = _drive_window(monkeypatch)
-        packed = _PackedWindow(window, extrinsics, cfg)
+        window = _drive_window(monkeypatch)
+        packed = _PackedWindow(window, cfg)
         start = State.stack(window.states())
         # the horizontal accelerometer bias, confounded with tilt, is the
         # weakest direction of the diagonally scaled normal matrix
@@ -180,7 +185,7 @@ class TestOptimize:
             optimum = optimum.retract(np.linalg.solve(lin.H, -lin.g).reshape(-1, STATE_DIM))
 
         cfg.window.max_iterations = 3
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         result = State.stack(window.states())
         assert report.cost_final == pytest.approx(packed.linearize(optimum).cost, rel=1e-10)
         ba_start = np.abs(start.ba[:, :2] - optimum.ba[:, :2]).max()
@@ -190,8 +195,8 @@ class TestOptimize:
     def test_iteration_cap_is_reported(self, cfg, extrinsics, imu_params):
         # one Gauss-Newton step cannot settle a window started far off
         cfg.window.max_iterations = 1
-        window = _noisy_window(extrinsics, imu_params)
-        report = optimize_window(window, extrinsics, cfg)
+        window, _ = _noisy_window(extrinsics, imu_params)
+        report = optimize_window(window, cfg)
         assert report.reason == ITERATION_CAP
         assert report.iterations == 1
         assert not report.converged and not report.diverged
@@ -200,7 +205,7 @@ class TestOptimize:
 
 WINDOW_VARIANTS = (
     "full",
-    "short_doppler_blocks",  # 1 to 3 detections: fewer than 4 QR rows
+    "short_doppler_blocks",  # 1 to 6 detections: fewer than 7 QR rows
     "entry_without_doppler",  # a degraded step
     "entry_without_heading",
     "heading_near_pi",  # measured bearings on both sides of +-pi
@@ -208,22 +213,38 @@ WINDOW_VARIANTS = (
 )
 
 
+# detections per sensor of each state in the "short_doppler_blocks" variant
+SHORT_BLOCKS = ((1, 0, 0), (0, 2, 1), (2, 1, 2), (1, 2, 3))
+
+
 def _noisy_window(extrinsics, imu_params, variant="full"):
+    """A window of noisy states, and each entry's per-sensor scans and gyro rate.
+
+    Each entry's range-rate block pools its scans; an entry without one has
+    ``None`` in place of its scans.
+    """
     rng = np.random.default_rng(7)
     n_states = 1 if variant == "single_state" else 4
     entries = []
+    raw = []
     for k in range(n_states):
         state = random_state(rng, t=0.05 * k)
         R_io = quat_to_matrix(state.q).T
         omega = rng.normal(scale=0.3, size=3)
-        blocks = []
+        scans = []
         for sid, extr in enumerate(extrinsics):
-            n_det = 1 + sid if variant == "short_doppler_blocks" else 40
+            n_det = SHORT_BLOCKS[k][sid] if variant == "short_doppler_blocks" else 40
+            if n_det == 0:
+                continue
             rays = rng.normal(size=(n_det, 3))
             rays /= np.linalg.norm(rays, axis=1, keepdims=True)
             v_sensor = extr.rotation.T @ (R_io @ state.v + np.cross(omega - state.bg, extr.t))
             doppler = rays @ v_sensor + 0.04 * rng.standard_normal(n_det)
-            blocks.append(DopplerBlock(sid, rays, doppler, omega))
+            points = rng.uniform(2.0, 40.0, size=(n_det, 1)) * rays
+            scans.append(RadarScan(state.t, sid, points, doppler))
+        # pooled at a predicted bias away from the state's: the block must not depend on it
+        bg_pred = state.bg + rng.normal(scale=0.01, size=3)
+        raw.append((scans, omega))
         if variant == "heading_near_pi":
             # landmarks behind the robot in its levelled, yaw-rotated frame
             angle = np.pi + rng.uniform(-0.02, 0.02, size=25)
@@ -241,7 +262,7 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
         entries.append(
             WindowEntry(
                 state=state,
-                doppler=blocks,
+                doppler=_pooled_block(scans, extrinsics, omega, bg_pred),
                 landmarks=LandmarkBlock(bearings, offsets),
             )
         )
@@ -249,20 +270,22 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
         samples = random_imu_segment(rng, duration=0.05)
         entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
     if variant == "entry_without_doppler":
-        entries[1].doppler = []
+        entries[1].doppler = raw[1] = None
     if variant == "entry_without_heading":
         entries[2].landmarks = None
     if variant == "heading_near_pi":
         bearings = np.concatenate([e.landmarks.bearings for e in entries])
         assert bearings.max() > np.pi - 0.05 and bearings.min() < -np.pi + 0.05
-    return SlidingWindow(prior=_loose_prior(entries[0].state, scale=0.1), entries=entries)
+    window = SlidingWindow(prior=_loose_prior(entries[0].state, scale=0.1), entries=entries)
+    return window, raw
 
 
-def _per_row_oracle(window, extrinsics, cfg, owners=None):
+def _per_row_oracle(window, raw, extrinsics, cfg, owners=None):
     """One row per detection and per landmark match, as in the unreduced problem.
 
-    With ``owners`` only the factors of the first ``owners`` entries, and the
-    prior, are stacked.
+    The range-rate rows are taken per sensor in its own frame from ``raw``,
+    the scans and gyro rate each entry's block pools. With ``owners`` only
+    the factors of the first ``owners`` entries, and the prior, are stacked.
     """
     states = window.states()
     n = len(states)
@@ -278,9 +301,12 @@ def _per_row_oracle(window, extrinsics, cfg, owners=None):
     r, J = window.prior.residual(states[0])
     add(r, [(0, J)])
     for i, entry in enumerate(window.entries[:owners]):
-        for b in entry.doppler:
-            extr = extrinsics[b.sensor_id]
-            r, J = doppler_residuals(states[i], b.rays, b.doppler, extr.rotation, extr.t, b.omega)
+        scans, omega = raw[i] or ((), None)
+        for scan in scans:
+            extr = extrinsics[scan.sensor_id]
+            r, J = doppler_residuals(
+                states[i], _sensor_rays(scan), scan.doppler, extr.rotation, extr.t, omega
+            )
             add(r / cfg.doppler.sigma, [(i, J / cfg.doppler.sigma)])
         lm = entry.landmarks
         if lm is not None:
@@ -298,9 +324,9 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _linearize(window, extrinsics, cfg):
+def _linearize(window, cfg):
     """The window's linearization at its current states."""
-    return _PackedWindow(window, extrinsics, cfg).linearize(State.stack(window.states()))
+    return _PackedWindow(window, cfg).linearize(State.stack(window.states()))
 
 
 class TestCompressedFactors:
@@ -310,13 +336,13 @@ class TestCompressedFactors:
             return np.linalg.solve(H + lam * np.diag(np.clip(np.diag(H), 1e-12, None)), -g)
 
         for variant in WINDOW_VARIANTS:
-            window = _noisy_window(extrinsics, imu_params, variant)
-            r, J = _per_row_oracle(window, extrinsics, cfg)
+            window, raw = _noisy_window(extrinsics, imu_params, variant)
+            r, J = _per_row_oracle(window, raw, extrinsics, cfg)
             H_o, g_o = J.T @ J, J.T @ r
             if variant == "full":
                 assert len(r) > 500  # the oracle really is per detection
 
-            lin = _linearize(window, extrinsics, cfg)
+            lin = _linearize(window, cfg)
 
             assert lin.cost == pytest.approx(float(r @ r), rel=1e-9), variant
             assert _rel(lin.g, g_o) < 1e-9, variant
@@ -325,8 +351,8 @@ class TestCompressedFactors:
     def test_marginalization_is_schur_complement_of_per_row_oracle(
         self, cfg, extrinsics, imu_params
     ):
-        window = _noisy_window(extrinsics, imu_params)
-        r, J = _per_row_oracle(window, extrinsics, cfg, owners=1)
+        window, raw = _noisy_window(extrinsics, imu_params)
+        r, J = _per_row_oracle(window, raw, extrinsics, cfg, owners=1)
         J = J[:, : 2 * STATE_DIM]  # these factors touch the first two states only
         H, b = J.T @ J, J.T @ r
         old, new = slice(0, STATE_DIM), slice(STATE_DIM, 2 * STATE_DIM)
@@ -335,7 +361,7 @@ class TestCompressedFactors:
         b_oracle = b[new] - H01.T @ np.linalg.solve(H[old, old], b[old])
         x1 = window.entries[1].state
 
-        info = marginalize_oldest(window, _linearize(window, extrinsics, cfg), cfg)
+        info = marginalize_oldest(window, _linearize(window, cfg), cfg)
         prior = window.prior
         assert not info.regularized
         assert _rel(prior.sqrt_info.T @ prior.sqrt_info, H_oracle) < 1e-9
@@ -375,16 +401,16 @@ class TestFactorCallsPerPass:
         self, cfg, extrinsics, imu_params, monkeypatch
     ):
         # one linearization for the start and one per damped candidate
-        window = _noisy_window(extrinsics, imu_params)
+        window, _ = _noisy_window(extrinsics, imu_params)
         calls = self._count(monkeypatch)
-        report = optimize_window(window, extrinsics, cfg)
+        report = optimize_window(window, cfg)
         assert report.iterations >= 2
         assert calls["linearize"] == 1 + calls["solve"] == report.linearizations
         assert [calls[name] for name in self.NAMES] == [calls["linearize"]] * 3
 
     def test_marginalize_calls_no_factor(self, cfg, extrinsics, imu_params, monkeypatch):
-        window = _noisy_window(extrinsics, imu_params)
-        report = optimize_window(window, extrinsics, cfg)
+        window, _ = _noisy_window(extrinsics, imu_params)
+        report = optimize_window(window, cfg)
         calls = self._count(monkeypatch)
         marginalize_oldest(window, report.linearization, cfg)
         assert calls["linearize"] == 0
@@ -409,27 +435,32 @@ class TestMarginalPrior:
         self, cfg, extrinsics, imu_params, max_iterations
     ):
         cfg.window.max_iterations = max_iterations
-        window = _noisy_window(extrinsics, imu_params)
-        report = optimize_window(window, extrinsics, cfg)
+        window, _ = _noisy_window(extrinsics, imu_params)
+        report = optimize_window(window, cfg)
         assert report.iterations == max_iterations or report.converged
         two = self._oldest_factors(window)
 
         marginalize_oldest(window, report.linearization, cfg)
-        marginalize_oldest(two, _linearize(two, extrinsics, cfg), cfg)
+        marginalize_oldest(two, _linearize(two, cfg), cfg)
         assert _rel(window.prior.sqrt_info, two.prior.sqrt_info) < 1e-12
         assert _rel(window.prior.rhs, two.prior.rhs) < 1e-12
         assert window.prior.regularized == two.prior.regularized
 
     def test_linearization_at_other_states_is_refused(self, cfg, extrinsics, imu_params):
-        window = _noisy_window(extrinsics, imu_params)
-        stale = _linearize(window, extrinsics, cfg)
-        optimize_window(window, extrinsics, cfg)  # moves every state
+        window, _ = _noisy_window(extrinsics, imu_params)
+        stale = _linearize(window, cfg)
+        optimize_window(window, cfg)  # moves every state
         with pytest.raises(ValueError, match="first two states"):
             marginalize_oldest(window, stale, cfg)
         assert len(window.entries) == 4
 
 
 class TestMarginalize:
+    @staticmethod
+    def _scan(x0, extrinsics):
+        """Sensor 0 sees x0's velocity along its own three axes."""
+        return RadarScan(0.0, 0, 5.0 * np.eye(3), extrinsics[0].rotation.T @ x0.v)
+
     def _two_state_window(self, cfg, extrinsics, imu_params, with_doppler=False):
         rng = np.random.default_rng(4)
         x0 = State.initial(t=0.0, v=np.array([1.0, 0.2, 0.0]))
@@ -440,14 +471,9 @@ class TestMarginalize:
         prior = PriorFactor.from_sigmas(x0, 0.02, 0.5, 0.1, 0.01)
         e0 = WindowEntry(state=x0, preint_to_next=pre)
         if with_doppler:
-            e0.doppler = [
-                DopplerBlock(
-                    0,
-                    np.eye(3),
-                    np.eye(3) @ (extrinsics[0].rotation.T @ x0.v),
-                    np.zeros(3),
-                )
-            ]
+            e0.doppler = _pooled_block(
+                [self._scan(x0, extrinsics)], extrinsics, np.zeros(3), np.zeros(3)
+            )
         e1 = WindowEntry(state=x1)
         return SlidingWindow(prior=prior, entries=[e0, e1])
 
@@ -464,9 +490,9 @@ class TestMarginalize:
         r, J = prior.residual(x0)
         rows.append(r)
         jacs.append((J, np.zeros((STATE_DIM, STATE_DIM))))
-        block = window.entries[0].doppler[0]
+        scan, extr = self._scan(x0, extrinsics), extrinsics[0]
         rd, Jd = doppler_residuals(
-            x0, block.rays, block.doppler, extrinsics[0].rotation, extrinsics[0].t, block.omega
+            x0, _sensor_rays(scan), scan.doppler, extr.rotation, extr.t, np.zeros(3)
         )
         sigma = cfg.doppler.sigma
         rd, Jd = rd / sigma, Jd / sigma
@@ -486,7 +512,7 @@ class TestMarginalize:
         H_oracle = H11 - H01.T @ np.linalg.solve(H00, H01)
         b_oracle = b1 - H01.T @ np.linalg.solve(H00, b0)
 
-        marginalize_oldest(window, _linearize(window, extrinsics, cfg), cfg)
+        marginalize_oldest(window, _linearize(window, cfg), cfg)
         new_prior = window.prior
         H_new = new_prior.sqrt_info.T @ new_prior.sqrt_info
         b_new = new_prior.sqrt_info.T @ new_prior.rhs
@@ -499,7 +525,7 @@ class TestMarginalize:
         window = self._two_state_window(cfg, extrinsics, imu_params)
         window.entries[0].preint_to_next = None  # nothing couples x0 to x1
         x1 = window.entries[1].state
-        info = marginalize_oldest(window, _linearize(window, extrinsics, cfg), cfg)
+        info = marginalize_oldest(window, _linearize(window, cfg), cfg)
         assert info.regularized
         assert window.prior.mean is not None
         np.testing.assert_array_equal(window.prior.mean.v, x1.v)
@@ -522,7 +548,7 @@ class TestMarginalize:
             x_new = predict_state(window.entries[-1].state, pre)
             window.entries.append(WindowEntry(state=x_new))
             if len(window.entries) > cfg.window.size:
-                marginalize_oldest(window, _linearize(window, extrinsics, cfg), cfg)
+                marginalize_oldest(window, _linearize(window, cfg), cfg)
             counts.append(window.factor_count())
         assert len(window.entries) == cfg.window.size
         assert max(counts[10:]) == min(counts[10:])
