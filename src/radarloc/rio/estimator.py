@@ -32,15 +32,7 @@ from .landmarks import LandmarkTracker
 from .preintegration import imu_segment, lerp, predict_state, preintegrate, segment_span
 from .ransac import estimate_velocity, pool_scans
 from .state import State
-from .window import (
-    DopplerBlock,
-    LandmarkBlock,
-    OptimizeReport,
-    SlidingWindow,
-    WindowEntry,
-    marginalize_oldest,
-    optimize_window,
-)
+from .window import OptimizeReport, SlidingWindow, marginalize_oldest, optimize_window
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +172,8 @@ class RioEstimator:
         return list(scans)
 
     def _landmark_block(self, pooled, mask, t, x_pred, t_oi_prov, diag: StepDiagnostics):
-        """Heading block from the inliers (``mask``) of ``pooled``, or None.
+        """Heading block ``(bearings, offsets)`` from the inliers (``mask``) of
+        ``pooled``, or None.
 
         The tracker sees the inliers' IMU-frame positions in pooled order;
         its counts go to ``diag``.
@@ -202,12 +195,10 @@ class RioEstimator:
         if not np.any(keep):
             return None  # only degenerate bearings
         levelled = levelled[keep]
-        return LandmarkBlock(
-            np.arctan2(levelled[:, 1], levelled[:, 0]), landmarks[keep] - t_oi_prov
-        )
+        return np.arctan2(levelled[:, 1], levelled[:, 0]), landmarks[keep] - t_oi_prov
 
     def _check_health(self) -> None:
-        newest = self.window.entries[-1].state
+        newest = self.window.states[-1]
         if not newest.is_finite():
             raise EstimatorDivergence("non-finite state estimate")
         if np.linalg.norm(newest.ba) > self.cfg.window.accel_bias_max:
@@ -231,10 +222,11 @@ class RioEstimator:
         return out
 
     def _step(self, t: float, scans, diag: StepDiagnostics) -> OdometryOutput:
-        last_entry = self.window.entries[-1] if self.window is not None else None
-        if last_entry is None:
+        last = self.window.states[-1] if self.window is not None else None
+        if last is None:
             # no predecessor to predict from: at rest at identity, no IMU edge
             x_pred = State.initial(t=t)
+            pre = None
             omega = self._gyro_at(t)
             imu_gap = False
             t_oi_prov = self.t_oi
@@ -245,10 +237,10 @@ class RioEstimator:
             i0, i1 = segment_span(imu, self._last_t, t)
             diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
             imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
-            pre = preintegrate(segment, last_entry.state.ba, last_entry.state.bg, self.cfg.imu)
-            x_pred = predict_state(last_entry.state, pre, t1=t)
+            pre = preintegrate(segment, last.ba, last.bg, self.cfg.imu)
+            x_pred = predict_state(last, pre, t1=t)
             omega = segment.gyro[-1]
-            t_oi_prov = self.t_oi + 0.5 * (last_entry.state.v + x_pred.v) * dt
+            t_oi_prov = self.t_oi + 0.5 * (last.v + x_pred.v) * dt
 
         pooled = pool_scans(scans, self.extrinsics, omega, x_pred.bg)
         diag.detections = len(pooled)
@@ -259,45 +251,44 @@ class RioEstimator:
         diag.degraded_reason = "imu_gap" if imu_gap else result.reason
         degraded = result.degraded or imu_gap
 
-        entry = WindowEntry(state=x_pred)
-        if last_entry is None:
+        if last is None:
             if result.ok:
                 x_pred.v = result.velocity.copy()  # identity initial orientation
             p = self.cfg.prior
             prior = PriorFactor.from_sigmas(
                 x_pred, p.sigma_rotation, p.sigma_velocity, p.sigma_accel_bias, p.sigma_gyro_bias
             )
-            self.window = SlidingWindow(prior=prior, entries=[entry])
-        else:
-            last_entry.preint_to_next = pre
-            self.window.entries.append(entry)
+            self.window = SlidingWindow(prior)
+        doppler = landmarks = None
         if result.ok:
             mask = result.inlier_mask
             diag.inliers = int(mask.sum())
             levers = pooled.levers[mask]
             # compensated rate + bg . lever = raw rate + omega . lever, free of the bias
-            entry.doppler = DopplerBlock(
-                pooled.directions[mask], levers, pooled.rates[mask] + levers @ x_pred.bg
-            )
-            entry.landmarks = self._landmark_block(pooled, mask, t, x_pred, t_oi_prov, diag)
-            if entry.landmarks is not None:
-                diag.heading_matches = len(entry.landmarks.bearings)
+            doppler = (pooled.directions[mask], levers, pooled.rates[mask] + levers @ x_pred.bg)
+            landmarks = self._landmark_block(pooled, mask, t, x_pred, t_oi_prov, diag)
+            if landmarks is not None:
+                diag.heading_matches = len(landmarks[0])
+        self.window.append(x_pred, pre, doppler, landmarks)
 
         report = optimize_window(self.window, self.cfg)
         diag.record_optimization(report)
         if report.diverged:
             raise EstimatorDivergence("window optimization diverged")
         self._check_health()
-        edges = [(e.state, e.preint_to_next) for e in self.window.entries[:-1]]
+        states, edges = self.window.states, self.window.edges
         diag.accel_bias_shift = max(
-            (float(np.linalg.norm(x.ba - edge.ba0)) for x, edge in edges), default=0.0
+            (float(np.linalg.norm(ba - edge.ba0)) for ba, edge in zip(states.ba, edges)),
+            default=0.0,
         )
         diag.gyro_bias_shift = max(
-            (float(np.linalg.norm(x.bg - edge.bg0)) for x, edge in edges), default=0.0
+            (float(np.linalg.norm(bg - edge.bg0)) for bg, edge in zip(states.bg, edges)),
+            default=0.0,
         )
 
-        if last_entry is not None:
-            self.t_oi = self.t_oi + 0.5 * (last_entry.state.v + entry.state.v) * dt
+        if last is not None:
+            v = states.v[-2:]  # optimized
+            self.t_oi = self.t_oi + 0.5 * (v[0] + v[1]) * dt
 
         if len(self.window) > self.cfg.window.size:
             info = marginalize_oldest(self.window, report.linearization, self.cfg)
@@ -305,9 +296,9 @@ class RioEstimator:
         return self._emit(degraded)
 
     def _emit(self, degraded: bool) -> OdometryOutput:
-        state = self.window.entries[-1].state
+        state = self.window.states[-1]
         return OdometryOutput(
-            t=state.t,
+            t=float(state.t),
             q=quat_canonical(state.q).copy(),
             v=state.v.copy(),
             p=self.t_oi.copy(),

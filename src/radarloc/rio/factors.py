@@ -244,14 +244,20 @@ class PriorFactor:
     def from_information(
         mean: State, H: np.ndarray, b: np.ndarray, epsilon: float
     ) -> "PriorFactor":
-        """Build from an information matrix/vector, regularizing if needed."""
+        """Build from an information matrix/vector, regularizing if needed.
+
+        ``H`` is symmetrized here. When it is not positive definite, its
+        eigenvalues are clipped at ``epsilon`` and the prior is flagged
+        ``regularized``, so any finite ``H`` gives a finite prior.
+        """
         H = 0.5 * (H + H.T)
         regularized = False
         try:
             L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             regularized = True
-            L = np.linalg.cholesky(H + epsilon * np.eye(STATE_DIM))
+            w, V = np.linalg.eigh(H)
+            L = V * np.sqrt(np.maximum(w, epsilon))  # L L^T is H clipped; not triangular
         sqrt_info = L.T
         rhs = np.linalg.solve(L, b)
         return PriorFactor(mean.copy(), sqrt_info, rhs, regularized)

@@ -57,11 +57,15 @@ class State:
             bg=np.stack([s.bg for s in states]),
         )
 
-    def unstack(self) -> list["State"]:
-        return [
-            State(float(t), q, v, ba, bg)
-            for t, q, v, ba, bg in zip(self.t, self.q, self.v, self.ba, self.bg)
-        ]
+    def append(self, state: "State") -> "State":
+        """This stacked state with ``state`` added after its last."""
+        return State(
+            t=np.append(self.t, state.t),
+            q=np.vstack([self.q, state.q]),
+            v=np.vstack([self.v, state.v]),
+            ba=np.vstack([self.ba, state.ba]),
+            bg=np.vstack([self.bg, state.bg]),
+        )
 
     def __getitem__(self, index) -> "State":
         return State(self.t[index], self.q[index], self.v[index], self.ba[index], self.bg[index])

@@ -15,39 +15,45 @@ Removing the oldest state takes the Schur complement of its block over
 every factor touching it, leaving a Gaussian prior on the new oldest state
 so cost and factor count stay bounded for arbitrarily long runs.
 
-One pass over the factors serves all three: ``_PackedWindow.linearize``
-gives the cost, the Gauss-Newton matrix and the gradient from the same
-residuals (a ``Linearization``). ``optimize_window`` linearizes the start
-and each damped candidate once; an accepted candidate's matrix and gradient
-are the next iteration's. Its last accepted linearization is the one
+One pass over the factors serves all three: ``linearize`` gives the cost,
+the Gauss-Newton matrix and the gradient from the same residuals (a
+``Linearization``). ``optimize_window`` linearizes the start and each
+damped candidate once; an accepted candidate's matrix and gradient are the
+next iteration's. Its last accepted linearization is the one
 ``marginalize_oldest`` takes the Schur complement from, so no factor is
 evaluated twice at the same states.
 
-The packed window is built once per ``optimize_window`` call. It stacks
-each factor kind into arrays with a leading factor axis:
+``SlidingWindow`` stores the window in one form, oldest state first, with
+one row per state in each array:
 
-* range rate: state index and the QR factor ``sqrt_rows`` zero-padded to
-  7x7 (a block of 1 to 6 detections has fewer rows; zero rows add
-  nothing). Every raw rate is linear in the IMU-frame velocity and the gyro
-  bias, whatever its sensor, so the factor needs no extrinsic or gyro rate;
-* heading: state index and the ``HeadingSummary`` fields as arrays;
-* IMU: the index of each edge's first state, ``PreintegratedImu.stack`` of
-  the edges, and their whitening matrices from one ``imu_sqrt_information``
-  call on that stack.
+* ``states``: one stacked ``State``;
+* ``doppler``: the state's ``compress_doppler`` factor zero-padded to 7x7
+  (a block of 1 to 6 detections has fewer rows). Every raw rate is linear
+  in the IMU-frame velocity and the gyro bias, whatever its sensor, so the
+  factor needs no extrinsic or gyro rate;
+* ``heading``: the state's ``HeadingSummary`` as a row of four;
+* ``edges``: the IMU edges, edge i from state i to state i + 1.
+
+``SlidingWindow.append`` compresses a new state's raw blocks once. A state
+without a range-rate or heading factor has a zero row, and a zero row adds
+nothing to the cost, the gradient or the Gauss-Newton matrix. So a pass
+evaluates each factor kind on all states at once, and skips a kind with no
+factor in the window. The IMU edges are stacked with
+``PreintegratedImu.stack`` and whitened by one ``imu_sqrt_information``
+call once per ``optimize_window`` call.
 
 The iterates are one stacked ``State``; ``retract`` updates all of them at
-once and the entries get their states back once, at the end. A pass calls
-each of ``doppler_block_residual``, ``heading_block_residual`` and
-``imu_residual`` once for all factors of its kind, through this module's
-names: the benchmark's tracer wraps exactly these names and counts one span
-per pass and kind. Single-state factors add into the diagonal blocks of the
-normal equations and the IMU edges into the block tridiagonal.
+once and ``optimize_window`` writes the window's states once, at the end. A
+pass calls each of ``doppler_block_residual``, ``heading_block_residual``
+and ``imu_residual`` at most once, through this module's names: the
+benchmark's tracer wraps exactly these names and counts one span per pass
+and kind. Single-state factors add into the diagonal blocks of the normal
+equations and the IMU edges into the block tridiagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,68 +74,54 @@ from .state import STATE_DIM, State
 
 
 @dataclass
-class DopplerBlock:
-    """Inlier detections of every sensor attached to one state.
-
-    Enters the window as one factor: ``sqrt_rows`` is computed on first
-    use, so the raw arrays may still be edited in place before that.
-    """
-
-    rays: np.ndarray  # (n, 3) unit rays, IMU frame
-    levers: np.ndarray  # (n, 3) ``PooledDetections.levers``
-    rates: np.ndarray  # (n,) raw range rates plus omega . lever
-
-    @cached_property
-    def sqrt_rows(self) -> np.ndarray:
-        return compress_doppler(self.rays, self.levers, self.rates)
-
-
-@dataclass
-class LandmarkBlock:
-    """Heading constraints attached to one state.
-
-    Enters the window as one factor built from ``summary``, computed on
-    first use.
-    """
-
-    bearings: np.ndarray  # (n,) measured detection bearings, gravity-levelled frame
-    offsets: np.ndarray  # (n, 3) landmark position minus dead-reckoned position
-
-    @cached_property
-    def summary(self) -> HeadingSummary:
-        return compress_landmarks(self.bearings, self.offsets)
-
-
-@dataclass
-class WindowEntry:
-    state: State
-    doppler: DopplerBlock | None = None
-    landmarks: LandmarkBlock | None = None
-    preint_to_next: PreintegratedImu | None = None
-
-
-@dataclass
 class SlidingWindow:
+    """The window's states and factors, oldest first; see the module docstring.
+
+    Start it empty with its prior and add states with ``append``.
+    """
+
     prior: PriorFactor
-    entries: list[WindowEntry] = field(default_factory=list)
+    states: State | None = None  # stacked; None while empty
+    doppler: np.ndarray = field(default_factory=lambda: np.zeros((0, 7, 7)))
+    heading: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    edges: list[PreintegratedImu] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.doppler)
 
-    def states(self) -> list[State]:
-        return [e.state for e in self.entries]
+    def append(self, state: State, pre=None, doppler=None, landmarks=None) -> None:
+        """Add ``state`` as the newest, joined to the current newest by ``pre``.
+
+        ``pre`` is the IMU edge into ``state``: required on a non-empty
+        window and refused on an empty one. ``doppler`` is the range-rate
+        block ``(rays, levers, rates)`` and ``landmarks`` the heading block
+        ``(bearings, offsets)``; each is compressed here once, and None
+        leaves a zero row.
+        """
+        if (pre is None) != (len(self) == 0):
+            raise ValueError("every state but the first needs an IMU edge from its predecessor")
+        doppler_row = np.zeros((1, 7, 7))
+        if doppler is not None:
+            T = compress_doppler(*doppler)  # fewer than 7 rows for fewer detections
+            doppler_row[0, : len(T)] = T
+        heading_row = np.zeros((1, 4))
+        if landmarks is not None:
+            heading_row[0] = compress_landmarks(*landmarks)
+        self.states = State.stack([state]) if self.states is None else self.states.append(state)
+        self.doppler = np.concatenate([self.doppler, doppler_row])
+        self.heading = np.concatenate([self.heading, heading_row])
+        if pre is not None:
+            self.edges.append(pre)
 
     def factor_count(self) -> int:
         """Number of factors, each one whitened residual block.
 
         The prior, one per range-rate block, one per heading block and one
         per IMU edge; independent of how many detections or sensors each
-        block holds.
+        block holds. Zero rows are no factor.
         """
-        return 1 + sum(
-            (e.doppler is not None) + (e.landmarks is not None) + (e.preint_to_next is not None)
-            for e in self.entries
-        )
+        doppler = np.count_nonzero(self.doppler.any(axis=(1, 2)))
+        return 1 + int(doppler) + int(np.count_nonzero(self.heading[:, 0])) + len(self.edges)
 
 
 # Levenberg-Marquardt schedule of ``optimize_window`` (Nielsen 1999; Madsen,
@@ -166,9 +158,9 @@ class Linearization:
     ``cost`` sums the squared whitened residuals; ``H`` is the Gauss-Newton
     matrix ``J^T J`` and ``g`` the gradient ``J^T r`` of the same residuals.
     ``first_edge`` is the ``(J^T J, J^T r)`` block that the IMU edge from the
-    first state to the second adds on the second state, or None without
-    that edge: marginalization needs it apart from the second state's other
-    factors.
+    first state to the second adds on the second state, or None in a
+    one-state window: marginalization needs it apart from the second
+    state's other factors.
     """
 
     states: State
@@ -198,104 +190,65 @@ class OptimizeReport:
         return self.reason == DIVERGED
 
 
-class _PackedWindow:
-    """The window's factors stacked into arrays, one stack per factor kind.
+def _whitened_edges(window: SlidingWindow):
+    """``PreintegratedImu.stack`` of the window's edges and their whitening matrices."""
+    imu = PreintegratedImu.stack(window.edges)
+    return imu, imu_sqrt_information(imu)
 
-    Built once per ``optimize_window`` call from the entries' measurement
-    blocks and IMU edges. Each linearization calls each factor function
-    once for all factors of its kind.
+
+def linearize(window: SlidingWindow, states: State, cfg: RunConfig, imu=None) -> Linearization:
+    """Cost, Gauss-Newton matrix and gradient of the window at ``states``.
+
+    ``imu`` is ``_whitened_edges(window)``, made here when not given. Each
+    factor kind is evaluated once for all its factors; single-state factors
+    add into the diagonal blocks and the IMU edges into the block
+    tridiagonal, and no dense Jacobian is formed.
     """
-
-    def __init__(self, window: SlidingWindow, cfg: RunConfig):
-        self.prior = window.prior
-        entries = window.entries
-        self.n = len(entries)
-        self.doppler_sigma = cfg.doppler.sigma
-        self.bearing_sigma = cfg.landmark.bearing_sigma
-
-        blocks = [(i, e.doppler) for i, e in enumerate(entries) if e.doppler is not None]
-        self.dop_state = np.array([i for i, _ in blocks], dtype=int)
-        self.dop_rows = np.zeros((len(blocks), 7, 7))
-        for k, (_, b) in enumerate(blocks):
-            T = b.sqrt_rows  # fewer than 7 rows when the block has fewer detections
-            self.dop_rows[k, : len(T)] = T
-
-        headings = [
-            (i, e.landmarks.summary)
-            for i, e in enumerate(entries)
-            if e.landmarks is not None and e.landmarks.summary.count
-        ]
-        self.head_state = np.array([i for i, _ in headings], dtype=int)
-        if headings:
-            self.head = HeadingSummary(*(np.array(f) for f in zip(*[h for _, h in headings])))
-
-        edges = [i for i, e in enumerate(entries[:-1]) if e.preint_to_next is not None]
-        self.imu_from = np.array(edges, dtype=int)
-        if edges:
-            self.imu = PreintegratedImu.stack([entries[i].preint_to_next for i in edges])
-            self.imu_W = imu_sqrt_information(self.imu)
-
-    def _doppler(self, states: State):
-        r, J = doppler_block_residual(states[self.dop_state], self.dop_rows)
-        return r / self.doppler_sigma, J / self.doppler_sigma
-
-    def _heading(self, states: State):
-        r, J = heading_block_residual(states[self.head_state], self.head)
-        return r / self.bearing_sigma, J / self.bearing_sigma
-
-    def _imu(self, states: State):
-        i = self.imu_from
-        r, J_k, J_k1 = imu_residual(states[i], states[i + 1], self.imu)
-        W = self.imu_W
-        return matvec(W, r), W @ J_k, W @ J_k1
-
-    def linearize(self, states: State) -> Linearization:
-        """Cost, Gauss-Newton matrix and gradient of the window at ``states``.
-
-        Single-state factors add into the diagonal blocks and the IMU edges
-        into the block tridiagonal; no dense Jacobian is formed.
-        """
-        n = self.n
-        diag = np.zeros((n, STATE_DIM, STATE_DIM))
-        grad = np.zeros((n, STATE_DIM))
-        r, J = self.prior.residual(states[0])
-        cost = float(r @ r)
-        diag[0] += J.T @ J
-        grad[0] += J.T @ r
-        for index, kind in ((self.dop_state, self._doppler), (self.head_state, self._heading)):
-            if len(index):
-                r, J = kind(states)
-                cost += float(np.sum(r**2))
-                Jt = np.swapaxes(J, -1, -2)
-                # sum each state's factors: one product with the (n, factors) 0/1 matrix
-                to_state = np.eye(n)[index].T
-                diag += (to_state @ (Jt @ J).reshape(len(J), -1)).reshape(diag.shape)
-                grad += to_state @ matvec(Jt, r)
-        H = np.zeros((n, STATE_DIM, n, STATE_DIM))
-        first_edge = None
-        if len(self.imu_from):
-            i = self.imu_from  # distinct edges: each indexed += adds once
-            r, J_k, J_k1 = self._imu(states)
-            cost += float(np.sum(r**2))
-            Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
-            H_k1, g_k1 = Jt_k1 @ J_k1, matvec(Jt_k1, r)
-            diag[i] += Jt_k @ J_k
-            diag[i + 1] += H_k1
-            grad[i] += matvec(Jt_k, r)
-            grad[i + 1] += g_k1
-            off = Jt_k @ J_k1
-            H[i, :, i + 1, :] = off
-            H[i + 1, :, i, :] = np.swapaxes(off, -1, -2)
-            if i[0] == 0:
-                first_edge = (H_k1[0], g_k1[0])
-        k = np.arange(n)
-        H[k, :, k, :] = diag
-        H = H.reshape(n * STATE_DIM, n * STATE_DIM)
-        return Linearization(states, cost, H, grad.reshape(-1), first_edge)
+    n = len(window)
+    diag = np.zeros((n, STATE_DIM, STATE_DIM))
+    grad = np.zeros((n, STATE_DIM))
+    r, J = window.prior.residual(states[0])
+    cost = float(r @ r)
+    diag[0] += J.T @ J
+    grad[0] += J.T @ r
+    single = []  # a kind with no factor in the window is not evaluated
+    if window.doppler.any():
+        single.append((doppler_block_residual(states, window.doppler), cfg.doppler.sigma))
+    if window.heading[:, 0].any():
+        summary = HeadingSummary(*window.heading.T)
+        single.append((heading_block_residual(states, summary), cfg.landmark.bearing_sigma))
+    for (r, J), sigma in single:
+        r, J = r / sigma, J / sigma
+        cost += float(np.sum(r**2))
+        Jt = np.swapaxes(J, -1, -2)
+        diag += Jt @ J
+        grad += matvec(Jt, r)
+    H = np.zeros((n, STATE_DIM, n, STATE_DIM))
+    first_edge = None
+    if window.edges:
+        pre, W = _whitened_edges(window) if imu is None else imu
+        r, J_k, J_k1 = imu_residual(states[:-1], states[1:], pre)
+        r, J_k, J_k1 = matvec(W, r), W @ J_k, W @ J_k1
+        cost += float(np.sum(r**2))
+        Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
+        H_k1, g_k1 = Jt_k1 @ J_k1, matvec(Jt_k1, r)
+        diag[:-1] += Jt_k @ J_k
+        diag[1:] += H_k1
+        grad[:-1] += matvec(Jt_k, r)
+        grad[1:] += g_k1
+        i = np.arange(n - 1)
+        off = Jt_k @ J_k1
+        H[i, :, i + 1, :] = off
+        H[i + 1, :, i, :] = np.swapaxes(off, -1, -2)
+        first_edge = (H_k1[0], g_k1[0])
+    k = np.arange(n)
+    H[k, :, k, :] = diag
+    H = H.reshape(n * STATE_DIM, n * STATE_DIM)
+    return Linearization(states, cost, H, grad.reshape(-1), first_edge)
 
 
 def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
-    """Levenberg-Marquardt over the window; states updated in place.
+    """Levenberg-Marquardt over the window; ``window.states`` is replaced.
 
     One factor pass per iterate: the start is linearized once, and each
     damped candidate once, which gives its cost for the gain ratio and,
@@ -305,17 +258,17 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
     ``CONVERGED`` or after ``window.max_iterations`` iterations. Steps are
     accepted only when the total cost decreases, so the reported cost
     sequence is decreasing. The states are iterated as one stacked
-    ``State`` and written back to the entries once at the end; the report
-    carries the linearization at those states for ``marginalize_oldest``.
-    On a non-finite cost or normal equations the entries keep their input
-    states and the report is flagged diverged.
+    ``State`` and written to the window once at the end; the report carries
+    the linearization at those states for ``marginalize_oldest``. On a
+    non-finite cost or normal equations the window keeps its input states
+    and the report is flagged diverged.
     """
-    if not window.entries:
+    n = len(window)
+    if not n:
         raise ValueError("cannot optimize an empty window")
-    packed = _PackedWindow(window, cfg)
-    n = len(window.entries)
+    imu = _whitened_edges(window) if window.edges else None
 
-    lin = packed.linearize(State.stack(window.states()))
+    lin = linearize(window, window.states, cfg, imu)
     linearizations = 1
     costs = [lin.cost]
     if not np.isfinite(lin.cost):
@@ -341,7 +294,8 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
             except np.linalg.LinAlgError:
                 gain = -np.inf
             else:
-                candidate = packed.linearize(lin.states.retract(delta.reshape(n, STATE_DIM)))
+                step = lin.states.retract(delta.reshape(n, STATE_DIM))
+                candidate = linearize(window, step, cfg, imu)
                 linearizations += 1
                 # cost drop the linearized model predicts: ||r||^2 - ||r + J delta||^2
                 predicted = float(delta @ (lam * diag * delta - g))
@@ -362,20 +316,13 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
             reason = CONVERGED
             break
 
-    for entry, s in zip(window.entries, lin.states.unstack()):
-        entry.state = s
+    window.states = lin.states
     return OptimizeReport(iterations, costs[0], lin.cost, reason, costs, linearizations, lin)
 
 
 @dataclass
 class MarginalizationInfo:
     regularized: bool
-
-
-def _same_state(a: State, b: State) -> bool:
-    return a.t == b.t and all(
-        np.array_equal(x, y) for x, y in ((a.q, b.q), (a.v, b.v), (a.ba, b.ba), (a.bg, b.bg))
-    )
 
 
 def marginalize_oldest(
@@ -386,27 +333,28 @@ def marginalize_oldest(
     ``linearization`` is the window's, taken at its current states: the
     ``OptimizeReport.linearization`` of the last ``optimize_window``. Its
     blocks on the oldest state hold exactly the factors touching that state
-    (the prior, the oldest entry's range-rate and heading blocks, and the
+    (the prior, the oldest state's range-rate and heading factors, and the
     IMU edge to the next state), and ``first_edge`` holds what that edge
     adds on the next state. The Schur complement of the oldest state's
     block over these is the new prior; no factor is evaluated again.
     Singular information is regularized with the configured epsilon and
-    flagged. Raises ``ValueError`` when the linearization was taken at
+    flagged. Row 0 of each of the window's arrays is dropped, with the
+    first edge. Raises ``ValueError`` when the linearization was taken at
     other states than the window's first two.
     """
-    if len(window.entries) < 2:
+    if len(window) < 2:
         raise ValueError("marginalization needs at least two states")
-    states = window.states()[:2]
-    if not all(_same_state(linearization.states[k], s) for k, s in enumerate(states)):
+    ours, theirs = window.states[:2], linearization.states[:2]
+    if not all(
+        np.array_equal(getattr(ours, name), getattr(theirs, name))
+        for name in ("t", "q", "v", "ba", "bg")
+    ):
         raise ValueError("linearization is not at the window's first two states")
     S = STATE_DIM
     H00 = linearization.H[:S, :S]
     H01 = linearization.H[:S, S : 2 * S]
     b0 = linearization.g[:S]
-    if linearization.first_edge is None:
-        H11, b1 = np.zeros((S, S)), np.zeros(S)
-    else:
-        H11, b1 = linearization.first_edge
+    H11, b1 = linearization.first_edge
 
     regularized = False
     try:
@@ -416,12 +364,14 @@ def marginalize_oldest(
         L = np.linalg.cholesky(H00 + cfg.window.marginal_epsilon * np.eye(STATE_DIM))
     X = np.linalg.solve(L.T, np.linalg.solve(L, H01))
     y = np.linalg.solve(L.T, np.linalg.solve(L, b0))
-    H_new = H11 - H01.T @ X
+    H_new = H11 - H01.T @ X  # symmetrized by ``from_information``
     b_new = b1 - H01.T @ y
 
-    new_prior = PriorFactor.from_information(
-        states[1], 0.5 * (H_new + H_new.T), b_new, cfg.window.marginal_epsilon
+    window.prior = PriorFactor.from_information(
+        window.states[1], H_new, b_new, cfg.window.marginal_epsilon
     )
-    window.prior = new_prior
-    window.entries.pop(0)
-    return MarginalizationInfo(regularized=regularized or new_prior.regularized)
+    window.states = window.states[1:]
+    window.doppler = window.doppler[1:]
+    window.heading = window.heading[1:]
+    del window.edges[0]
+    return MarginalizationInfo(regularized=regularized or window.prior.regularized)

@@ -330,8 +330,12 @@ class TestPriorFactor:
 
     def test_from_information_regularizes_singular(self):
         mean = State.initial()
-        H = np.zeros((STATE_DIM, STATE_DIM))
-        prior = PriorFactor.from_information(mean, H, np.zeros(STATE_DIM), epsilon=1e-6)
-        assert prior.regularized
-        res, _ = prior.residual(mean.retract(0.5 * np.ones(STATE_DIM)))
-        assert np.all(np.isfinite(res))
+        # singular; and slightly indefinite, below -epsilon, as a Schur
+        # complement that cancels against bias information of about 5e10
+        indefinite = np.diag([5e10] * 3 + [1.0] * 8 + [-1.19e-7])
+        for H, epsilon in ((np.zeros((STATE_DIM, STATE_DIM)), 1e-6), (indefinite, 1e-8)):
+            prior = PriorFactor.from_information(mean, H, np.ones(STATE_DIM), epsilon=epsilon)
+            assert prior.regularized
+            assert np.all(np.isfinite(prior.sqrt_info)) and np.all(np.isfinite(prior.rhs))
+            res, _ = prior.residual(mean.retract(0.5 * np.ones(STATE_DIM)))
+            assert np.all(np.isfinite(res))

@@ -14,7 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "riobench"))
 
-from radarloc.config import RunConfig  # noqa: E402
+from radarloc.config import RunConfig, config_from_dict  # noqa: E402
 from radarloc.rio import RioEstimator, run_odometry  # noqa: E402
 from radarloc.sim import Scenario, SensorLog, simulate_mission  # noqa: E402
 from tracing import TARGETS, LayerStats, Tracer, patched  # noqa: E402
@@ -27,12 +27,12 @@ def test_target_resolves(target):
     assert callable(getattr(owner, name))
 
 
-def test_traced_counts_match_step_records(monkeypatch):
+def _traced_yard_drive(monkeypatch, cfg):
+    """Trace 1.5 s of the ``yard_circle`` drive; the tracer, its counts and the step records."""
     spec = yard_circle_scenario()
     spec["duration"] = 1.5
     scenario = Scenario.from_dict(spec)
     data = simulate_mission(scenario, seed=YARD_SIM_SEED)
-    cfg = RunConfig()
 
     records = []
     process_scans = RioEstimator.process_scans
@@ -49,8 +49,12 @@ def test_traced_counts_match_step_records(monkeypatch):
         outputs = run_odometry(
             SensorLog(imu=data.imu, scans=data.scans), cfg, extrinsics=scenario.rig.extrinsics
         )
-
     assert len(outputs) == len(records) > 1
+    return tracer, stats, records
+
+
+def test_traced_counts_match_step_records(monkeypatch):
+    tracer, stats, records = _traced_yard_drive(monkeypatch, RunConfig())
     assert stats.tracked == [d.tracked_landmarks for d in records]
     assert stats.count["matches"] == sum(d.matched_landmarks for d in records) > 0
     assert stats.count["created"] == sum(d.created_landmarks for d in records) > 0
@@ -61,3 +65,13 @@ def test_traced_counts_match_step_records(monkeypatch):
     # one range-rate block per step with a RANSAC consensus, compressed once
     compressions = sum(name == "factors.compress_doppler" for name, *_ in tracer.spans)
     assert compressions == sum(d.inliers > 0 for d in records) > 0
+
+
+def test_heading_off_records_no_heading_span(monkeypatch):
+    # the benchmark's suburban_doppler_only run fails on any of these spans
+    cfg = config_from_dict({"ablation": {"disable_heading_constraint": True}})
+    tracer, _, records = _traced_yard_drive(monkeypatch, cfg)
+    names = [name for name, *_ in tracer.spans]
+    heading = {"factors.heading", "factors.compress_landmarks"}
+    assert [n for n in names if n in heading or n.startswith("landmarks.")] == []
+    assert names.count("factors.doppler") == sum(d.linearizations for d in records) > 0

@@ -24,11 +24,8 @@ from radarloc.rio.window import (
     DIVERGED,
     ITERATION_CAP,
     NO_DESCENT,
-    DopplerBlock,
-    LandmarkBlock,
     SlidingWindow,
-    WindowEntry,
-    _PackedWindow,
+    linearize,
     marginalize_oldest,
     optimize_window,
 )
@@ -51,21 +48,42 @@ def _loose_prior(state, scale=100.0):
 
 
 def _pooled_block(scans, extrinsics, omega, bg):
-    """One ``DopplerBlock`` of every scan's detections, as the estimator builds it."""
+    """One range-rate block of every scan's detections, as the estimator builds it."""
     pooled = pool_scans(scans, extrinsics, omega, bg)
-    return DopplerBlock(pooled.directions, pooled.levers, pooled.rates + pooled.levers @ bg)
+    return pooled.directions, pooled.levers, pooled.rates + pooled.levers @ bg
+
+
+def _window(prior, states, edges=(), doppler=None, landmarks=None):
+    """A window of ``states``, joined by ``edges``, with their raw blocks.
+
+    ``doppler`` and ``landmarks`` hold one block or None per state.
+    """
+    window = SlidingWindow(prior)
+    for k, state in enumerate(states):
+        window.append(
+            state,
+            edges[k - 1] if k else None,
+            doppler[k] if doppler else None,
+            landmarks[k] if landmarks else None,
+        )
+    return window
+
+
+def _assert_same_state(a, b):
+    for name in ("t", "q", "v", "ba", "bg"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def _sensor_rays(scan):
     return scan.points / np.linalg.norm(scan.points, axis=1, keepdims=True)
 
 
-def _doppler_entry(state, v_true, n, rng, extr):
+def _doppler_block(v_true, n, rng, extr):
     """One sensor's noise-free detections at identity orientation and zero body rate."""
     rays = rng.normal(size=(n, 3))
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     scan = RadarScan(0.0, 0, 10.0 * rays, rays @ (extr.rotation.T @ v_true))
-    return WindowEntry(state=state, doppler=_pooled_block([scan], [extr], np.zeros(3), np.zeros(3)))
+    return _pooled_block([scan], [extr], np.zeros(3), np.zeros(3))
 
 
 def _drive_window(monkeypatch):
@@ -106,13 +124,13 @@ class TestOptimize:
         rng = np.random.default_rng(0)
         v_true = np.array([1.0, -0.5, 0.0])
         state = State.initial(v=v_true.copy())
-        entry = _doppler_entry(state, v_true, 40, rng, extr=extrinsics[0])
-        window = SlidingWindow(prior=_loose_prior(state), entries=[entry])
+        block = _doppler_block(v_true, 40, rng, extr=extrinsics[0])
+        window = _window(_loose_prior(state), [state], doppler=[block])
         report = optimize_window(window, cfg)
         assert report.iterations == 1
         assert report.converged and not report.diverged
         assert report.reason in (CONVERGED, NO_DESCENT)
-        np.testing.assert_allclose(window.entries[0].state.v, v_true, atol=1e-9)
+        np.testing.assert_allclose(window.states.v[0], v_true, atol=1e-9)
 
     def test_single_state_doppler_recovers_velocity(self, cfg, extrinsics):
         # oracle: the problem is linear in v, so the exact answer is the
@@ -124,28 +142,28 @@ class TestOptimize:
         # velocity prior loose; orientation and biases pinned, otherwise a
         # joint rotation of (q, v) leaves every range-rate residual unchanged
         prior = PriorFactor.from_sigmas(state, 1e-4, 100.0, 1e-5, 1e-5)
-        entry = _doppler_entry(state, v_true, 50, rng, extr=extrinsics[0])
-        window = SlidingWindow(prior=prior, entries=[entry])
+        block = _doppler_block(v_true, 50, rng, extr=extrinsics[0])
+        window = _window(prior, [state], doppler=[block])
         report = optimize_window(window, cfg)
         assert not report.diverged
-        np.testing.assert_allclose(window.entries[0].state.v, v_true, atol=1e-6)
+        np.testing.assert_allclose(window.states.v[0], v_true, atol=1e-6)
 
     def test_cost_monotone_on_noisy_window(self, cfg, extrinsics, imu_params):
         rng = np.random.default_rng(2)
         states = []
-        entries = []
-        x = State.initial(v=np.array([1.0, 0.0, 0.0]))
+        blocks = []
         for k in range(5):
             v_true = np.array([1.0, 0.1 * k, 0.0])
             state = State.initial(t=0.05 * k, v=v_true + 0.3 * rng.standard_normal(3))
             state.q = random_state(rng).q  # deliberately off
-            entry = _doppler_entry(state, v_true, 30, rng, extr=extrinsics[0])
-            entry.doppler.rates += 0.04 * rng.standard_normal(30)  # before first use
-            entries.append(entry)
-        for k in range(4):
-            samples = random_imu_segment(rng, duration=0.05)
-            entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
-        window = SlidingWindow(prior=_loose_prior(entries[0].state, scale=10.0), entries=entries)
+            rays, levers, rates = _doppler_block(v_true, 30, rng, extr=extrinsics[0])
+            blocks.append((rays, levers, rates + 0.04 * rng.standard_normal(30)))
+            states.append(state)
+        edges = [
+            preintegrate(random_imu_segment(rng, duration=0.05), np.zeros(3), np.zeros(3), imu_params)
+            for _ in range(4)
+        ]
+        window = _window(_loose_prior(states[0], scale=10.0), states, edges, doppler=blocks)
         report = optimize_window(window, cfg)
         assert not report.diverged
         diffs = np.diff(report.costs)
@@ -155,23 +173,20 @@ class TestOptimize:
     def test_divergence_rolls_back(self, cfg, extrinsics):
         rng = np.random.default_rng(3)
         state = State.initial(v=np.array([np.nan, 0.0, 0.0]))
-        entry = _doppler_entry(state, np.array([1.0, 0, 0]), 10, rng, extrinsics[0])
-        window = SlidingWindow(prior=_loose_prior(state), entries=[entry])
-        snapshot_v = window.entries[0].state.v.copy()
+        block = _doppler_block(np.array([1.0, 0, 0]), 10, rng, extrinsics[0])
+        window = _window(_loose_prior(state), [state], doppler=[block])
+        snapshot_v = window.states.v[0].copy()
         report = optimize_window(window, cfg)
         assert report.diverged
         assert report.reason == DIVERGED
-        np.testing.assert_array_equal(
-            np.isnan(window.entries[0].state.v), np.isnan(snapshot_v)
-        )
+        np.testing.assert_array_equal(np.isnan(window.states.v[0]), np.isnan(snapshot_v))
 
     def test_weak_accel_bias_direction_converges_in_three_iterations(self, cfg, monkeypatch):
         window = _drive_window(monkeypatch)
-        packed = _PackedWindow(window, cfg)
-        start = State.stack(window.states())
+        start = window.states
         # the horizontal accelerometer bias, confounded with tilt, is the
         # weakest direction of the diagonally scaled normal matrix
-        H = packed.linearize(start).H
+        H = linearize(window, start, cfg).H
         scale = np.sqrt(np.diag(H))
         eigenvalues, vectors = np.linalg.eigh(H / np.outer(scale, scale))
         assert eigenvalues[0] < 1e-6
@@ -181,13 +196,13 @@ class TestOptimize:
         # oracle: 64 undamped Gauss-Newton steps on the same factors
         optimum = start
         for _ in range(64):
-            lin = packed.linearize(optimum)
+            lin = linearize(window, optimum, cfg)
             optimum = optimum.retract(np.linalg.solve(lin.H, -lin.g).reshape(-1, STATE_DIM))
 
         cfg.window.max_iterations = 3
         report = optimize_window(window, cfg)
-        result = State.stack(window.states())
-        assert report.cost_final == pytest.approx(packed.linearize(optimum).cost, rel=1e-10)
+        result = window.states
+        assert report.cost_final == pytest.approx(linearize(window, optimum, cfg).cost, rel=1e-10)
         ba_start = np.abs(start.ba[:, :2] - optimum.ba[:, :2]).max()
         assert np.abs(result.ba[:, :2] - optimum.ba[:, :2]).max() < 0.02 * ba_start
         np.testing.assert_allclose(result.v, optimum.v, atol=1e-5)
@@ -218,14 +233,16 @@ SHORT_BLOCKS = ((1, 0, 0), (0, 2, 1), (2, 1, 2), (1, 2, 3))
 
 
 def _noisy_window(extrinsics, imu_params, variant="full"):
-    """A window of noisy states, and each entry's per-sensor scans and gyro rate.
+    """A window of noisy states, and each state's raw measurements.
 
-    Each entry's range-rate block pools its scans; an entry without one has
-    ``None`` in place of its scans.
+    The raw measurements of a state are its per-sensor scans, its gyro rate
+    and its heading block ``(bearings, offsets)``. Its range-rate block
+    pools the scans; a state without one has no scans, and a state without
+    a heading block has None in its place.
     """
     rng = np.random.default_rng(7)
     n_states = 1 if variant == "single_state" else 4
-    entries = []
+    states, rate_blocks, heading_blocks = [], [], []
     raw = []
     for k in range(n_states):
         state = random_state(rng, t=0.05 * k)
@@ -244,7 +261,6 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
             scans.append(RadarScan(state.t, sid, points, doppler))
         # pooled at a predicted bias away from the state's: the block must not depend on it
         bg_pred = state.bg + rng.normal(scale=0.01, size=3)
-        raw.append((scans, omega))
         if variant == "heading_near_pi":
             # landmarks behind the robot in its levelled, yaw-rotated frame
             angle = np.pi + rng.uniform(-0.02, 0.02, size=25)
@@ -259,36 +275,38 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
             offsets = rng.uniform(-30.0, 30.0, size=(25, 3))
             levelled = offsets @ R_io.T @ tilt_matrix(state.q).T
         bearings = np.arctan2(levelled[:, 1], levelled[:, 0]) + 0.01 * rng.standard_normal(25)
-        entries.append(
-            WindowEntry(
-                state=state,
-                doppler=_pooled_block(scans, extrinsics, omega, bg_pred),
-                landmarks=LandmarkBlock(bearings, offsets),
-            )
-        )
-    for k in range(n_states - 1):
-        samples = random_imu_segment(rng, duration=0.05)
-        entries[k].preint_to_next = preintegrate(samples, np.zeros(3), np.zeros(3), imu_params)
+        states.append(state)
+        rate_blocks.append(_pooled_block(scans, extrinsics, omega, bg_pred))
+        heading_blocks.append((bearings, offsets))
+        raw.append((scans, omega, heading_blocks[-1]))
+    edges = [
+        preintegrate(random_imu_segment(rng, duration=0.05), np.zeros(3), np.zeros(3), imu_params)
+        for _ in range(n_states - 1)
+    ]
     if variant == "entry_without_doppler":
-        entries[1].doppler = raw[1] = None
+        rate_blocks[1] = None
+        raw[1] = ((), None, raw[1][2])
     if variant == "entry_without_heading":
-        entries[2].landmarks = None
+        heading_blocks[2] = None
+        raw[2] = (*raw[2][:2], None)
     if variant == "heading_near_pi":
-        bearings = np.concatenate([e.landmarks.bearings for e in entries])
+        bearings = np.concatenate([b for b, _ in heading_blocks])
         assert bearings.max() > np.pi - 0.05 and bearings.min() < -np.pi + 0.05
-    window = SlidingWindow(prior=_loose_prior(entries[0].state, scale=0.1), entries=entries)
+    window = _window(_loose_prior(states[0], scale=0.1), states, edges, rate_blocks, heading_blocks)
     return window, raw
 
 
 def _per_row_oracle(window, raw, extrinsics, cfg, owners=None):
     """One row per detection and per landmark match, as in the unreduced problem.
 
-    The range-rate rows are taken per sensor in its own frame from ``raw``,
-    the scans and gyro rate each entry's block pools. With ``owners`` only
-    the factors of the first ``owners`` entries, and the prior, are stacked.
+    The rows are taken from ``raw``: the range-rate rows per sensor in its
+    own frame from the scans and gyro rate each state's block pools, and the
+    heading rows from each heading block. With ``owners`` only the prior and
+    the factors of the first ``owners`` states, their outgoing IMU edges
+    included, are stacked.
     """
-    states = window.states()
-    n = len(states)
+    states = window.states
+    n = len(window)
     rows, jacs = [], []
 
     def add(r, blocks):
@@ -300,22 +318,21 @@ def _per_row_oracle(window, raw, extrinsics, cfg, owners=None):
 
     r, J = window.prior.residual(states[0])
     add(r, [(0, J)])
-    for i, entry in enumerate(window.entries[:owners]):
-        scans, omega = raw[i] or ((), None)
+    for i, (scans, omega, lm) in enumerate(raw[:owners]):
         for scan in scans:
             extr = extrinsics[scan.sensor_id]
             r, J = doppler_residuals(
                 states[i], _sensor_rays(scan), scan.doppler, extr.rotation, extr.t, omega
             )
             add(r / cfg.doppler.sigma, [(i, J / cfg.doppler.sigma)])
-        lm = entry.landmarks
         if lm is not None:
-            r, J, valid = landmark_residuals(states[i], lm.bearings, lm.offsets)
+            r, J, valid = landmark_residuals(states[i], *lm)
             sigma = cfg.landmark.bearing_sigma
             add(r[valid] / sigma, [(i, J[valid] / sigma)])
-        if entry.preint_to_next is not None:
-            W = imu_sqrt_information(entry.preint_to_next)
-            r, J_k, J_k1 = imu_residual(states[i], states[i + 1], entry.preint_to_next)
+        if i < n - 1:
+            edge = window.edges[i]
+            W = imu_sqrt_information(edge)
+            r, J_k, J_k1 = imu_residual(states[i], states[i + 1], edge)
             add(W @ r, [(i, W @ J_k), (i + 1, W @ J_k1)])
     return np.concatenate(rows), np.vstack(jacs)
 
@@ -326,7 +343,7 @@ def _rel(a, b):
 
 def _linearize(window, cfg):
     """The window's linearization at its current states."""
-    return _PackedWindow(window, cfg).linearize(State.stack(window.states()))
+    return linearize(window, window.states, cfg)
 
 
 class TestCompressedFactors:
@@ -359,7 +376,7 @@ class TestCompressedFactors:
         H01 = H[old, new]
         H_oracle = H[new, new] - H01.T @ np.linalg.solve(H[old, old], H01)
         b_oracle = b[new] - H01.T @ np.linalg.solve(H[old, old], b[old])
-        x1 = window.entries[1].state
+        x1 = window.states[1]
 
         info = marginalize_oldest(window, _linearize(window, cfg), cfg)
         prior = window.prior
@@ -392,7 +409,7 @@ class TestFactorCallsPerPass:
 
         for name in self.NAMES:
             counting(window_module, name, name)
-        counting(_PackedWindow, "linearize", "linearize")
+        counting(window_module, "linearize", "linearize")
         # the damped solves of optimize_window; the factors solve nothing
         counting(window_module.np.linalg, "solve", "solve")
         return calls
@@ -420,14 +437,17 @@ class TestFactorCallsPerPass:
 class TestMarginalPrior:
     """The prior taken from the optimizer's linearization of the whole window
     equals the one from a fresh linearization of the factors touching the
-    oldest state, packed as a window of the first two states."""
+    oldest state, stored as a window of the first two states."""
 
     @staticmethod
     def _oldest_factors(window):
-        first, second = window.entries[:2]
+        only_first = np.array([1.0, 0.0])
         return SlidingWindow(
             prior=window.prior,
-            entries=[copy.copy(first), WindowEntry(state=second.state)],
+            states=window.states[:2],
+            doppler=window.doppler[:2] * only_first[:, None, None],
+            heading=window.heading[:2] * only_first[:, None],
+            edges=window.edges[:1],
         )
 
     @pytest.mark.parametrize("max_iterations", [8, 1])
@@ -452,7 +472,7 @@ class TestMarginalPrior:
         optimize_window(window, cfg)  # moves every state
         with pytest.raises(ValueError, match="first two states"):
             marginalize_oldest(window, stale, cfg)
-        assert len(window.entries) == 4
+        assert len(window) == 4
 
 
 class TestMarginalize:
@@ -469,20 +489,18 @@ class TestMarginalize:
         x1 = predict_state(x0, pre)
         x1.v += 0.05 * rng.standard_normal(3)  # leave some residual
         prior = PriorFactor.from_sigmas(x0, 0.02, 0.5, 0.1, 0.01)
-        e0 = WindowEntry(state=x0, preint_to_next=pre)
+        doppler = None
         if with_doppler:
-            e0.doppler = _pooled_block(
-                [self._scan(x0, extrinsics)], extrinsics, np.zeros(3), np.zeros(3)
-            )
-        e1 = WindowEntry(state=x1)
-        return SlidingWindow(prior=prior, entries=[e0, e1])
+            block = _pooled_block([self._scan(x0, extrinsics)], extrinsics, np.zeros(3), np.zeros(3))
+            doppler = [block, None]
+        return _window(prior, [x0, x1], [pre], doppler)
 
     def test_matches_dense_batch_oracle(self, cfg, extrinsics, imu_params):
         # oracle: assemble the full dense normal equations independently and
         # apply the textbook partitioned-inverse marginalization formula
         window = self._two_state_window(cfg, extrinsics, imu_params, with_doppler=True)
-        x0, x1 = window.entries[0].state, window.entries[1].state
-        pre = window.entries[0].preint_to_next
+        x0, x1 = window.states[0], window.states[1]
+        pre = window.edges[0]
         prior = window.prior
 
         rows = []
@@ -518,37 +536,61 @@ class TestMarginalize:
         b_new = new_prior.sqrt_info.T @ new_prior.rhs
         np.testing.assert_allclose(H_new, H_oracle, atol=1e-8)
         np.testing.assert_allclose(b_new, b_oracle, atol=1e-8)
-        assert len(window.entries) == 1
-        assert window.entries[0].state is x1
+        assert len(window) == 1
+        _assert_same_state(window.states[0], x1)
+        assert window.edges == []
 
-    def test_prior_only_marginalization_shifts_anchor(self, cfg, extrinsics, imu_params):
-        window = self._two_state_window(cfg, extrinsics, imu_params)
-        window.entries[0].preint_to_next = None  # nothing couples x0 to x1
-        x1 = window.entries[1].state
-        info = marginalize_oldest(window, _linearize(window, cfg), cfg)
-        assert info.regularized
-        assert window.prior.mean is not None
-        np.testing.assert_array_equal(window.prior.mean.v, x1.v)
-        # essentially no information remains
-        H = window.prior.sqrt_info.T @ window.prior.sqrt_info
-        assert np.linalg.norm(H) < 1e-6
+    def test_edge_only_marginalization_leaves_no_information(self, cfg, imu_params):
+        # x0 has a prior without information and one IMU edge to x1: the
+        # edge only ties x1 to x0, so nothing about x1 remains. The Schur
+        # complement cancels against bias information of about 5e10 and comes
+        # out slightly indefinite, below -marginal_epsilon.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x0 = State.initial(v=np.array([1.0, 0.2, 0.0]))
+            pre = preintegrate(random_imu_segment(rng), np.zeros(3), np.zeros(3), imu_params)
+            x1 = predict_state(x0, pre)
+            prior = PriorFactor(x0.copy(), np.zeros((STATE_DIM, STATE_DIM)), np.zeros(STATE_DIM))
+            window = _window(prior, [x0, x1], [pre])
+            info = marginalize_oldest(window, _linearize(window, cfg), cfg)
+            assert info.regularized and window.prior.regularized
+            _assert_same_state(window.prior.mean, x1)
+            assert np.all(np.isfinite(window.prior.rhs))
+            H = window.prior.sqrt_info.T @ window.prior.sqrt_info
+            assert np.linalg.norm(H) < 1e-6
 
     def test_factor_count_bounded_over_repeated_marginalization(self, cfg, extrinsics, imu_params):
         rng = np.random.default_rng(5)
         cfg.window.size = 6
         x = State.initial(v=np.array([1.0, 0.0, 0.0]))
         prior = PriorFactor.from_sigmas(x, 0.02, 0.5, 0.1, 0.01)
-        window = SlidingWindow(prior=prior, entries=[WindowEntry(state=x)])
+        window = SlidingWindow(prior)
+
+        def assert_one_row_per_state():
+            n = len(window.states.t)
+            assert len(window) == len(window.doppler) == len(window.heading) == n
+            assert all(len(a) == n for a in (window.states.q, window.states.v))
+            assert all(len(a) == n for a in (window.states.ba, window.states.bg))
+            assert len(window.edges) == n - 1
+
+        with pytest.raises(ValueError, match="IMU edge"):
+            window.append(x, preintegrate(random_imu_segment(rng), x.ba, x.bg, imu_params))
+        assert len(window) == 0
+        window.append(x)
+        assert_one_row_per_state()
+        with pytest.raises(ValueError, match="IMU edge"):
+            window.append(x)
+        assert_one_row_per_state()
         counts = []
         for k in range(60):
             samples = random_imu_segment(rng, duration=0.05)
             shifted = ImuData(samples.t + 0.05 * k, samples.accel, samples.gyro)
             pre = preintegrate(shifted, np.zeros(3), np.zeros(3), imu_params)
-            window.entries[-1].preint_to_next = pre
-            x_new = predict_state(window.entries[-1].state, pre)
-            window.entries.append(WindowEntry(state=x_new))
-            if len(window.entries) > cfg.window.size:
+            window.append(predict_state(window.states[-1], pre), pre)
+            assert_one_row_per_state()
+            if len(window) > cfg.window.size:
                 marginalize_oldest(window, _linearize(window, cfg), cfg)
+                assert_one_row_per_state()
             counts.append(window.factor_count())
-        assert len(window.entries) == cfg.window.size
+        assert len(window) == cfg.window.size
         assert max(counts[10:]) == min(counts[10:])
