@@ -2,11 +2,12 @@
 
 They compute the plain way, one pair or one detection at a time, and are
 used only by the tests: ``polar_distance`` is the oracle of
-``polar_distance_matrix``, ``doppler_residuals`` (one row per detection, in
-each sensor's own frame) the oracle of the pooled and compressed
-``doppler_block_residual``, ``landmark_residuals`` (one row per match) the
-oracle of ``compress_landmarks`` and ``heading_block_residual``, and
-``log_so3`` the inverse of ``exp_so3``.
+``polar_distance_matrix``, the dense cost over which the tests solve the
+assignment that ``associate`` must equal, ``doppler_residuals`` (one row
+per detection, in each sensor's own frame) the oracle of the pooled and
+compressed ``doppler_block_residual``, ``landmark_residuals`` (one row per
+match) the oracle of ``compress_landmarks`` and ``heading_block_residual``,
+and ``log_so3`` the inverse of ``exp_so3``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,32 @@ def polar_distance(p_a: np.ndarray, p_b: np.ndarray, range_weight: float) -> flo
     dphi = wrap_angle(bearing(p_a) - bearing(p_b))
     drange = np.linalg.norm(p_a) - np.linalg.norm(p_b)
     return float(np.hypot(range_weight * dphi, drange))
+
+
+def polar_distance_matrix(
+    detections: np.ndarray, landmarks: np.ndarray, range_weight: float
+) -> np.ndarray:
+    """Pairwise polar distances ``sqrt(L^2 dbearing^2 + drange^2)``, (n_det, n_lm).
+
+    Pairs with a degenerate point (no planar bearing, or a non-finite
+    coordinate) are infinite. The bearing term uses
+    ``|wrap(dphi)| = min(|dphi|, 2 pi - |dphi|)``, exact for bearings in
+    [-pi, pi].
+    """
+
+    def polar(points):
+        planar = np.hypot(points[:, 0], points[:, 1])
+        bad = ~(planar >= 1e-9) | ~np.isfinite(points).all(axis=1)
+        return np.arctan2(points[:, 1], points[:, 0]), np.linalg.norm(points, axis=1), bad
+
+    phi_d, r_d, bad_d = polar(detections)
+    phi_l, r_l, bad_l = polar(landmarks)
+    dphi = np.abs(phi_d[:, None] - phi_l[None, :])
+    dphi = np.minimum(dphi, 2.0 * np.pi - dphi)
+    cost = np.hypot(range_weight * dphi, r_d[:, None] - r_l[None, :])
+    cost[bad_d, :] = np.inf
+    cost[:, bad_l] = np.inf
+    return cost
 
 
 def doppler_residuals(

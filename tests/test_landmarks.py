@@ -1,6 +1,4 @@
-import multiprocessing
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -8,17 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from scipy.optimize import linear_sum_assignment
 
-from oracles import DegenerateBearingError, polar_distance
-from radarloc.config import LandmarkParams, config_from_dict
-from radarloc.geometry import wrap_angle
-from radarloc.rio import landmarks, run_odometry
-from radarloc.rio.landmarks import (
-    BLOCK_ROWS,
-    MATCH_DTYPE,
-    LandmarkTracker,
-    associate,
-    polar_distance_matrix,
-)
+from oracles import DegenerateBearingError, polar_distance, polar_distance_matrix
+from radarloc.config import LandmarkParams, RunConfig
+from radarloc.rio import run_odometry
+from radarloc.rio.landmarks import MATCH_DTYPE, LandmarkTracker, associate
 from test_rio_pipeline import _fault_log
 
 
@@ -31,21 +22,29 @@ def at_bearings(bearings, ranges, z=0.0):
 
 
 def reference_associate(detections, landmarks, range_weight, gate):
-    """The assignment over the wrap_angle / np.hypot cost matrix, gated afterwards."""
-    phi_d = np.arctan2(detections[:, 1], detections[:, 0])
-    phi_l = np.arctan2(landmarks[:, 1], landmarks[:, 0])
-    r_d = np.linalg.norm(detections, axis=1)
-    r_l = np.linalg.norm(landmarks, axis=1)
-    dphi = wrap_angle(phi_d[:, None] - phi_l[None, :])
-    cost = np.hypot(range_weight * dphi, r_d[:, None] - r_l[None, :])
-    cost[np.hypot(detections[:, 0], detections[:, 1]) < 1e-9, :] = np.inf
-    cost[:, np.hypot(landmarks[:, 0], landmarks[:, 1]) < 1e-9] = np.inf
-    rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 1e9))
+    """The dense assignment of the cost clipped at ``2 gate``, gated afterwards."""
+    cost = polar_distance_matrix(detections, landmarks, range_weight)
+    rows, cols = linear_sum_assignment(np.minimum(cost, 2.0 * gate))
     return [
         (int(r), int(c), float(cost[r, c]))
         for r, c in zip(rows, cols)
-        if np.isfinite(cost[r, c]) and cost[r, c] < gate
+        if cost[r, c] < gate
     ]
+
+
+def assert_matches_reference(dets, lms, range_weight, gate):
+    """``associate`` equals ``reference_associate``; returns its matches."""
+    result = associate(dets, lms, range_weight, gate)
+    matches, unmatched = result
+    expected = reference_associate(dets, lms, range_weight, gate)
+    assert_array_equal(matches["detection"], [r for r, _, _ in expected])
+    assert_array_equal(matches["landmark"], [c for _, c, _ in expected])
+    assert_allclose(matches["distance"], [d for _, _, d in expected], rtol=0, atol=1e-12)
+    matched = {r for r, _, _ in expected}
+    assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
+    cost = polar_distance_matrix(dets, lms, range_weight)
+    assert result.pairs == np.count_nonzero(cost < 2.0 * gate)
+    return matches
 
 
 def wall_scene(rng, extent, n_seam, n_clutter, n_seen, n_new):
@@ -106,7 +105,7 @@ class TestPolarDistance:
         seam_points = np.vstack(
             [at_bearings(seam, 12.0), at_bearings(-seam, 12.5), [[-8.0, -0.0, 0.5]]]
         )
-        dets = np.vstack([rng.uniform(-20, 20, size=(BLOCK_ROWS + 3, 3)), seam_points])
+        dets = np.vstack([rng.uniform(-20, 20, size=(35, 3)), seam_points])
         lms = np.vstack([rng.uniform(-20, 20, size=(4, 3)), seam_points])
         M = polar_distance_matrix(dets, lms, 5.0)
         assert M.shape == (len(dets), len(lms))
@@ -177,16 +176,20 @@ class TestAssociation:
 
     def test_matches_reference_on_wall_scene(self):
         dets, lms = wall_scene(np.random.default_rng(7), 24.0, 30, 60, 260, 40)
-        assert len(dets) > 2 * BLOCK_ROWS and 300 <= len(lms) <= 400
+        assert 300 <= len(lms) <= 400
+        assert len(assert_matches_reference(dets, lms, 5.0, 0.5)) > 200
 
-        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
-        expected = reference_associate(dets, lms, 5.0, 0.5)
-        assert_array_equal(matches["detection"], [r for r, _, _ in expected])
-        assert_array_equal(matches["landmark"], [c for _, c, _ in expected])
-        assert_allclose(matches["distance"], [d for _, _, d in expected], rtol=0, atol=1e-12)
-        matched = {r for r, _, _ in expected}
-        assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
-        assert len(matches) > 200
+    def test_matches_reference_on_large_wall_scene(self):
+        dets, lms = wall_scene(np.random.default_rng(11), 96.0, 60, 80, 900, 100)
+        assert len(dets) > 1000 and len(lms) > 1000
+        assert len(assert_matches_reference(dets, lms, 5.0, 0.5)) > 700
+
+    def test_starts_no_thread(self):
+        before = threading.active_count()
+        scenario, log = _fault_log(None)
+        outputs = run_odometry(log, RunConfig(), extrinsics=scenario.rig.extrinsics)
+        assert len(outputs) > 5
+        assert threading.active_count() == before
 
     def test_far_detection_unmatched(self):
         matches, unmatched = associate(
@@ -203,109 +206,73 @@ class TestAssociation:
         assert_array_equal(unmatched, [0])
 
 
-class TestSplitRows:
-    """The cost matrix built on two threads equals the one built on one."""
+class TestCandidateEdges:
+    """Inputs at the edges of the candidate search and the sparse matching."""
 
-    @pytest.fixture
-    def split_calls(self, monkeypatch):
-        """Force a two-CPU host and record each ``_fill_rows`` range and thread."""
-        monkeypatch.setattr(landmarks, "CPUS", 2)
-        fill_rows, calls = landmarks._fill_rows, []
+    def test_detection_on_a_landmark(self):
+        # distance 0: a zero edge weight would be dropped by the solver
+        lms = at_bearings([0.2, 0.25, 1.0], [10.0, 10.0, 7.0])
+        dets = np.vstack([lms[[1]], lms[[2]] + [0.05, 0.0, 0.0]])
+        matches = assert_matches_reference(dets, lms, 5.0, 0.5)
+        assert_array_equal(matches["landmark"], [1, 2])
+        assert matches["distance"][0] == 0.0
 
-        def recording(*args):
-            calls.append((args[-2], args[-1], threading.get_ident()))
-            fill_rows(*args)
-
-        monkeypatch.setattr(landmarks, "_fill_rows", recording)
-        return calls
-
-    @staticmethod
-    def points(n, rng):
-        # bearings within 1e-6 of +-pi on both sides of the seam (with
-        # atan2(-0.0, -x) = -pi), a point on the z axis and a non-finite one
-        # come first, so that even one or two rows hold a seam or degenerate point
-        seam = np.pi - np.array([0.0, 1e-12, 1e-9, 1e-6])
-        special = np.vstack(
+    def test_pairs_across_the_bearing_seam(self):
+        # bearings within 1e-3 of +-pi on both sides, and exactly -pi
+        # (atan2(-0.0, -x)) and pi
+        eps = np.array([0.0, 1e-9, 1e-4, 1e-3])
+        lms = np.vstack([at_bearings(np.pi - eps, 12.0), at_bearings(-np.pi + eps, 20.0)])
+        dets = np.vstack(
             [
-                at_bearings(seam[:1], 12.0),
-                [[0.0, 0.0, 2.0], [1.0, np.nan, 0.0], [-8.0, -0.0, 0.5]],
-                at_bearings(seam[1:], 12.0),
-                at_bearings(-seam, 12.5),
+                at_bearings(-np.pi + eps, 12.02),
+                at_bearings(np.pi - eps, 20.02),
+                [[-12.0, -0.0, 0.0], [-20.0, 0.0, 0.0]],
             ]
         )
-        return np.vstack([special, rng.uniform(-20, 20, size=(max(n - len(special), 0), 3))])[:n]
+        matches = assert_matches_reference(dets, lms, 5.0, 0.5)
+        assert len(matches) == 8
+        assert np.all(matches["distance"] < 5.0 * 2e-3 + 0.03)
 
-    @pytest.mark.parametrize("n_det", [1, 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
-    def test_two_ranges_equal_one_bitwise(self, n_det, split_calls, monkeypatch):
-        rng = np.random.default_rng(n_det)
-        dets = self.points(n_det, rng)
-        lms = self.points(40, rng)[::-1].copy()
-        one = polar_distance_matrix(dets, lms, 5.0, degenerate=1e9)
-        assert [c[:2] for c in split_calls] == [(0, n_det)]
-        split_calls.clear()
-        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
-        two = polar_distance_matrix(dets, lms, 5.0, degenerate=1e9)
-        half = (n_det + 1) // 2
-        assert sorted(c[:2] for c in split_calls) == [(0, half), (half, n_det)]
-        assert split_calls[0][2] != split_calls[1][2]
-        assert np.array_equal(one, two) and one.tobytes() == two.tobytes()
-        assert (one == 1e9).all(axis=0).sum() == 2  # the two degenerate landmarks
+    def test_seam_scene_matches_reference(self):
+        rng = np.random.default_rng(3)
+        lms = at_bearings(np.pi - rng.uniform(-0.1, 0.1, 200), rng.uniform(5.0, 30.0, 200))
+        dets = lms[:150] + rng.normal(scale=0.1, size=(150, 3))
+        assert len(assert_matches_reference(dets, lms, 5.0, 0.5)) > 100
 
-    def test_matches_reference_above_cutover(self, split_calls):
-        dets, lms = wall_scene(np.random.default_rng(11), 96.0, 60, 80, 900, 100)
-        assert len(dets) * len(lms) >= landmarks.SPLIT_ENTRIES
-        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
-        assert len({thread for _, _, thread in split_calls}) == 2
-        expected = reference_associate(dets, lms, 5.0, 0.5)
-        assert_array_equal(matches["detection"], [r for r, _, _ in expected])
-        assert_array_equal(matches["landmark"], [c for _, c, _ in expected])
-        assert_allclose(matches["distance"], [d for _, _, d in expected], rtol=0, atol=1e-12)
-        matched = {r for r, _, _ in expected}
-        assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
-        assert len(matches) > 700
+    def test_points_on_the_z_axis(self):
+        dets = np.array([[0.0, 0.0, 2.0], [10.0, 0.0, 0.0]])
+        lms = np.array([[10.1, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+        matches = assert_matches_reference(dets, lms, 5.0, 0.5)
+        assert_array_equal(matches["detection"], [1])
+        assert_array_equal(matches["landmark"], [0])
+        result = associate(dets[:1], lms, 5.0, 0.5)
+        assert len(result[0]) == 0 and result.pairs == 0
+        assert_array_equal(result[1], [0])
 
-    def test_no_worker_below_cutover(self, split_calls, monkeypatch):
-        monkeypatch.setattr(landmarks, "_WORKER", None)
-        before = threading.active_count()
-        scenario, log = _fault_log(None)
-        cfg = config_from_dict({"ablation": {"disable_heading_constraint": True}})
-        assert len(run_odometry(log, cfg, extrinsics=scenario.rig.extrinsics)) > 5
-        assert 999 * 1001 < landmarks.SPLIT_ENTRIES
-        polar_distance_matrix(np.ones((999, 3)), np.ones((1001, 3)), 5.0)
-        assert len(split_calls) == 1
-        assert threading.active_count() == before and landmarks._WORKER is None
+    def test_detection_with_no_candidate(self):
+        dets = at_bearings([0.0, 0.0, 2.0], [10.0, 10.9, 10.0])
+        lms = at_bearings([0.0], [10.0])
+        matches = assert_matches_reference(dets, lms, 5.0, 0.5)
+        assert_array_equal(matches["detection"], [0])
+        result = associate(dets[2:], lms, 5.0, 0.5)
+        assert len(result[0]) == 0 and result.pairs == 0
+        assert_array_equal(result[1], [0])
 
-    def test_caller_error_waits_for_the_worker(self, split_calls, monkeypatch):
-        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
-        caller, worker_done = threading.get_ident(), threading.Event()
-        fill_rows = landmarks._fill_rows
+    def test_every_pair_a_candidate(self):
+        # 2 gate = 200 reaches every pair, also through the seam copies
+        dets, lms = wall_scene(np.random.default_rng(5), 8.0, 10, 10, 40, 10)
+        result = associate(dets, lms, 5.0, 100.0)
+        n_ok_det, n_ok_lm = len(dets) - 1, len(lms) - 1  # one z-axis point in each
+        assert result.pairs == n_ok_det * n_ok_lm
+        assert_matches_reference(dets, lms, 5.0, 100.0)
 
-        def caller_fails(*args):
-            if threading.get_ident() == caller:
-                raise RuntimeError("caller half failed")
-            time.sleep(0.05)
-            fill_rows(*args)
-            worker_done.set()
-
-        monkeypatch.setattr(landmarks, "_fill_rows", caller_fails)
-        with pytest.raises(RuntimeError, match="caller half failed"):
-            polar_distance_matrix(np.ones((4, 3)), np.ones((3, 3)), 5.0)
-        assert worker_done.is_set()
-
-    def test_forked_child_starts_its_own_worker(self, split_calls, monkeypatch):
-        # the child of a fork has no copy of the parent's worker thread; work
-        # handed to the parent's executor would never run
-        monkeypatch.setattr(landmarks, "SPLIT_ENTRIES", 0)
-        args = (np.ones((4, 3)), np.ones((3, 3)), 5.0)
-        polar_distance_matrix(*args)
-        child = multiprocessing.get_context("fork").Process(target=polar_distance_matrix, args=args)
-        child.start()
-        child.join(timeout=20)
-        hung = child.is_alive()
-        if hung:
-            child.kill()
-            child.join()
-        assert not hung and child.exitcode == 0
+    def test_empty_inputs(self):
+        lms = at_bearings([0.0, 1.0], [10.0, 10.0])
+        for dets, lm in ((np.zeros((0, 3)), lms), (lms, np.zeros((0, 3))), (np.zeros((0, 3)),) * 2):
+            result = associate(dets, lm, 5.0, 0.5)
+            matches, unmatched = result
+            assert matches.dtype == MATCH_DTYPE and len(matches) == 0 and result.pairs == 0
+            assert_array_equal(unmatched, np.arange(len(dets)))
 
 
 class TestTracker:

@@ -323,6 +323,7 @@ class TestWindowBounds:
         reasons = []
         shifts = []
         tracked = []
+        pairs = []
         for t, scans in groups:
             while fed < len(data.imu) and data.imu.t[fed] <= t + 1e-12:
                 est.add_imu(data.imu.t[fed], data.imu.accel[fed], data.imu.gyro[fed])
@@ -341,7 +342,10 @@ class TestWindowBounds:
             # every inlier handed to the tracker is matched or made a landmark
             assert diag.created_landmarks + diag.matched_landmarks == diag.inliers
             assert diag.tracked_landmarks == len(est.tracker.landmarks)
+            # every match is one of the candidate pairs
+            assert diag.association_pairs >= diag.matched_landmarks
             tracked.append(diag.tracked_landmarks)
+            pairs.append(diag.association_pairs)
             assert len(est.window) <= cfg.window.size
             if len(est.window) == cfg.window.size:
                 full_counts.append(est.last_diagnostics.factor_count)
@@ -349,7 +353,7 @@ class TestWindowBounds:
         assert set(reasons) <= {CONVERGED, NO_DESCENT, ITERATION_CAP}
         # the shifts and the tracker counts are recorded, not left at their defaults
         assert all(max(column) > 0.0 for column in zip(*shifts))
-        assert min(tracked) > 0
+        assert min(tracked) > 0 and max(pairs) > 0
         # factor count bounded by a constant independent of mission length
         assert max(counts) < 5000
         # a full window holds the prior, one range-rate factor and one heading
@@ -366,6 +370,7 @@ class TestWindowBounds:
         assert all(d.inliers > 0 for d in diagnostics)
         for d in diagnostics:
             assert d.tracked_landmarks == d.matched_landmarks == d.created_landmarks == 0
+            assert d.association_pairs == 0
 
     def test_single_sensor_ablation_uses_front_only(self, monkeypatch):
         import radarloc.rio.estimator as estimator
