@@ -1,7 +1,8 @@
 """Run configuration: every tunable parameter, with defaults and validation.
 
 ``config_from_dict`` takes overrides that mirror this structure section by
-section; unknown keys are rejected and each value is range-checked.
+section; unknown keys are rejected and each value is range-checked. A
+parameter whose default is an ``int`` takes only ``int`` values.
 Documented ranges live in ``PARAMETER_RANGES``.
 """
 
@@ -128,16 +129,18 @@ def _apply_overrides(obj, overrides: dict, path: str = "") -> None:
 
 
 def _check_ranges(cfg: RunConfig) -> None:
-    def resolve(path: str):
-        obj = cfg
+    def resolve(obj, path: str):
         for part in path.split("."):
             obj = getattr(obj, part)
         return obj
 
+    defaults = RunConfig()
     for path, (lo, hi, inc_lo, inc_hi) in PARAMETER_RANGES.items():
-        value = resolve(path)
+        value = resolve(cfg, path)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be numeric, got {value!r}")
+        if isinstance(resolve(defaults, path), int) and not isinstance(value, int):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
         ok_lo = value >= lo if inc_lo else value > lo
         ok_hi = value <= hi if inc_hi else value < hi
         if not (ok_lo and ok_hi):

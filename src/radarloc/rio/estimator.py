@@ -245,10 +245,12 @@ class RioEstimator:
             omega = segment.gyro[-1]
             t_oi_prov = self.t_oi + 0.5 * (last.v + x_pred.v) * dt
 
-        pooled = pool_scans(scans, self.extrinsics, omega, x_pred.bg)
+        pooled = pool_scans(scans, self.extrinsics, omega)
         diag.detections = len(pooled)
         diag.dropped_detections = pooled.dropped
-        result = estimate_velocity(pooled, self.cfg.ransac, seed=[self.cfg.seed, self.step_count])
+        rates = pooled.rates - pooled.levers @ x_pred.bg  # at the predicted gyro bias
+        seed = [self.cfg.seed, self.step_count]
+        result = estimate_velocity(pooled.directions, rates, self.cfg.ransac, seed)
         diag.ransac_reason = result.reason
         diag.ransac_iterations = result.iterations_used
         diag.degraded_reason = "imu_gap" if imu_gap else result.reason
@@ -266,9 +268,7 @@ class RioEstimator:
         if result.ok:
             mask = result.inlier_mask
             diag.inliers = int(mask.sum())
-            levers = pooled.levers[mask]
-            # compensated rate + bg . lever = raw rate + omega . lever, free of the bias
-            doppler = (pooled.directions[mask], levers, pooled.rates[mask] + levers @ x_pred.bg)
+            doppler = (pooled.directions[mask], pooled.levers[mask], pooled.rates[mask])
             landmarks = self._landmark_block(pooled, mask, t, x_pred, t_oi_prov, diag)
             if landmarks is not None:
                 diag.heading_matches = len(landmarks[0])

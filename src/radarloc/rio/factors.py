@@ -37,6 +37,8 @@ from .preintegration import PreintegratedImu
 from .state import BA, BG, STATE_DIM, THETA, VEL, State
 
 IMU_RESIDUAL_DIM = 12  # rows: [rotation, velocity, gyro bias, accel bias]
+# least variance of an IMU residual row, so that its covariance has a Cholesky factor
+COVARIANCE_FLOOR = 1e-12
 
 
 def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
@@ -101,13 +103,14 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     return res, J_k, J_k1
 
 
-def imu_sqrt_information(pre: PreintegratedImu, floor: float = 1e-12) -> np.ndarray:
+def imu_sqrt_information(pre: PreintegratedImu) -> np.ndarray:
     """Whitening matrix for the IMU residual (block diagonal 12x12).
 
     A ``PreintegratedImu.stack`` of n edges gives the (n, 12, 12) stack of
     their matrices.
     """
     dt = np.asarray(pre.dt)[..., None, None]
+    floor = COVARIANCE_FLOOR
     cov = np.zeros(dt.shape[:-2] + (IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
     cov[..., 0:6, 0:6] = pre.cov_rot_vel + np.eye(6) * floor
     cov[..., 6:9, 6:9] = np.eye(3) * np.maximum(pre.params.gyro_bias_walk**2 * dt, floor)
@@ -133,13 +136,12 @@ def yaw_and_jacobian(q: np.ndarray):
 def compress_doppler(rays: np.ndarray, levers: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Triangular factor ``T`` (at most 7x7) of the QR of ``[rays, levers, rates]``.
 
-    The rows are one step's pooled inliers of every sensor: IMU-frame unit
-    ``rays``, their ``levers`` (``PooledDetections.levers``) and ``rates``,
-    the raw range rates plus ``omega . lever``. A static detection's raw
-    rate is ``ray . R^T v - (omega - bg) . lever``, so its residual is
-    ``[ray, lever, rate] @ [-R^T v; -bg; 1]`` and the block's squared
-    residual equals ``|T @ [-R^T v; -bg; 1]|^2`` exactly. Unlike a Cholesky
-    factor of the Gram matrix, QR needs no full rank.
+    The rows are one step's pooled inliers of every sensor: the columns
+    ``directions``, ``levers`` and ``rates`` of ``PooledDetections``. A
+    static detection's pooled rate is ``ray . R^T v + bg . lever``, so its
+    residual is ``[ray, lever, rate] @ [-R^T v; -bg; 1]`` and the block's
+    squared residual equals ``|T @ [-R^T v; -bg; 1]|^2`` exactly. Unlike a
+    Cholesky factor of the Gram matrix, QR needs no full rank.
     """
     return np.linalg.qr(np.column_stack([rays, levers, rates]), mode="r")
 
@@ -147,10 +149,11 @@ def compress_doppler(rays: np.ndarray, levers: np.ndarray, rates: np.ndarray) ->
 def doppler_block_residual(state: State, sqrt_rows: np.ndarray):
     """Compressed range-rate residual of one step's pooled detections.
 
-    ``sqrt_rows`` is ``compress_doppler(rays, levers, rates)``, and the
-    residual is ``T[:, 6] - T[:, :3] R^T v - T[:, 3:6] bg``. Its squared
-    norm, Jacobian Gram matrix and gradient equal those of the per-detection
-    rows of every sensor over the same detections (the oracle
+    ``sqrt_rows`` is ``compress_doppler(rays, levers, rates)`` with the
+    rates column ``PooledDetections.rates``, and the residual is
+    ``T[:, 6] - T[:, :3] R^T v - T[:, 3:6] bg``. Its squared norm, Jacobian
+    Gram matrix and gradient equal those of the per-detection rows of every
+    sensor over the same detections (the oracle
     ``doppler_residuals`` of ``tests/oracles.py``, per sensor frame). For n
     blocks at once, pass the states of the blocks stacked and ``sqrt_rows``
     zero-padded to (n, 7, 7); the padding gives zero rows.

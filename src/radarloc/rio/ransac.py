@@ -1,10 +1,13 @@
 """Ego-velocity estimation and dynamic-detection rejection.
 
-All detections from all sensors at one timestep are pooled into a single
-linear problem: after lever-arm compensation, a static detection's range
-rate equals the IMU-frame velocity projected on its (IMU-frame) ray.
-Detections that do not fit the consensus velocity are flagged dynamic and
-excluded downstream.
+All sensors' detections at one timestep pool into one linear problem. A
+static detection's raw range rate is ``ray . v - (omega - bg) . lever``,
+with its IMU-frame ray, ``lever = ray x arm`` of its sensor's lever arm,
+the IMU-frame velocity ``v``, the gyro rate ``omega`` and its bias ``bg``.
+A pooled rate adds the known ``omega . lever`` and so is
+``ray . v + bg . lever``. The Doppler factor fits ``v`` and ``bg`` to these
+rows; RANSAC fits ``v`` to ``rates - levers @ bg`` at the predicted bias
+and flags the detections off its consensus as dynamic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import RansacParams
-from ..geometry import RigidTransform
+from ..geometry import RigidTransform, matvec
 
 # Probability that at least one of the draws made was all inliers when the
 # adaptive stop ends the loop (Hartley & Zisserman, Multiple View Geometry,
@@ -29,89 +32,43 @@ class PooledDetections:
     """Per-timestep detections from all sensors, in solver-ready form."""
 
     directions: np.ndarray  # (n, 3) unit rays rotated into the IMU frame
-    rates: np.ndarray  # (n,) lever-arm-compensated range rates
-    sensor_ids: np.ndarray  # (n,)
-    levers: np.ndarray  # (n, 3) direction x lever arm: a raw rate's coefficient of -(omega - bg)
-    positions: np.ndarray | None = None  # (n, 3) IMU-frame detection positions
-    dropped: int = 0  # detections left out for a non-finite value or no positive range
+    rates: np.ndarray  # (n,) raw range rate + omega . lever = direction . v + bg . lever
+    levers: np.ndarray  # (n, 3) direction x its sensor's lever arm
+    positions: np.ndarray  # (n, 3) IMU-frame detection positions
+    dropped: int  # detections left out for a non-finite value or no positive range
 
     def __len__(self) -> int:
         return len(self.rates)
 
 
-def compensate_lever_arm(
-    points: np.ndarray,
-    doppler: np.ndarray,
-    extrinsic: RigidTransform,
-    omega: np.ndarray,
-    gyro_bias: np.ndarray,
-):
-    """Remove the lever-arm velocity from measured range rates.
+def pool_scans(scans, extrinsics: list[RigidTransform], omega: np.ndarray) -> PooledDetections:
+    """All sensors' detections at one timestep as bias-free rows.
 
-    Returns IMU-frame detection positions, IMU-frame unit ray directions,
-    and compensated range rates satisfying ``rr = v_imu . direction`` for
-    static detections. With ``omega == gyro_bias`` the rates are unchanged.
+    Each detection takes the rotation and lever arm of its scan's sensor. A
+    detection with a non-finite coordinate or range rate, or at zero range,
+    has no ray; it is left out and counted in ``dropped``. A scan whose
+    sensor id has no extrinsic is a ``ValueError``.
     """
-    R_ir = extrinsic.rotation
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms <= 0.0):
-        raise ValueError("detections must have positive range")
-    rays_sensor = points / norms[:, None]
-    rays_imu = rays_sensor @ R_ir.T
-    positions_imu = points @ R_ir.T + extrinsic.t
-    # sensor point velocity from body rotation: (omega - bias) x lever arm
-    lever_vel = np.cross(omega - gyro_bias, extrinsic.t)
-    compensated = doppler - rays_imu @ lever_vel
-    return positions_imu, rays_imu, compensated
-
-
-def pool_scans(
-    scans,
-    extrinsics: list[RigidTransform],
-    omega: np.ndarray,
-    gyro_bias: np.ndarray,
-) -> PooledDetections:
-    """All sensors' detections at one timestep, lever-arm compensated.
-
-    A detection with a non-finite coordinate or range rate, or at zero range,
-    has no ray; it is left out and counted in ``dropped``. Whatever its
-    sensor, a static detection's raw range rate is
-    ``direction . v_imu - (omega - bg) . lever`` with its ``levers`` row and
-    the true gyro bias ``bg``.
-    """
-    dirs, rates, sids, levers, positions = [], [], [], [], []
-    dropped = 0
-    for scan in scans:
-        if len(scan) == 0:
-            continue
-        ranges = np.linalg.norm(scan.points, axis=1)
-        keep = np.flatnonzero(np.isfinite(ranges) & (ranges > 0.0) & np.isfinite(scan.doppler))
-        dropped += len(scan) - len(keep)
-        if len(keep) == 0:
-            continue
-        positions_imu, rays_imu, compensated = compensate_lever_arm(
-            scan.points[keep], scan.doppler[keep], extrinsics[scan.sensor_id], omega, gyro_bias
-        )
-        dirs.append(rays_imu)
-        rates.append(compensated)
-        sids.append(np.full(len(keep), scan.sensor_id, dtype=int))
-        levers.append(np.cross(rays_imu, extrinsics[scan.sensor_id].t))
-        positions.append(positions_imu)
-    if not dirs:
-        return PooledDetections(
-            np.zeros((0, 3)),
-            np.zeros(0),
-            np.zeros(0, int),
-            np.zeros((0, 3)),
-            np.zeros((0, 3)),
-            dropped,
-        )
+    ids = np.array([scan.sensor_id for scan in scans], dtype=int)
+    unknown = ids[(ids < 0) | (ids >= len(extrinsics))]
+    if len(unknown):
+        raise ValueError(f"sensor ids {sorted(set(unknown.tolist()))} have no extrinsic")
+    sensors = np.repeat(ids, [len(scan) for scan in scans])
+    points = np.concatenate([np.zeros((0, 3)), *(scan.points for scan in scans)])
+    doppler = np.concatenate([np.zeros(0), *(scan.doppler for scan in scans)])
+    ranges = np.linalg.norm(points, axis=1)
+    keep = np.isfinite(ranges) & (ranges > 0.0) & np.isfinite(doppler)
+    dropped = len(keep) - int(np.count_nonzero(keep))
+    sensors, points, ranges = sensors[keep], points[keep], ranges[keep]
+    rotations = np.stack([e.rotation for e in extrinsics])[sensors]
+    arms = np.stack([e.t for e in extrinsics])[sensors]
+    directions = matvec(rotations, points / ranges[:, None])
+    levers = np.cross(directions, arms)
     return PooledDetections(
-        np.vstack(dirs),
-        np.concatenate(rates),
-        np.concatenate(sids),
-        np.vstack(levers),
-        np.vstack(positions),
+        directions,
+        doppler[keep] + levers @ omega,
+        levers,
+        matvec(rotations, points) + arms,
         dropped,
     )
 
@@ -150,11 +107,12 @@ def draws_needed(count: int, n: int, cap: int) -> int:
 
 
 def estimate_velocity(
-    pooled: PooledDetections,
+    directions: np.ndarray,
+    rates: np.ndarray,
     params: RansacParams,
     seed: int | Sequence[int] = 0,
 ) -> RansacResult:
-    """RANSAC over the pooled range-rate equations.
+    """RANSAC over the range-rate equations ``rates = directions @ v``.
 
     Minimal model: exact solve of three ray/rate pairs; consensus by rate
     residual below the inlier threshold; the returned velocity refits all
@@ -171,13 +129,11 @@ def estimate_velocity(
     for an independent stream per radar step; ``s`` and ``[s]`` draw the
     same stream.
     """
-    n = len(pooled)
+    n = len(rates)
     empty = np.zeros(n, dtype=bool)
     if n < max(3, params.min_inliers):
         return RansacResult(None, empty, "too_few_detections")
 
-    dirs = pooled.directions
-    rates = pooled.rates
     seed_ints = [int(seed)] if np.isscalar(seed) else [int(s) for s in seed]
     rng = np.random.default_rng(np.random.SeedSequence([*seed_ints, 0x3303]))
 
@@ -188,12 +144,12 @@ def estimate_velocity(
     while iterations < needed:
         iterations += 1
         pick = rng.choice(n, size=3, replace=False)
-        A = dirs[pick]
+        A = directions[pick]
         # near-coplanar ray triplets carry no 3D velocity information
         if abs(np.linalg.det(A)) < 1e-6:
             continue
         v = np.linalg.solve(A, rates[pick])
-        mask = np.abs(rates - dirs @ v) < params.inlier_threshold
+        mask = np.abs(rates - directions @ v) < params.inlier_threshold
         count = int(mask.sum())
         if count > best_count:
             best_count = count
@@ -206,7 +162,7 @@ def estimate_velocity(
         return RansacResult(None, empty, "insufficient_consensus", iterations)
 
     def refit(mask):
-        A = dirs[mask]
+        A = directions[mask]
         if np.linalg.matrix_rank(A, tol=1e-6) < 3:
             return None
         v, *_ = np.linalg.lstsq(A, rates[mask], rcond=None)
@@ -215,12 +171,12 @@ def estimate_velocity(
     v = refit(best_mask)
     if v is None:
         return RansacResult(None, empty, "degenerate_geometry", iterations)
-    mask = np.abs(rates - dirs @ v) < params.inlier_threshold
+    mask = np.abs(rates - directions @ v) < params.inlier_threshold
     if int(mask.sum()) >= params.min_inliers:
         refined = refit(mask)
         if refined is not None:
             v = refined
-            mask = np.abs(rates - dirs @ v) < params.inlier_threshold
+            mask = np.abs(rates - directions @ v) < params.inlier_threshold
     if int(mask.sum()) < params.min_inliers:
         return RansacResult(None, empty, "insufficient_consensus", iterations)
     return RansacResult(v, mask, "", iterations)

@@ -42,6 +42,14 @@ class SensorLog:
         return [(t, sorted(group, key=lambda s: s.sensor_id)) for t, group in sorted(groups.items())]
 
 
+def _vectors(rows: list) -> np.ndarray:
+    """``rows`` as an (n, 3) float array; a ValueError unless each row is 3 numbers."""
+    array = np.array(rows, dtype=float)
+    if rows and array.shape != (len(rows), 3):
+        raise ValueError(f"expected vectors of 3 numbers, got an array of shape {array.shape}")
+    return array.reshape(len(rows), 3)
+
+
 def _floats(x) -> list[float]:
     return [float(v) for v in np.asarray(x).reshape(-1)]
 
@@ -76,7 +84,7 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
 
 def read_log(path) -> SensorLog:
     """Parse a sensor log, validating structure with line-numbered errors."""
-    imu_rows: list[tuple[float, list, list]] = []
+    imu_rows: list[tuple[float, np.ndarray, np.ndarray]] = []
     scans: list[RadarScan] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -92,11 +100,13 @@ def read_log(path) -> SensorLog:
             kind = rec["type"]
             try:
                 if kind == "imu":
-                    imu_rows.append((float(rec["t"]), rec["a"], rec["w"]))
+                    imu_rows.append((float(rec["t"]), *_vectors([rec["a"], rec["w"]])))
                 elif kind == "radar":
                     dets = rec.get("detections", [])
-                    points = np.array([d["p"] for d in dets], dtype=float).reshape(-1, 3)
+                    points = _vectors([d["p"] for d in dets])
                     doppler = np.array([d["rr"] for d in dets], dtype=float)
+                    if doppler.shape != (len(dets),):
+                        raise ValueError("each range rate must be one number")
                     scans.append(
                         RadarScan(float(rec["t"]), int(rec["sensor"]), points, doppler)
                     )

@@ -17,8 +17,11 @@ def test_range_path_resolves_to_a_field(path):
 
 
 def test_override_is_applied():
-    cfg = config_from_dict({"window": {"size": 4}, "ablation": {"single_sensor": True}})
+    cfg = config_from_dict(
+        {"window": {"size": 4}, "landmark": {"gate": 1}, "ablation": {"single_sensor": True}}
+    )
     assert cfg.window.size == 4
+    assert cfg.landmark.gate == 1  # an int where the default is a float
     assert cfg.ablation.single_sensor is True
 
 
@@ -54,6 +57,23 @@ def test_out_of_range_raises(overrides):
 @pytest.mark.parametrize("overrides", [{"window": {"size": True}}, {"seed": False}])
 def test_bool_in_numeric_field_raises(overrides):
     with pytest.raises(ConfigError, match="must be numeric"):
+        config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"window": {"size": 4.5}},
+        {"window": {"max_iterations": 2.5}},
+        {"ransac": {"iterations": 1.5}},
+        {"ransac": {"min_inliers": 7.5}},
+        {"landmark": {"n_obs_min": 5.0}},  # integral, but not an int
+        {"seed": 1.7},
+    ],
+    ids=["window_size", "max_iterations", "ransac_iterations", "min_inliers", "n_obs_min", "seed"],
+)
+def test_non_integer_in_integer_field_raises(overrides):
+    with pytest.raises(ConfigError, match="must be an integer"):
         config_from_dict(overrides)
 
 

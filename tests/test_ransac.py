@@ -3,24 +3,8 @@ import pytest
 
 from radarloc.config import RansacParams
 from radarloc.geometry import quat_to_matrix
-from radarloc.rio.ransac import (
-    PooledDetections,
-    compensate_lever_arm,
-    draws_needed,
-    estimate_velocity,
-    pool_scans,
-)
+from radarloc.rio.ransac import draws_needed, estimate_velocity, pool_scans
 from radarloc.sim import RadarScan, default_rig, sensor_extrinsic
-
-
-def _pooled(directions, rates):
-    n = len(rates)
-    return PooledDetections(
-        np.asarray(directions, dtype=float),
-        np.asarray(rates, dtype=float),
-        np.zeros(n, dtype=int),
-        np.zeros((n, 3)),
-    )
 
 
 def _random_dirs(rng, n):
@@ -28,30 +12,34 @@ def _random_dirs(rng, n):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def _pool_one(points, doppler, extr, omega):
+    """``pool_scans`` of one scan from ``extr``, as sensor 0 of a one-sensor rig."""
+    scan = RadarScan(0.0, 0, np.asarray(points, dtype=float), np.asarray(doppler, dtype=float))
+    return pool_scans([scan], [extr], np.asarray(omega, dtype=float))
+
+
 class TestLeverArmCompensation:
+    """A pooled rate is the raw rate plus ``omega . lever``; the rate RANSAC
+    fits at gyro bias ``bg`` is ``rates - levers @ bg``."""
+
     def test_no_rotation_no_change(self):
         extr = sensor_extrinsic([0.5, 0.0, 0.0], 0.3)
-        points = np.array([[10.0, 2.0, 0.5]])
-        doppler = np.array([1.25])
-        _, _, rr = compensate_lever_arm(points, doppler, extr, np.zeros(3), np.zeros(3))
-        assert rr[0] == pytest.approx(1.25, abs=1e-12)
+        pooled = _pool_one([[10.0, 2.0, 0.5]], [1.25], extr, np.zeros(3))
+        assert pooled.rates[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_omega_equals_bias_no_change(self):
         extr = sensor_extrinsic([0.5, -0.2, 0.1], -0.4)
-        points = np.array([[5.0, 1.0, 0.0], [8.0, -2.0, 1.0]])
         doppler = np.array([0.4, -0.7])
         omega = np.array([0.1, -0.2, 0.5])
-        _, _, rr = compensate_lever_arm(points, doppler, extr, omega, omega.copy())
-        np.testing.assert_allclose(rr, doppler, atol=1e-12)
+        pooled = _pool_one([[5.0, 1.0, 0.0], [8.0, -2.0, 1.0]], doppler, extr, omega)
+        assert np.all(np.abs(pooled.rates - doppler) > 0.01)  # the arm turns
+        np.testing.assert_allclose(pooled.rates - pooled.levers @ omega, doppler, atol=1e-12)
 
     def test_colocated_sensor_no_change(self):
         extr = sensor_extrinsic([0.0, 0.0, 0.0], 0.9)
-        points = np.array([[4.0, 4.0, 0.0]])
-        doppler = np.array([2.0])
-        _, _, rr = compensate_lever_arm(
-            points, doppler, extr, np.array([0.0, 0.0, 2.0]), np.zeros(3)
-        )
-        assert rr[0] == pytest.approx(2.0, abs=1e-12)
+        pooled = _pool_one([[4.0, 4.0, 0.0]], [2.0], extr, [0.0, 0.0, 2.0])
+        assert pooled.rates[0] == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_array_equal(pooled.levers, 0.0)
 
     def test_rigid_body_oracle(self):
         # sensor 0.5 m ahead on x, yawing at 1 rad/s, target on the sensor's
@@ -63,25 +51,30 @@ class TestLeverArmCompensation:
         assert np.linalg.norm(lever_velocity) == pytest.approx(0.5)
         ray_imu = points[0] / np.linalg.norm(points[0])  # identity extrinsic rotation
         expected_correction = -(ray_imu @ lever_velocity)
-        _, _, rr = compensate_lever_arm(points, np.array([0.0]), extr, omega, np.zeros(3))
-        assert rr[0] == pytest.approx(expected_correction, abs=1e-12)
-        assert abs(rr[0]) == pytest.approx(0.5, abs=1e-12)
+        pooled = _pool_one(points, [0.0], extr, omega)
+        assert pooled.rates[0] == pytest.approx(expected_correction, abs=1e-12)
+        assert abs(pooled.rates[0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_compensation_recovers_static_model(self):
         # full kinematics: simulated doppler of a static point seen from a
-        # rotating, translating platform reduces to v_imu . ray after
-        # compensation
+        # rotating, translating platform, with a biased gyro, reduces to
+        # v_imu . ray once the bias term is taken out
         rng = np.random.default_rng(0)
         extr = sensor_extrinsic([0.4, 0.25, -0.1], 0.8)
         v_imu = np.array([1.2, -0.3, 0.1])
-        omega = np.array([0.05, -0.1, 0.6])
+        omega_true = np.array([0.05, -0.1, 0.6])
+        bias = np.array([0.004, -0.006, 0.009])
         targets = rng.uniform(-30, 30, size=(25, 3))
         local = (targets - extr.t) @ extr.rotation  # sensor-frame positions
         rays = local / np.linalg.norm(local, axis=1, keepdims=True)
-        v_sensor_imu = v_imu + np.cross(omega, extr.t)
+        v_sensor_imu = v_imu + np.cross(omega_true, extr.t)
         doppler = rays @ (extr.rotation.T @ v_sensor_imu)
-        _, rays_imu, rr = compensate_lever_arm(local, doppler, extr, omega, np.zeros(3))
-        np.testing.assert_allclose(rr, rays_imu @ v_imu, atol=1e-12)
+        pooled = _pool_one(local, doppler, extr, omega_true + bias)
+        np.testing.assert_allclose(pooled.directions, rays @ extr.rotation.T, atol=1e-12)
+        np.testing.assert_allclose(pooled.positions, targets, atol=1e-12)
+        np.testing.assert_allclose(
+            pooled.rates - pooled.levers @ bias, pooled.directions @ v_imu, atol=1e-12
+        )
 
 
 class TestRansac:
@@ -89,7 +82,7 @@ class TestRansac:
         rng = np.random.default_rng(1)
         dirs = _random_dirs(rng, 50)
         v_true = np.array([1.0, 0.0, 0.0])
-        result = estimate_velocity(_pooled(dirs, dirs @ v_true), RansacParams(), seed=0)
+        result = estimate_velocity(dirs, dirs @ v_true, RansacParams(), seed=0)
         assert result.ok
         np.testing.assert_allclose(result.velocity, v_true, atol=1e-9)
         assert result.inlier_mask.all()
@@ -108,7 +101,7 @@ class TestRansac:
             rates[dynamic] += offsets
             static = np.setdiff1d(np.arange(n), dynamic)
             v_oracle, *_ = np.linalg.lstsq(dirs[static], rates[static], rcond=None)
-            result = estimate_velocity(_pooled(dirs, rates), params, seed=trial)
+            result = estimate_velocity(dirs, rates, params, seed=trial)
             assert result.ok
             assert np.linalg.norm(result.velocity - v_oracle) < 0.05
             flagged = ~result.inlier_mask
@@ -117,31 +110,44 @@ class TestRansac:
 
     def test_single_ray_direction_degenerate(self):
         dirs = np.tile([1.0, 0.0, 0.0], (40, 1))
-        result = estimate_velocity(_pooled(dirs, np.full(40, 0.7)), RansacParams(), seed=0)
+        result = estimate_velocity(dirs, np.full(40, 0.7), RansacParams(), seed=0)
         assert result.degraded
         assert result.reason in ("insufficient_consensus", "degenerate_geometry")
 
     def test_too_few_detections(self):
-        result = estimate_velocity(_pooled(np.eye(3)[:2], [0.1, 0.2]), RansacParams(), seed=0)
+        result = estimate_velocity(np.eye(3)[:2], np.array([0.1, 0.2]), RansacParams(), seed=0)
         assert result.degraded and result.reason == "too_few_detections"
 
     def test_consensus_below_min_inliers_degrades(self):
         rng = np.random.default_rng(3)
         dirs = _random_dirs(rng, 12)
         rates = rng.uniform(-5.0, 5.0, size=12)  # mutually inconsistent
-        result = estimate_velocity(_pooled(dirs, rates), RansacParams(min_inliers=10), seed=0)
+        result = estimate_velocity(dirs, rates, RansacParams(min_inliers=10), seed=0)
         assert result.degraded
 
     def test_inliers_invariant_to_sensor_relabeling(self):
+        # the same scans under other sensor ids, with the rig's extrinsics
+        # listed in that order, pool into the same rows
         rng = np.random.default_rng(4)
-        dirs = _random_dirs(rng, 60)
+        rig = default_rig()
         v_true = np.array([2.0, -1.0, 0.2])
-        rates = dirs @ v_true + 0.02 * rng.standard_normal(60)
-        rates[:10] += 2.0
-        pooled_a = PooledDetections(dirs, rates, np.zeros(60, int), np.zeros((60, 3)))
-        pooled_b = PooledDetections(dirs, rates, rng.integers(0, 3, 60), np.zeros((60, 3)))
-        res_a = estimate_velocity(pooled_a, RansacParams(), seed=9)
-        res_b = estimate_velocity(pooled_b, RansacParams(), seed=9)
+        omega = np.array([0.02, -0.01, 0.3])
+        scans = []
+        for sensor, extr in enumerate(rig.extrinsics):
+            rays = _random_dirs(rng, 20)
+            doppler = rays @ (extr.rotation.T @ (v_true + np.cross(omega, extr.t)))
+            doppler += 0.02 * rng.standard_normal(20)
+            doppler[:4] += 2.0
+            scans.append(RadarScan(0.0, sensor, 10.0 * rays, doppler))
+        order = [2, 0, 1]  # sensor i of the relabeled rig is sensor order[i]
+        relabeled = [RadarScan(0.0, order.index(s.sensor_id), s.points, s.doppler) for s in scans]
+        pooled_a = pool_scans(scans, rig.extrinsics, omega)
+        pooled_b = pool_scans(relabeled, [rig.extrinsics[k] for k in order], omega)
+        for rows in ("directions", "rates", "levers", "positions"):
+            np.testing.assert_array_equal(getattr(pooled_a, rows), getattr(pooled_b, rows))
+        res_a = estimate_velocity(pooled_a.directions, pooled_a.rates, RansacParams(), seed=9)
+        res_b = estimate_velocity(pooled_b.directions, pooled_b.rates, RansacParams(), seed=9)
+        assert res_a.ok and not res_a.inlier_mask[[0, 20, 40]].any()
         assert np.array_equal(res_a.inlier_mask, res_b.inlier_mask)
         np.testing.assert_allclose(res_a.velocity, res_b.velocity, atol=1e-12)
 
@@ -150,9 +156,8 @@ class TestRansac:
         dirs = _random_dirs(rng, 80)
         rates = dirs @ np.array([1.0, 1.0, 0.0]) + 0.04 * rng.standard_normal(80)
         rates[:30] += 1.5
-        pooled = _pooled(dirs, rates)
-        a = estimate_velocity(pooled, RansacParams(), seed=3)
-        b = estimate_velocity(pooled, RansacParams(), seed=3)
+        a = estimate_velocity(dirs, rates, RansacParams(), seed=3)
+        b = estimate_velocity(dirs, rates, RansacParams(), seed=3)
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
         np.testing.assert_array_equal(a.velocity, b.velocity)
 
@@ -164,11 +169,10 @@ class TestRansac:
         dirs = _random_dirs(rng, 80)
         rates = dirs @ np.array([1.0, 1.0, 0.0]) + 0.04 * rng.standard_normal(80)
         rates[:35] = dirs[:35] @ np.array([-1.0, 0.5, 0.0])
-        pooled = _pooled(dirs, rates)
         params = RansacParams(iterations=5)
         outcomes = []
         for seed in ([3, 0], [3, 0], 3, [3]):
-            res = estimate_velocity(pooled, params, seed=seed)
+            res = estimate_velocity(dirs, rates, params, seed=seed)
             assert res.ok
             outcomes.append((res.inlier_mask, res.velocity, res.iterations_used))
         for (mask_a, v_a, it_a), (mask_b, v_b, it_b) in (outcomes[:2], outcomes[2:]):
@@ -177,10 +181,10 @@ class TestRansac:
             assert it_a == it_b
 
 
-def _fixed_draws_reference(pooled, params, seed):
+def _fixed_draws_reference(rows, params, seed):
     """Mask and velocity of RANSAC with every one of ``params.iterations``
     draws made (early stop only on full consensus), from the same stream."""
-    dirs, rates = pooled.directions, pooled.rates
+    dirs, rates = rows
     n = len(rates)
     rng = np.random.default_rng(np.random.SeedSequence([*seed, 0x3303]))
     best_count, best_mask = 0, np.zeros(n, dtype=bool)
@@ -209,7 +213,8 @@ def _scene_with_movers(seed, n, mover_fraction, v_static):
     ``mover_fraction`` of them move together at ``MOVER_VELOCITY``.
 
     Also returns the mask of movers whose range rate differs from a static
-    one's by more than twice the inlier threshold.
+    one's by more than twice the inlier threshold. The rows are returned
+    as ``(directions, rates)``.
     """
     rng = np.random.default_rng(seed)
     dirs = _random_dirs(rng, n)
@@ -218,7 +223,7 @@ def _scene_with_movers(seed, n, mover_fraction, v_static):
     rates[:movers] = dirs[:movers] @ (v_static + MOVER_VELOCITY)
     distinct = np.zeros(n, dtype=bool)
     distinct[:movers] = np.abs(dirs[:movers] @ MOVER_VELOCITY) > 2 * RansacParams().inlier_threshold
-    return _pooled(dirs, rates), distinct
+    return (dirs, rates), distinct
 
 
 class TestAdaptiveStop:
@@ -227,11 +232,11 @@ class TestAdaptiveStop:
     def test_few_outliers_stop_early_with_the_fixed_draw_result(self):
         params = RansacParams()
         for seed in range(5):
-            pooled, distinct = _scene_with_movers(seed, 200, 0.02, self.V_STATIC)
-            result = estimate_velocity(pooled, params, seed=[seed, 7])
+            rows, distinct = _scene_with_movers(seed, 200, 0.02, self.V_STATIC)
+            result = estimate_velocity(*rows, params, seed=[seed, 7])
             assert result.ok
             assert 1 <= result.iterations_used <= 10
-            mask, v = _fixed_draws_reference(pooled, params, [seed, 7])
+            mask, v = _fixed_draws_reference(rows, params, [seed, 7])
             np.testing.assert_array_equal(result.inlier_mask, mask)
             np.testing.assert_array_equal(result.velocity, v)
             assert not result.inlier_mask[distinct].any()
@@ -240,8 +245,8 @@ class TestAdaptiveStop:
         params = RansacParams()
         clean, _ = _scene_with_movers(1, 200, 0.02, self.V_STATIC)
         crowded, distinct = _scene_with_movers(1, 200, 0.4, self.V_STATIC)
-        few = estimate_velocity(clean, params, seed=[1, 7]).iterations_used
-        result = estimate_velocity(crowded, params, seed=[1, 7])
+        few = estimate_velocity(*clean, params, seed=[1, 7]).iterations_used
+        result = estimate_velocity(*crowded, params, seed=[1, 7])
         assert result.ok
         assert few < result.iterations_used <= params.iterations
         assert not result.inlier_mask[distinct].any()
@@ -254,14 +259,14 @@ class TestAdaptiveStop:
         dirs[:, 2] = 0.0
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         params = RansacParams()
-        result = estimate_velocity(_pooled(dirs, dirs @ self.V_STATIC), params, seed=0)
+        result = estimate_velocity(dirs, dirs @ self.V_STATIC, params, seed=0)
         assert result.degraded and result.reason == "insufficient_consensus"
         assert result.iterations_used == params.iterations
 
     def test_cap_still_applies(self):
         crowded, _ = _scene_with_movers(1, 200, 0.4, self.V_STATIC)
-        assert estimate_velocity(crowded, RansacParams(), seed=[1, 7]).iterations_used > 5
-        result = estimate_velocity(crowded, RansacParams(iterations=5), seed=[1, 7])
+        assert estimate_velocity(*crowded, RansacParams(), seed=[1, 7]).iterations_used > 5
+        result = estimate_velocity(*crowded, RansacParams(iterations=5), seed=[1, 7])
         assert result.iterations_used == 5
 
     @pytest.mark.parametrize(
@@ -283,13 +288,26 @@ class TestAdaptiveStop:
 
 class TestPooling:
     def test_pool_scans_merges_sensors(self):
+        # against a loop over the scans, each with its own sensor's extrinsic
         rig = default_rig()
+        omega = np.array([0.02, -0.01, 0.4])
         scan0 = RadarScan(0.0, 0, np.array([[10.0, 0.0, 0.0]]), np.array([1.0]))
         scan2 = RadarScan(0.0, 2, np.array([[5.0, 1.0, 0.0], [7.0, -1.0, 0.2]]), np.array([0.5, 0.2]))
-        pooled = pool_scans([scan0, scan2], rig.extrinsics, np.zeros(3), np.zeros(3))
+        pooled = pool_scans([scan0, scan2], rig.extrinsics, omega)
         assert len(pooled) == 3
-        assert set(pooled.sensor_ids) == {0, 2}
         np.testing.assert_allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-12)
+        for rows, scan in ((slice(0, 1), scan0), (slice(1, 3), scan2)):
+            extr = rig.extrinsics[scan.sensor_id]
+            rays = scan.points / np.linalg.norm(scan.points, axis=1, keepdims=True) @ extr.rotation.T
+            expected = {
+                "directions": rays,
+                "levers": np.cross(rays, extr.t),
+                "positions": scan.points @ extr.rotation.T + extr.t,
+                # the raw rate less the arm's rotation at omega along the ray
+                "rates": scan.doppler - rays @ np.cross(omega, extr.t),
+            }
+            for name, value in expected.items():
+                np.testing.assert_allclose(getattr(pooled, name)[rows], value, atol=1e-12)
 
     def test_pool_scans_drops_unusable_detections_and_keeps_levers(self):
         rig = default_rig()
@@ -300,11 +318,11 @@ class TestPooling:
         scan0 = RadarScan(0.0, 0, points, doppler)
         scan1 = RadarScan(0.0, 1, np.zeros((0, 3)), np.zeros(0))
         scan2 = RadarScan(0.0, 2, points[[1, 0]], doppler[[1, 0]])
-        pooled = pool_scans([scan0, scan1, scan2], rig.extrinsics, np.zeros(3), np.zeros(3))
+        pooled = pool_scans([scan0, scan1, scan2], rig.extrinsics, np.zeros(3))
         assert pooled.dropped == 4
-        np.testing.assert_array_equal(pooled.sensor_ids, [0, 0, 2])
+        assert len(pooled) == 3  # points 0 and 4 of sensor 0, point 0 of sensor 2
         # each kept detection's lever is its IMU-frame ray crossed with its own sensor's arm
-        arms = np.array([rig.extrinsics[s].t for s in pooled.sensor_ids])
+        arms = np.array([rig.extrinsics[s].t for s in (0, 0, 2)])
         np.testing.assert_array_equal(pooled.levers, np.cross(pooled.directions, arms))
         assert np.all(np.isfinite(pooled.directions)) and np.all(np.isfinite(pooled.rates))
         # the kept detections pool exactly as they would on their own
@@ -312,15 +330,32 @@ class TestPooling:
             [RadarScan(0.0, 0, points[[0, 4]], doppler[[0, 4]])],
             rig.extrinsics,
             np.zeros(3),
-            np.zeros(3),
         )
         assert alone.dropped == 0
         np.testing.assert_array_equal(pooled.rates[:2], alone.rates)
         np.testing.assert_array_equal(pooled.positions[:2], alone.positions)
 
+    def test_pool_scans_of_no_detections(self):
+        rig = default_rig()
+        for scans in ([], [RadarScan(0.0, 1, np.zeros((0, 3)), np.zeros(0))]):
+            pooled = pool_scans(scans, rig.extrinsics, np.array([0.0, 0.0, 0.5]))
+            assert len(pooled) == 0 and pooled.dropped == 0
+            for rows in (pooled.directions, pooled.levers, pooled.positions):
+                assert rows.shape == (0, 3)
+
+    @pytest.mark.parametrize("sensor", [-1, 3])
+    def test_pool_scans_refuses_sensor_without_extrinsic(self, sensor):
+        rig = default_rig()
+        assert len(rig.extrinsics) == 3
+        good = RadarScan(0.0, 0, np.array([[10.0, 0.0, 0.0]]), np.array([1.0]))
+        bad = RadarScan(0.0, sensor, np.array([[5.0, 1.0, 0.0]]), np.array([0.5]))
+        with pytest.raises(ValueError, match=rf"sensor ids \[{sensor}\] have no extrinsic"):
+            pool_scans([good, bad], rig.extrinsics, np.zeros(3))
+
     def test_pooled_static_consistency_from_sim(self):
-        # end to end: simulated noise-free static scans from three sensors
-        # pool into an exactly consistent system for the IMU-frame velocity
+        # end to end: simulated noise-free static scans from three sensors,
+        # read by a biased gyro, pool into an exactly consistent system for
+        # the IMU-frame velocity once the bias term is taken out
         from radarloc import sim
         from radarloc.geometry import quat_to_matrix as q2m
 
@@ -332,16 +367,19 @@ class TestPooling:
         rig = sim.default_rig().noise_free()
         index = 120
         scans = [sim.simulate_scan(gt, index, scene, rig, s) for s in range(3)]
-        omega = gt.body_rate[index]
-        pooled = pool_scans(scans, rig.extrinsics, omega, np.zeros(3))
+        bias = np.array([0.01, -0.02, 0.03])
+        omega = gt.body_rate[index] + bias
+        pooled = pool_scans(scans, rig.extrinsics, omega)
         assert len(pooled) >= 10
+        assert np.abs(pooled.levers @ bias).max() > 1e-3  # the bias matters
         v_imu_true = q2m(gt.quat[index]).T @ gt.velocity[index]
-        np.testing.assert_allclose(pooled.rates, pooled.directions @ v_imu_true, atol=1e-9)
-        # the raw rates are linear in the body rate through the levers
+        rates = pooled.rates - pooled.levers @ bias
+        np.testing.assert_allclose(rates, pooled.directions @ v_imu_true, atol=1e-9)
+        # the raw rates are linear in the true body rate through the levers
         raw = np.concatenate([s.doppler for s in scans])
         np.testing.assert_allclose(
-            raw, pooled.directions @ v_imu_true - pooled.levers @ omega, atol=1e-9
+            raw, pooled.directions @ v_imu_true - pooled.levers @ (omega - bias), atol=1e-9
         )
-        result = estimate_velocity(pooled, RansacParams(), seed=0)
+        result = estimate_velocity(pooled.directions, rates, RansacParams(), seed=0)
         assert result.ok
         np.testing.assert_allclose(result.velocity, v_imu_true, atol=1e-8)

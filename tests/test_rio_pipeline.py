@@ -382,10 +382,9 @@ class TestWindowBounds:
         pooled_ids = []
         original = estimator.pool_scans
 
-        def recording(*args, **kwargs):
-            pooled = original(*args, **kwargs)
-            pooled_ids.append(pooled.sensor_ids)
-            return pooled
+        def recording(scans, *args, **kwargs):
+            pooled_ids.append([scan.sensor_id for scan in scans])
+            return original(scans, *args, **kwargs)
 
         monkeypatch.setattr(estimator, "pool_scans", recording)
         est = RioEstimator(cfg, scenario.rig.extrinsics)
@@ -398,6 +397,7 @@ class TestWindowBounds:
             est.process_scans(t, scans)
             assert est.window.doppler[-1].any()
         assert len(pooled_ids) == 5
+        assert any(len(scans) > 1 for _, scans in groups[:5])  # the filter has work to do
         for ids in pooled_ids:
             assert len(ids) > 0
             np.testing.assert_array_equal(ids, 0)

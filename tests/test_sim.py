@@ -201,11 +201,25 @@ class TestLogIo:
         assert total_in == total_out
 
     def test_malformed_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}\nnot json\n')
-        with pytest.raises(sim.LogFormatError) as err:
-            sim.read_log(path)
-        assert err.value.line_no == 2
+        good = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
+        radar = '{"type":"radar","t":0.1,"sensor":0,"detections":[%s]}'
+        bad_lines = [
+            "not json",
+            '{"type":"imu","t":0.1,"a":[0,9.81],"w":[0,0,0]}',
+            '{"type":"imu","t":0.1,"a":[0,0,9.81],"w":[0,0,0,0]}',
+            '{"type":"imu","t":0.1,"a":[0,0,9.81],"w":[0,[0],0]}',
+            # six coordinates in all, which reshape into 2 points for 3 range rates
+            radar % ",".join('{"p":[%d,1],"rr":0.1}' % i for i in range(3)),
+            radar % '{"p":[1,2,3,4],"rr":0.1}',
+            radar % '{"p":[[1,2,3]],"rr":0.1}',
+            radar % '{"p":[1,2,3],"rr":[0.1,0.2]}',
+        ]
+        for i, bad in enumerate(bad_lines):
+            path = tmp_path / f"bad{i}.jsonl"
+            path.write_text(f"{good}\n{bad}\n")
+            with pytest.raises(sim.LogFormatError) as err:
+                sim.read_log(path)
+            assert err.value.line_no == 2, bad
 
     def test_scan_grouping(self):
         scans = [

@@ -47,10 +47,10 @@ def _loose_prior(state, scale=100.0):
     return p
 
 
-def _pooled_block(scans, extrinsics, omega, bg):
+def _pooled_block(scans, extrinsics, omega):
     """One range-rate block of every scan's detections, as the estimator builds it."""
-    pooled = pool_scans(scans, extrinsics, omega, bg)
-    return pooled.directions, pooled.levers, pooled.rates + pooled.levers @ bg
+    pooled = pool_scans(scans, extrinsics, omega)
+    return pooled.directions, pooled.levers, pooled.rates
 
 
 def _window(prior, states, edges=(), doppler=None, landmarks=None):
@@ -83,7 +83,7 @@ def _doppler_block(v_true, n, rng, extr):
     rays = rng.normal(size=(n, 3))
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     scan = RadarScan(0.0, 0, 10.0 * rays, rays @ (extr.rotation.T @ v_true))
-    return _pooled_block([scan], [extr], np.zeros(3), np.zeros(3))
+    return _pooled_block([scan], [extr], np.zeros(3))
 
 
 def _drive_window(monkeypatch):
@@ -259,8 +259,6 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
             doppler = rays @ v_sensor + 0.04 * rng.standard_normal(n_det)
             points = rng.uniform(2.0, 40.0, size=(n_det, 1)) * rays
             scans.append(RadarScan(state.t, sid, points, doppler))
-        # pooled at a predicted bias away from the state's: the block must not depend on it
-        bg_pred = state.bg + rng.normal(scale=0.01, size=3)
         if variant == "heading_near_pi":
             # landmarks behind the robot in its levelled, yaw-rotated frame
             angle = np.pi + rng.uniform(-0.02, 0.02, size=25)
@@ -276,7 +274,7 @@ def _noisy_window(extrinsics, imu_params, variant="full"):
             levelled = offsets @ R_io.T @ tilt_matrix(state.q).T
         bearings = np.arctan2(levelled[:, 1], levelled[:, 0]) + 0.01 * rng.standard_normal(25)
         states.append(state)
-        rate_blocks.append(_pooled_block(scans, extrinsics, omega, bg_pred))
+        rate_blocks.append(_pooled_block(scans, extrinsics, omega))
         heading_blocks.append((bearings, offsets))
         raw.append((scans, omega, heading_blocks[-1]))
     edges = [
@@ -491,7 +489,7 @@ class TestMarginalize:
         prior = PriorFactor.from_sigmas(x0, 0.02, 0.5, 0.1, 0.01)
         doppler = None
         if with_doppler:
-            block = _pooled_block([self._scan(x0, extrinsics)], extrinsics, np.zeros(3), np.zeros(3))
+            block = _pooled_block([self._scan(x0, extrinsics)], extrinsics, np.zeros(3))
             doppler = [block, None]
         return _window(prior, [x0, x1], [pre], doppler)
 
