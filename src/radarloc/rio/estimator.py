@@ -294,8 +294,8 @@ class RioEstimator:
             self.t_oi = self.t_oi + 0.5 * (v[0] + v[1]) * dt
 
         if len(self.window) > self.cfg.window.size:
-            info = marginalize_oldest(self.window, report.linearization, self.cfg)
-            diag.marginalization_regularized = info.regularized
+            prior = marginalize_oldest(self.window, report.linearization, self.cfg)
+            diag.marginalization_regularized = prior.regularized
         return self._emit(degraded)
 
     def _emit(self, degraded: bool) -> OdometryOutput:

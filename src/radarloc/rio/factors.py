@@ -16,7 +16,6 @@ and Jacobians with the same leading axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -169,48 +168,42 @@ def doppler_block_residual(state: State, sqrt_rows: np.ndarray):
     return residual, J
 
 
-class HeadingSummary(NamedTuple):
-    """Sufficient statistics of one state's valid landmark bearing rows."""
-
-    count: int
-    yaw_ref: float  # circular-mean yaw implied by the matches
-    mean: float  # mean residual at yaw_ref
-    spread: float  # root of the summed squared deviations from the mean
-
-
-def compress_landmarks(bearings_meas: np.ndarray, offsets_global: np.ndarray) -> HeadingSummary:
-    """Reduce a block of heading rows to ``HeadingSummary``.
+def compress_landmarks(bearings_meas: np.ndarray, offsets_global: np.ndarray) -> np.ndarray:
+    """Reduce a block of heading rows to the row ``[count, yaw_ref, mean, spread]``.
 
     Row i's residual at yaw is ``wrap(bearing_i - atan2(offset_i) + yaw)``
     (the oracle ``landmark_residuals`` of ``tests/oracles.py``), and every
-    row has the same yaw Jacobian. So with ``d_i`` the residuals at
-    ``yaw_ref`` the block's squared cost at any yaw is
-    ``n (mean + wrap(yaw - yaw_ref))^2 + spread^2``, exact while no row
-    crosses the +-pi wrap. Offsets with no planar extent have no bearing and
-    are left out.
+    row has the same yaw Jacobian. ``count`` is the number of rows,
+    ``yaw_ref`` the circular-mean yaw they imply, ``mean`` the mean of their
+    residuals ``d_i`` at ``yaw_ref`` and ``spread`` the root of the summed
+    squared deviations of ``d_i`` from it. The block's squared cost at any
+    yaw is ``count (mean + wrap(yaw - yaw_ref))^2 + spread^2``, exact while
+    no row crosses the +-pi wrap. Offsets with no planar extent have no
+    bearing and are left out; with none left the row is zero.
     """
     planar_sq = offsets_global[:, 0] ** 2 + offsets_global[:, 1] ** 2
     valid = planar_sq > 1e-12
     if not np.any(valid):
-        return HeadingSummary(0, 0.0, 0.0, 0.0)
+        return np.zeros(4)
     bearings, offsets = bearings_meas[valid], offsets_global[valid]
     at_zero_yaw = bearings - np.arctan2(offsets[:, 1], offsets[:, 0])
-    yaw_ref = -float(np.arctan2(np.sin(at_zero_yaw).sum(), np.cos(at_zero_yaw).sum()))
+    yaw_ref = -np.arctan2(np.sin(at_zero_yaw).sum(), np.cos(at_zero_yaw).sum())
     d = wrap_angle(at_zero_yaw + yaw_ref)
-    mean = float(d.mean())
-    return HeadingSummary(len(d), yaw_ref, mean, float(np.linalg.norm(d - mean)))
+    mean = d.mean()
+    return np.array([len(d), yaw_ref, mean, np.linalg.norm(d - mean)])
 
 
-def heading_block_residual(state: State, summary: HeadingSummary):
+def heading_block_residual(state: State, rows: np.ndarray):
     """Two-row residual whose squared norm equals the block's heading cost.
 
-    Row 0 is ``sqrt(n) (mean + wrap(yaw - yaw_ref))``; row 1 is the constant
-    ``spread`` with a zero Jacobian. For n blocks at once, pass the states
-    stacked and a summary whose fields are (n,) arrays; the residual is then
-    (n, 2).
+    ``rows`` is the ``compress_landmarks`` row ``[count, yaw_ref, mean,
+    spread]``. Row 0 of the residual is ``sqrt(count) (mean + wrap(yaw -
+    yaw_ref))``; row 1 is the constant ``spread`` with a zero Jacobian. For
+    n blocks at once, pass the states stacked and ``rows`` stacked to
+    (n, 4); the residual is then (n, 2).
     """
     yaw, J_yaw = yaw_and_jacobian(state.q)
-    count, yaw_ref, mean, spread = (np.asarray(f, dtype=float) for f in summary)
+    count, yaw_ref, mean, spread = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
     scale = np.sqrt(count)
     residual = np.stack([scale * (mean + wrap_angle(yaw - yaw_ref)), spread], axis=-1)
     J = np.zeros(residual.shape + (STATE_DIM,))

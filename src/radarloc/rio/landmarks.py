@@ -16,8 +16,13 @@ index the arrays as they stand after it.
 
 ``associate`` solves the optimal assignment of the cost clipped at twice
 the gate, ``min(distance, 2 gate)``, and gates it only afterwards. The
-clipped problem is sparse: only pairs within ``2 gate`` can lower its total,
-so they are found with a k-d tree and matched with
+clipped problem is sparse: only pairs within ``2 gate`` can lower its total.
+They are found with a k-d tree over the points placed on a cylinder,
+``(L cos phi, L sin phi, r)`` with ``L`` the range weight: the chord
+``2 L sin(|dphi| / 2)`` between two bearings is never longer than the
+wrapped arc ``L wrap(dphi)``, so every pair within ``2 gate`` in polar
+distance is within it there too, and is found once, with no seam at +-pi.
+They are matched with
 ``min_weight_full_bipartite_matching``, one dummy landmark per detection
 standing for every pair at the clip. The radius is twice the gate, not the
 gate, so that a near miss below it still uses up its landmark: along evenly
@@ -75,33 +80,32 @@ def _polar_distance(phi_a, r_a, phi_b, r_b, range_weight):
 
 
 def _candidate_pairs(polar_d, polar_l, range_weight: float, radius: float):
-    """Every (detection, landmark) pair at a polar distance below ``radius``.
+    """Every (detection, landmark) pair at a polar distance below ``radius``, once.
 
     ``polar_d`` and ``polar_l`` are the ``_polar`` of the two point sets.
-    The pairs are searched in the ``(range_weight * bearing, range)`` plane,
-    where the Euclidean distance is the polar one away from the bearing
-    seam; landmarks within ``radius`` of it get a copy shifted by
-    ``-+2 pi range_weight`` to the other side. A pair found both ways is kept
-    once, on the side whose bearing difference is the wrapped one. Points
+    The pairs are searched with each point at ``(L cos phi, L sin phi, r)``,
+    ``L = range_weight``. There the bearing term is the chord
+    ``2 L sin(|dphi| / 2)``, never longer than the wrapped arc ``L wrap(dphi)``
+    of the polar distance, so one radius query finds every pair below
+    ``radius``, across the +-pi seam too, and finds it once. Of the pairs
+    found, those whose polar distance is below ``radius`` are kept. Points
     with no planar bearing or a non-finite coordinate are in no pair.
 
     Returns ``(detection, landmark, distance)`` arrays.
     """
     phi_d, r_d, bad_d = polar_d
     phi_l, r_l, bad_l = polar_l
-    reach = radius * (1.0 + _REACH_SLACK)
     dets, lms = np.flatnonzero(~bad_d), np.flatnonzero(~bad_l)
-    seam = lms[(range_weight * (np.pi - np.abs(phi_l[lms])) < reach) & (phi_l[lms] != 0.0)]
-    lm_rows = np.concatenate([lms, seam])
-    lm_phi = np.concatenate([phi_l[lms], phi_l[seam] - np.copysign(2.0 * np.pi, phi_l[seam])])
-    tree_d = cKDTree(np.column_stack([range_weight * phi_d[dets], r_d[dets]]))
-    tree_l = cKDTree(np.column_stack([range_weight * lm_phi, r_l[lm_rows]]))
-    found = tree_d.sparse_distance_matrix(tree_l, reach, output_type="ndarray")
-    i, k = dets[found["i"]], found["j"]
-    j = lm_rows[k]
+
+    def tree(phi, r):
+        return cKDTree(np.column_stack([range_weight * np.cos(phi), range_weight * np.sin(phi), r]))
+
+    found = tree(phi_d[dets], r_d[dets]).sparse_distance_matrix(
+        tree(phi_l[lms], r_l[lms]), radius * (1.0 + _REACH_SLACK), output_type="ndarray"
+    )
+    i, j = dets[found["i"]], lms[found["j"]]
     dist = _polar_distance(phi_d[i], r_d[i], phi_l[j], r_l[j], range_weight)
-    wrapped = np.abs(phi_d[i] - phi_l[j]) > np.pi
-    keep = (dist < radius) & (wrapped == (k >= len(lms)))
+    keep = dist < radius
     return i[keep], j[keep], dist[keep]
 
 

@@ -31,7 +31,8 @@ one row per state in each array:
   (a block of 1 to 6 detections has fewer rows). Every raw rate is linear
   in the IMU-frame velocity and the gyro bias, whatever its sensor, so the
   factor needs no extrinsic or gyro rate;
-* ``heading``: the state's ``HeadingSummary`` as a row of four;
+* ``heading``: the state's ``compress_landmarks`` row ``[count, yaw_ref,
+  mean, spread]``;
 * ``edges``: the IMU edges, edge i from state i to state i + 1.
 
 ``SlidingWindow.append`` compresses a new state's raw blocks once. A state
@@ -60,7 +61,6 @@ import numpy as np
 from ..config import RunConfig
 from ..geometry import matvec
 from .factors import (
-    HeadingSummary,
     PriorFactor,
     compress_doppler,
     compress_landmarks,
@@ -215,8 +215,7 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig, imu=None) ->
     if window.doppler.any():
         single.append((doppler_block_residual(states, window.doppler), cfg.doppler.sigma))
     if window.heading[:, 0].any():
-        summary = HeadingSummary(*window.heading.T)
-        single.append((heading_block_residual(states, summary), cfg.landmark.bearing_sigma))
+        single.append((heading_block_residual(states, window.heading), cfg.landmark.bearing_sigma))
     for (r, J), sigma in single:
         r, J = r / sigma, J / sigma
         cost += float(np.sum(r**2))
@@ -320,14 +319,9 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
     return OptimizeReport(iterations, costs[0], lin.cost, reason, costs, linearizations, lin)
 
 
-@dataclass
-class MarginalizationInfo:
-    regularized: bool
-
-
 def marginalize_oldest(
     window: SlidingWindow, linearization: Linearization, cfg: RunConfig
-) -> MarginalizationInfo:
+) -> PriorFactor:
     """Absorb the oldest state into a Gaussian prior on its successor.
 
     ``linearization`` is the window's, taken at its current states: the
@@ -339,8 +333,10 @@ def marginalize_oldest(
     block over these is the new prior; no factor is evaluated again.
     Singular information is regularized with the configured epsilon and
     flagged. Row 0 of each of the window's arrays is dropped, with the
-    first edge. Raises ``ValueError`` when the linearization was taken at
-    other states than the window's first two.
+    first edge. Returns the new prior, which is also the window's; its
+    ``regularized`` flag is set when either the oldest state's block or the
+    new prior's information needed the epsilon. Raises ``ValueError`` when
+    the linearization was taken at other states than the window's first two.
     """
     if len(window) < 2:
         raise ValueError("marginalization needs at least two states")
@@ -367,11 +363,13 @@ def marginalize_oldest(
     H_new = H11 - H01.T @ X  # symmetrized by ``from_information``
     b_new = b1 - H01.T @ y
 
-    window.prior = PriorFactor.from_information(
+    prior = PriorFactor.from_information(
         window.states[1], H_new, b_new, cfg.window.marginal_epsilon
     )
+    prior.regularized |= regularized
+    window.prior = prior
     window.states = window.states[1:]
     window.doppler = window.doppler[1:]
     window.heading = window.heading[1:]
     del window.edges[0]
-    return MarginalizationInfo(regularized=regularized or window.prior.regularized)
+    return prior

@@ -3,7 +3,7 @@
 Record schemas, one JSON object per line, time-sorted:
 
 * ``{"type": "imu", "t": s, "a": [m/s^2 x3], "w": [rad/s x3]}``
-* ``{"type": "radar", "t": s, "sensor": id,
+* ``{"type": "radar", "t": s, "sensor": integer id,
      "detections": [{"p": [m x3], "rr": m/s}, ...]}``
 
 Any other record type is a ``LogFormatError``.
@@ -50,8 +50,9 @@ def _vectors(rows: list) -> np.ndarray:
     return array.reshape(len(rows), 3)
 
 
-def _floats(x) -> list[float]:
-    return [float(v) for v in np.asarray(x).reshape(-1)]
+def _rows(x) -> list:
+    """``x`` as nested lists of Python floats, one entry per row."""
+    return np.asarray(x, dtype=float).tolist()
 
 
 def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = None) -> None:
@@ -62,16 +63,15 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
     """
     records: list[tuple[float, int, str]] = []
     if imu is not None:
-        for i in range(len(imu)):
-            rec = {"type": "imu", "t": float(imu.t[i]), "a": _floats(imu.accel[i]), "w": _floats(imu.gyro[i])}
-            records.append((rec["t"], 0, json.dumps(rec)))
+        for t, a, w in zip(_rows(imu.t), _rows(imu.accel), _rows(imu.gyro)):
+            records.append((t, 0, json.dumps({"type": "imu", "t": t, "a": a, "w": w})))
     for scan in scans or []:
         rec = {
             "type": "radar",
             "t": float(scan.t),
             "sensor": int(scan.sensor_id),
             "detections": [
-                {"p": _floats(scan.points[i]), "rr": float(scan.doppler[i])} for i in range(len(scan))
+                {"p": p, "rr": rr} for p, rr in zip(_rows(scan.points), _rows(scan.doppler))
             ],
         }
         records.append((rec["t"], 1, json.dumps(rec)))
@@ -107,9 +107,10 @@ def read_log(path) -> SensorLog:
                     doppler = np.array([d["rr"] for d in dets], dtype=float)
                     if doppler.shape != (len(dets),):
                         raise ValueError("each range rate must be one number")
-                    scans.append(
-                        RadarScan(float(rec["t"]), int(rec["sensor"]), points, doppler)
-                    )
+                    sensor = rec["sensor"]
+                    if isinstance(sensor, bool) or not isinstance(sensor, int):
+                        raise ValueError(f"sensor must be an integer, got {sensor!r}")
+                    scans.append(RadarScan(float(rec["t"]), sensor, points, doppler))
                 else:
                     raise LogFormatError(path, line_no, f"unknown record type {kind!r}")
             except LogFormatError:

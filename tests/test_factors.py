@@ -11,7 +11,6 @@ from oracles import doppler_residuals, landmark_residuals
 from radarloc.config import ImuParams, PriorParams
 from radarloc.geometry import quat_from_axis_angle, quat_mul, quat_to_matrix, quat_yaw
 from radarloc.rio.factors import (
-    HeadingSummary,
     PriorFactor,
     compress_doppler,
     compress_landmarks,
@@ -251,7 +250,7 @@ class TestLandmarkFactor:
             offsets = rng.uniform(-30.0, 30.0, size=(7, 3))
             phis = np.arctan2(offsets[:, 1], offsets[:, 0]) - yaw + 0.01 * rng.normal(size=7)
             summaries.append(compress_landmarks(phis, offsets))
-        summary = HeadingSummary(*(np.array(f) for f in zip(*summaries)))
+        summary = np.stack(summaries)
         r, J = heading_block_residual(x, summary)
         assert r.shape == (n, 2) and J.shape == (n, 2, STATE_DIM)
         J_num = numeric_state_jacobian(

@@ -9,7 +9,13 @@ from scipy.optimize import linear_sum_assignment
 from oracles import DegenerateBearingError, polar_distance, polar_distance_matrix
 from radarloc.config import LandmarkParams, RunConfig
 from radarloc.rio import run_odometry
-from radarloc.rio.landmarks import MATCH_DTYPE, LandmarkTracker, associate
+from radarloc.rio.landmarks import (
+    MATCH_DTYPE,
+    LandmarkTracker,
+    _candidate_pairs,
+    _polar,
+    associate,
+)
 from test_rio_pipeline import _fault_log
 
 
@@ -259,12 +265,42 @@ class TestCandidateEdges:
         assert_array_equal(result[1], [0])
 
     def test_every_pair_a_candidate(self):
-        # 2 gate = 200 reaches every pair, also through the seam copies
+        # 2 gate = 200 reaches every pair, those across the bearing seam too
         dets, lms = wall_scene(np.random.default_rng(5), 8.0, 10, 10, 40, 10)
         result = associate(dets, lms, 5.0, 100.0)
         n_ok_det, n_ok_lm = len(dets) - 1, len(lms) - 1  # one z-axis point in each
         assert result.pairs == n_ok_det * n_ok_lm
         assert_matches_reference(dets, lms, 5.0, 100.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("range_weight", [1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("gate", [0.5, 100.0])
+    def test_candidates_are_the_pairs_below_twice_the_gate(self, seed, range_weight, gate):
+        # bearings within 0.2 rad of +-pi on both sides, and exactly 0, pi
+        # and -pi (atan2(-0.0, -x)), beside points with no bearing
+        rng = np.random.default_rng(seed)
+        near_seam = np.pi - rng.uniform(0.0, 0.2, 120)
+        lms = np.vstack(
+            [
+                at_bearings(near_seam * rng.choice([-1.0, 1.0], 120), rng.uniform(5.0, 30.0, 120)),
+                [[10.0, 0.0, 0.0], [-12.0, 0.0, 0.5], [-12.0, -0.0, -0.5], [0.0, 0.0, 3.0]],
+            ]
+        )
+        seen = rng.choice(len(lms) - 1, 80, replace=False)
+        dets = np.vstack(
+            [
+                lms[seen] + rng.normal(scale=0.2, size=(80, 3)),
+                at_bearings(rng.uniform(-np.pi, np.pi, 20), rng.uniform(5.0, 30.0, 20)),
+                [[10.3, 0.0, 0.0], [-11.8, 0.0, 0.0], [-11.8, -0.0, 0.0], [1.0, np.nan, 0.0]],
+            ]
+        )
+        i, j, dist = _candidate_pairs(_polar(dets), _polar(lms), range_weight, 2.0 * gate)
+        cost = polar_distance_matrix(dets, lms, range_weight)
+        expected = np.argwhere(cost < 2.0 * gate)
+        assert 0 < len(expected) < cost.size
+        order = np.lexsort((j, i))
+        assert_array_equal(np.column_stack([i, j])[order], expected)  # each pair once
+        assert_allclose(dist[order], cost[cost < 2.0 * gate], rtol=0, atol=1e-12)
 
     def test_empty_inputs(self):
         lms = at_bearings([0.0, 1.0], [10.0, 10.0])

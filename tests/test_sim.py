@@ -213,6 +213,11 @@ class TestLogIo:
             radar % '{"p":[1,2,3,4],"rr":0.1}',
             radar % '{"p":[[1,2,3]],"rr":0.1}',
             radar % '{"p":[1,2,3],"rr":[0.1,0.2]}',
+            # a sensor id is a JSON integer
+            *(
+                '{"type":"radar","t":0.1,"sensor":%s,"detections":[]}' % sensor
+                for sensor in ("1.7", "true", '"1"', "1.0")
+            ),
         ]
         for i, bad in enumerate(bad_lines):
             path = tmp_path / f"bad{i}.jsonl"
@@ -220,6 +225,19 @@ class TestLogIo:
             with pytest.raises(sim.LogFormatError) as err:
                 sim.read_log(path)
             assert err.value.line_no == 2, bad
+
+    def test_written_text(self, tmp_path):
+        # the format, byte for byte: IMU before radar at the same time
+        imu = sim.ImuData(np.array([0.05]), np.array([[0.0, -0.25, 9.81]]), np.array([[0.1, 0, 2]]))
+        points = np.array([[1.5, -2.0, 0.125], [3.0, 4.0, 0.0]])
+        scan = sim.RadarScan(0.05, 2, points, np.array([-0.5, 1.0]))
+        path = tmp_path / "log.jsonl"
+        sim.write_log(path, imu=imu, scans=[scan])
+        assert path.read_text() == (
+            '{"type": "imu", "t": 0.05, "a": [0.0, -0.25, 9.81], "w": [0.1, 0.0, 2.0]}\n'
+            '{"type": "radar", "t": 0.05, "sensor": 2, "detections": '
+            '[{"p": [1.5, -2.0, 0.125], "rr": -0.5}, {"p": [3.0, 4.0, 0.0], "rr": 1.0}]}\n'
+        )
 
     def test_scan_grouping(self):
         scans = [

@@ -376,9 +376,8 @@ class TestCompressedFactors:
         b_oracle = b[new] - H01.T @ np.linalg.solve(H[old, old], b[old])
         x1 = window.states[1]
 
-        info = marginalize_oldest(window, _linearize(window, cfg), cfg)
-        prior = window.prior
-        assert not info.regularized
+        prior = marginalize_oldest(window, _linearize(window, cfg), cfg)
+        assert prior is window.prior and not prior.regularized
         assert _rel(prior.sqrt_info.T @ prior.sqrt_info, H_oracle) < 1e-9
         assert _rel(prior.sqrt_info.T @ prior.rhs, b_oracle) < 1e-9
         np.testing.assert_array_equal(prior.mean.q, x1.q)
