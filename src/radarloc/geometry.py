@@ -14,7 +14,9 @@ Conventions, fixed here once for the whole project:
 * Angles are always wrapped to ``(-pi, pi]``.
 * The quaternion and SO(3) helpers also take stacks along a leading axis:
   (n, 4) quaternions and (n, 3) vectors give (n, 4), (n, 3) and (n, 3, 3)
-  results, so the window evaluates all its factors of one kind at once.
+  results, so the window evaluates all its factors of one kind at once and
+  preintegration maps all its IMU intervals at once. One input and a stack
+  go through the same code.
 """
 
 from __future__ import annotations
@@ -70,14 +72,8 @@ def quat_identity() -> np.ndarray:
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit quaternion(s); a near-zero input maps to the identity."""
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:  # one quaternion: no masks
-        n = np.linalg.norm(q)
-        if n < _SMALL_ANGLE:
-            return quat_identity()
-        return q / n
     n = np.linalg.norm(q, axis=-1, keepdims=True)
-    tiny = n < _SMALL_ANGLE
-    return np.where(tiny, quat_identity(), q / np.where(tiny, 1.0, n))
+    return np.where(n < _SMALL_ANGLE, quat_identity(), q / np.maximum(n, _SMALL_ANGLE))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -143,32 +139,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to canonical unit quaternion (Shepperd's method)."""
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    return quat_canonical(quat_normalize(q))
-
-
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -177,19 +147,16 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
-    """Map rotation vector(s) to unit quaternion(s)."""
+    """Map rotation vector(s) to unit quaternion(s).
+
+    ``[cos(angle/2), sin(angle/2)/angle * rotvec]`` with the vector part
+    written as ``0.5 * sinc(angle/2pi) * rotvec``, exact at angle 0.
+    """
     rotvec = np.asarray(rotvec, dtype=float)
-    if rotvec.ndim == 1:  # one vector: no masks
-        angle = np.linalg.norm(rotvec)
-        if angle < _SMALL_ANGLE:
-            return quat_normalize(np.concatenate([[1.0], 0.5 * rotvec]))
-        return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rotvec / angle])
     angle = np.linalg.norm(rotvec, axis=-1, keepdims=True)
-    small = angle < _SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    q = np.concatenate([np.cos(0.5 * angle), np.sin(0.5 * angle) * rotvec / safe], axis=-1)
-    first_order = quat_normalize(np.concatenate([np.ones_like(angle), 0.5 * rotvec], axis=-1))
-    return np.where(small, first_order, q)
+    return np.concatenate(
+        [np.cos(0.5 * angle), 0.5 * np.sinc(angle / (2.0 * np.pi)) * rotvec], axis=-1
+    )
 
 
 def quat_yaw(q: np.ndarray) -> float:
@@ -227,26 +194,9 @@ def retract(q: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exp_so3(rotvec: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula; stable for small angles."""
-    angle = np.linalg.norm(rotvec)
-    if angle < _SMALL_ANGLE:
-        return np.eye(3) + skew(rotvec)
-    axis = rotvec / angle
-    K = skew(axis)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
 def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
     """Right Jacobian Jr with Exp(phi + Jr(phi) @ d) ~ Exp(phi) Exp(d)."""
     rotvec = np.asarray(rotvec, dtype=float)
-    if rotvec.ndim == 1:  # one vector, as in the per-sample preintegration loop: no masks
-        angle = np.linalg.norm(rotvec)
-        if angle < 1e-7:
-            return np.eye(3) - 0.5 * skew(rotvec)
-        K = skew(rotvec / angle)
-        s, c = np.sin(angle), np.cos(angle)
-        return np.eye(3) - ((1.0 - c) / angle) * K + ((angle - s) / angle) * (K @ K)
     angle = np.linalg.norm(rotvec, axis=-1)[..., None, None]
     small = angle < 1e-7
     S = skew(rotvec)

@@ -9,19 +9,25 @@ an ``ImuData``: the samples inside the interval as they are, and its two
 endpoints interpolated linearly between their neighbours. Each segment is
 compounded once; ``PreintegratedImu.corrected`` carries every later bias
 change to first order (Forster et al., T-RO 2017).
+
+Rotation is compounded as a quaternion product over the segment's
+intervals. Each interval's maps (its rotation, the right Jacobian and the
+rotation matrix at its midpoint) come from one stacked call per kind, so
+the per-sample loop holds only the covariance and bias-Jacobian recursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ..geometry import (
-    exp_so3,
     matvec,
+    quat_canonical,
     quat_exp,
-    quat_from_matrix,
+    quat_identity,
     quat_mul,
     quat_normalize,
     quat_to_matrix,
@@ -137,55 +143,54 @@ def preintegrate(
     bg0: np.ndarray,
     params: ImuParams,
 ) -> PreintegratedImu:
-    """Midpoint-rule compounding of an IMU segment at fixed biases."""
+    """Midpoint-rule compounding of an IMU segment at fixed biases.
+
+    The rotations over each interval and over its first half are stacked
+    quaternions; the running product of the first gives every midpoint
+    rotation and, at its end, ``delta_q``. Each interval's error-state
+    transition ``F`` carries both the noise covariance and ``jac``, the
+    first-order sensitivity of ``[rotation, velocity]`` to ``[ba, bg]``,
+    which the interval's bias input ``B`` adds to.
+    """
     if len(segment) < 2:
         raise ValueError("need at least two measurements (one interval)")
     ba0 = np.asarray(ba0, dtype=float).copy()
     bg0 = np.asarray(bg0, dtype=float).copy()
-    intervals = np.diff(segment.t)
-    w_mids = 0.5 * (segment.gyro[:-1] + segment.gyro[1:]) - bg0
+    dt = np.diff(segment.t)
+    dt3 = dt[:, None, None]
     a_mids = 0.5 * (segment.accel[:-1] + segment.accel[1:]) - ba0
+    steps = (0.5 * (segment.gyro[:-1] + segment.gyro[1:]) - bg0) * dt[:, None]
 
-    dR = np.eye(3)
-    dv = np.zeros(3)
-    j_rot_bg = np.zeros((3, 3))
-    j_vel_ba = np.zeros((3, 3))
-    j_vel_bg = np.zeros((3, 3))
+    q_steps = quat_exp(steps)
+    q_starts = np.array(list(accumulate(q_steps, quat_mul, initial=quat_identity())))
+    dR_mids = quat_to_matrix(quat_mul(q_starts[:-1], quat_exp(0.5 * steps)))
+    Jr = right_jacobian_so3(steps)
+
+    F = np.tile(np.eye(6), (len(dt), 1, 1))
+    F[:, :3, :3] = quat_to_matrix(q_steps).swapaxes(-1, -2)
+    F[:, 3:, :3] = -dR_mids @ skew(a_mids) * dt3
+    B = np.zeros_like(F)
+    B[:, :3, 3:] = -Jr * dt3
+    B[:, 3:, :3] = -dR_mids * dt3
+    Q = np.zeros_like(F)
+    Q[:, :3, :3] = Jr @ Jr.swapaxes(-1, -2) * params.gyro_noise_density**2 * dt3
+    Q[:, 3:, 3:] = params.accel_noise_density**2 * dt3 * np.eye(3)  # isotropic white noise
+
+    jac = np.zeros((6, 6))
     cov = np.zeros((6, 6))
-    var_g = params.gyro_noise_density**2
-    var_a = params.accel_noise_density**2
-
-    for dt, w_mid, a_mid in zip(intervals, w_mids, a_mids):
-        step = w_mid * dt
-        R_step = exp_so3(step)
-        Jr = right_jacobian_so3(step)
-        dR_mid = dR @ exp_so3(0.5 * step)
-
-        # noise/bias sensitivities use the pre-update rotation state
-        j_vel_ba -= dR_mid * dt
-        j_vel_bg -= dR_mid @ skew(a_mid) @ j_rot_bg * dt
-        j_rot_bg = R_step.T @ j_rot_bg - Jr * dt
-
-        F = np.eye(6)
-        F[0:3, 0:3] = R_step.T
-        F[3:6, 0:3] = -dR_mid @ skew(a_mid) * dt
-        Q = np.zeros((6, 6))
-        Q[0:3, 0:3] = (Jr @ Jr.T) * var_g * dt
-        Q[3:6, 3:6] = (dR_mid @ dR_mid.T) * var_a * dt
-        cov = F @ cov @ F.T + Q
-
-        dv = dv + dR_mid @ a_mid * dt
-        dR = dR @ R_step
+    for F_k, B_k, Q_k in zip(F, B, Q):
+        jac = F_k @ jac + B_k
+        cov = F_k @ cov @ F_k.T + Q_k
 
     return PreintegratedImu(
         dt=float(segment.t[-1] - segment.t[0]),
-        delta_q=quat_from_matrix(dR),
-        delta_v=dv,
+        delta_q=quat_canonical(quat_normalize(q_starts[-1])),
+        delta_v=np.sum(matvec(dR_mids, a_mids) * dt[:, None], axis=0),
         ba0=ba0,
         bg0=bg0,
-        j_rot_bg=j_rot_bg,
-        j_vel_ba=j_vel_ba,
-        j_vel_bg=j_vel_bg,
+        j_rot_bg=jac[:3, 3:],
+        j_vel_ba=jac[3:, :3],
+        j_vel_bg=jac[3:, 3:],
         cov_rot_vel=cov,
         samples=segment,
         params=params,

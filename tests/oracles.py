@@ -6,15 +6,25 @@ used only by the tests: ``polar_distance`` is the oracle of
 assignment that ``associate`` must equal, ``doppler_residuals`` (one row
 per detection, in each sensor's own frame) the oracle of the pooled and
 compressed ``doppler_block_residual``, ``landmark_residuals`` (one row per
-match) the oracle of ``compress_landmarks`` and ``heading_block_residual``,
-and ``log_so3`` the inverse of ``exp_so3``.
+match) the oracle of ``compress_landmarks`` and ``heading_block_residual``.
+The rotation references are ``exp_so3`` (Rodrigues' formula), the oracle of
+``quat_exp`` and of the fine-step integrator the preintegration tests
+compare with, ``log_so3`` its inverse, and ``quat_from_matrix`` (Shepperd's
+method), the inverse of ``quat_to_matrix``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from radarloc.geometry import _SMALL_ANGLE, quat_to_matrix, wrap_angle
+from radarloc.geometry import (
+    _SMALL_ANGLE,
+    quat_canonical,
+    quat_normalize,
+    quat_to_matrix,
+    skew,
+    wrap_angle,
+)
 from radarloc.rio.factors import yaw_and_jacobian
 from radarloc.rio.state import BG, STATE_DIM, THETA, VEL, State
 
@@ -146,3 +156,39 @@ def log_so3(R: np.ndarray) -> np.ndarray:
     return (angle / (2.0 * np.sin(angle))) * np.array(
         [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
     )
+
+
+def exp_so3(rotvec: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula; stable for small angles."""
+    angle = np.linalg.norm(rotvec)
+    if angle < _SMALL_ANGLE:
+        return np.eye(3) + skew(rotvec)
+    axis = rotvec / angle
+    K = skew(axis)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def quat_from_matrix(R: np.ndarray) -> np.ndarray:
+    """Rotation matrix to canonical unit quaternion (Shepperd's method)."""
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] > R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    return quat_canonical(quat_normalize(q))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import DegenerateBearingError, bearing, log_so3
+from oracles import DegenerateBearingError, bearing, exp_so3, log_so3, quat_from_matrix
 from radarloc import geometry as geo
 
 
@@ -72,7 +72,7 @@ def test_quat_matrix_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(200):
         q = geo.quat_canonical(geo.quat_normalize(rng.normal(size=4)))
-        q_back = geo.quat_from_matrix(geo.quat_to_matrix(q))
+        q_back = quat_from_matrix(geo.quat_to_matrix(q))
         assert min(np.linalg.norm(q - q_back), np.linalg.norm(q + q_back)) < 1e-9
 
 
@@ -99,16 +99,23 @@ def test_exp_log_so3_round_trip():
     for _ in range(100):
         rotvec = rng.normal(size=3)
         rotvec *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(rotvec), 1e-12)
-        np.testing.assert_allclose(log_so3(geo.exp_so3(rotvec)), rotvec, atol=1e-8)
+        np.testing.assert_allclose(log_so3(exp_so3(rotvec)), rotvec, atol=1e-8)
 
 
 def test_quat_exp_matches_exp_so3():
+    # random vectors, then axes at the angles one formula must get right:
+    # zero, tiny angles around the old small-angle threshold of 1e-10, and up
+    # to pi; each vector alone and the whole stack
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        rotvec = 0.5 * rng.normal(size=3)
-        np.testing.assert_allclose(
-            geo.quat_to_matrix(geo.quat_exp(rotvec)), geo.exp_so3(rotvec), atol=1e-12
-        )
+    random = 0.5 * rng.normal(size=(50, 3))
+    angles = np.array([0.0, 1e-12, 1e-10, 1e-7, 1.0, np.pi - 1e-9, np.pi, 3.0])
+    axes = rng.normal(size=(len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    rotvecs = np.vstack([random, angles[:, None] * axes])
+    for rotvec, q_stacked in zip(rotvecs, geo.quat_exp(rotvecs)):
+        for q in (geo.quat_exp(rotvec), q_stacked):
+            np.testing.assert_allclose(geo.quat_to_matrix(q), exp_so3(rotvec), rtol=0.0, atol=1e-12)
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
 
 
 def test_retract_local_error_inverse():
@@ -139,7 +146,8 @@ def test_retract_local_error_inverse():
 )
 def test_helpers_broadcast_over_a_leading_axis(name):
     # a stack gives, row for row, what one input gives; the rotation vectors
-    # include zero and sub-threshold angles, which take the first-order forms
+    # include zero and tiny angles. One input and a stack share one code
+    # path, so the values are pinned by test_quat_exp_matches_exp_so3
     rng = np.random.default_rng(5)
     if name in ("skew", "quat_exp", "right_jacobian_so3"):
         stack = rng.normal(size=(6, 3))

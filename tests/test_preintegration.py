@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_imu_segment
-from oracles import log_so3
+from oracles import exp_so3, log_so3
 from radarloc.config import ImuParams
-from radarloc.geometry import exp_so3, quat_to_matrix
+from radarloc.geometry import quat_to_matrix
 from radarloc.rio.factors import imu_sqrt_information
 from radarloc.rio.preintegration import imu_segment, predict_state, preintegrate
 from radarloc.rio.state import State

@@ -283,6 +283,47 @@ class TestAdaptiveRansac:
         assert np.mean(draws) <= 10
 
 
+class TestRansacRates:
+    def test_rates_are_bias_corrected_at_the_predicted_gyro_bias(self, monkeypatch):
+        # RANSAC sees each pooled range rate with the lever-arm term of the
+        # predicted gyro bias taken out: rates - levers @ bg, where bg is the
+        # newest window state's (zero before the first step)
+        import radarloc.rio.estimator as estimator
+
+        scenario, data = _mission(
+            {"kind": "line", "speed": 1.0, "yaw": 0.0},
+            1.5,
+            _box_scene(clutter=1.0),
+            seed=4,
+            imu_noise={"gyro_bias_init": [0.0, 0.0, 0.05]},
+        )
+        biases, pooled, rates = [], [], []
+        process_scans, pool_scans = RioEstimator.process_scans, estimator.pool_scans
+        estimate_velocity = estimator.estimate_velocity
+
+        def recording_step(est, t, scans):
+            biases.append(np.zeros(3) if est.window is None else est.window.states[-1].bg.copy())
+            return process_scans(est, t, scans)
+
+        def recording_pool(*args, **kwargs):
+            pooled.append(pool_scans(*args, **kwargs))
+            return pooled[-1]
+
+        def recording_estimate(directions, step_rates, *args, **kwargs):
+            rates.append(step_rates.copy())
+            return estimate_velocity(directions, step_rates, *args, **kwargs)
+
+        monkeypatch.setattr(RioEstimator, "process_scans", recording_step)
+        monkeypatch.setattr(estimator, "pool_scans", recording_pool)
+        monkeypatch.setattr(estimator, "estimate_velocity", recording_estimate)
+        outputs = run_odometry(_log(data), RunConfig(), extrinsics=scenario.rig.extrinsics)
+        assert len(outputs) == len(biases) == len(pooled) == len(rates) > 2
+        for bg, rows, seen in zip(biases, pooled, rates):
+            np.testing.assert_allclose(seen, rows.rates - rows.levers @ bg, rtol=0.0, atol=1e-12)
+        # the bias term is far above the tolerance: the check is not vacuous
+        assert max(np.abs(rows.levers @ bg).max() for bg, rows in zip(biases, pooled)) > 1e-3
+
+
 class TestOnePreintegrationPerStep:
     def test_each_step_preintegrates_once(self, monkeypatch):
         # every bias change reaches an IMU edge through the first-order
