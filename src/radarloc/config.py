@@ -39,8 +39,8 @@ class DopplerFactorParams:
 @dataclass
 class LandmarkParams:
     range_weight: float = 5.0  # m/rad weighting of bearing vs range distance
-    # association acceptance on the polar distance; the assignment clips the
-    # distance at 2 * gate, so near misses below that still use up a landmark
+    # association acceptance on the polar distance; in the assignment a pair
+    # at or beyond it costs 2 * gate, as leaving the detection unmatched does
     gate: float = 0.5
     n_obs_min: int = 5  # matches required before a landmark constrains heading
     max_err_max: float = 0.3  # worst historical association distance allowed

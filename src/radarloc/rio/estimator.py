@@ -72,10 +72,11 @@ class StepDiagnostics:
     inliers: int = 0
     heading_matches: int = 0  # matched bearings behind this step's heading factor
     # tracker after its update: landmarks kept, candidate (inlier, landmark)
-    # pairs within twice the gate, and inliers matched to one or turned into
-    # a new one; all 0 when the tracker does not run
+    # pairs within the gate, matcher calls, and inliers matched to one or
+    # turned into a new one; all 0 when the tracker does not run
     tracked_landmarks: int = 0
     association_pairs: int = 0
+    association_solves: int = 0
     matched_landmarks: int = 0
     created_landmarks: int = 0
     # longest interval between the buffer samples the step's IMU segment is
@@ -186,6 +187,7 @@ class RioEstimator:
         active = self.tracker.update(detections, t, quat_to_matrix(x_pred.q), t_oi_prov)
         diag.tracked_landmarks = len(self.tracker.landmarks)
         diag.association_pairs = self.tracker.pairs
+        diag.association_solves = self.tracker.solves
         diag.matched_landmarks = self.tracker.matched
         diag.created_landmarks = self.tracker.created
         if len(active) == 0:

@@ -14,24 +14,33 @@ Retiring drops rows and keeps the order of the rest; new landmarks are
 appended. ``update`` hands the estimator (detection index, row) pairs that
 index the arrays as they stand after it.
 
-``associate`` solves the optimal assignment of the cost clipped at twice
-the gate, ``min(distance, 2 gate)``, and gates it only afterwards. The
-clipped problem is sparse: only pairs within ``2 gate`` can lower its total.
-They are found with a k-d tree over the points placed on a cylinder,
-``(L cos phi, L sin phi, r)`` with ``L`` the range weight: the chord
-``2 L sin(|dphi| / 2)`` between two bearings is never longer than the
-wrapped arc ``L wrap(dphi)``, so every pair within ``2 gate`` in polar
-distance is within it there too, and is found once, with no seam at +-pi.
-They are matched with
-``min_weight_full_bipartite_matching``, one dummy landmark per detection
-standing for every pair at the clip. The radius is twice the gate, not the
-gate, so that a near miss below it still uses up its landmark: along evenly
-spaced wall points (0.8 m apart against a 0.5 m gate) a detection that
-missed its landmark then does not take the neighbour's. Measured on the
-benchmark drives (seed 1), the yaw RMSE reads 0.0244 deg on
-``suburban_street`` and 0.0272 deg on ``yard_circle`` with this radius,
-0.0252 and 0.0270 deg with a radius and dummy cost equal to the gate, and
-0.0261 and 0.0332 deg under the unclipped dense optimum.
+``associate`` solves the optimal one-to-one assignment in which a pair
+costs its polar distance below the gate and ``2 gate`` otherwise, the same
+as leaving the detection unmatched. Only pairs below the gate can lower the
+total, so they are the only candidates. They are found with a k-d tree over
+the points placed on a cylinder, ``(L cos phi, L sin phi, r)`` with ``L``
+the range weight: the chord ``2 L sin(|dphi| / 2)`` between two bearings is
+never longer than the wrapped arc ``L wrap(dphi)``, so every pair below the
+gate in polar distance is within it there too, and is found once, with no
+seam at +-pi. The candidate graph falls apart into many small connected
+components (a median of 233 on the ``suburban_street`` steps of seed 1, of
+about 1,880 detections, the largest of a median 660 nodes), and each is an
+assignment problem of its own. They are solved with
+``min_weight_full_bipartite_matching``, one dummy landmark per detection at
+cost ``2 gate``, in bundles of consecutive components of about
+``_BUNDLE_ROWS`` detections: a call's cost grows with its rows times its
+columns, so one call over the whole step would pay for every pair of
+components, and one call per component would pay the call's fixed cost
+hundreds of times.
+
+The dummy cost is ``2 gate``, not the gate, so that every match saves more
+than a gate over leaving its detection unmatched, and the optimum seldom
+gives a match up for shorter distances elsewhere. Measured on the benchmark
+drives (seed 1), the yaw RMSE reads 0.0241 deg on ``suburban_street`` and
+0.0273 deg on ``yard_circle`` with this cost, 0.0252 and 0.0270 deg with a
+dummy cost equal to the gate, 0.0244 and 0.0272 deg when the pairs up to
+``2 gate`` were candidates at their distance, and 0.0261 and 0.0332 deg
+under the unclipped dense optimum.
 """
 
 from __future__ import annotations
@@ -39,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 from scipy.spatial import cKDTree
 
 from ..config import LandmarkParams
@@ -51,17 +60,27 @@ MATCH_DTYPE = np.dtype([("detection", int), ("landmark", int), ("distance", floa
 # Relative slack on the k-d tree's search radius: its distance rounds
 # differently from the polar arithmetic that then decides.
 _REACH_SLACK = 1e-9
+# Detection rows per matcher call. A ``min_weight_full_bipartite_matching``
+# call costs about 100 us plus 1 to 1.5 ns per row x column, almost whatever
+# its edges (measured on disjoint blocks, one BLAS thread, x86-64). A bundle
+# of R rows has about 2 R columns: its landmarks, about as many as its
+# detections, and one dummy per row. So n rows cost about
+# n (100 us / R + 2 c R) at c ns per cell, least at R = sqrt(50 us / c):
+# 180 to 220. A component larger than this is a bundle of its own.
+_BUNDLE_ROWS = 200
 
 
 class Association(tuple):
     """``associate``'s ``(matches, unmatched)``; ``pairs`` counts the
-    candidate pairs, within twice the gate, that it was solved over."""
+    candidate pairs, within the gate, that it was solved over, and
+    ``solves`` the matcher calls it made."""
 
     pairs: int
+    solves: int
 
-    def __new__(cls, matches: np.ndarray, unmatched: np.ndarray, pairs: int):
+    def __new__(cls, matches: np.ndarray, unmatched: np.ndarray, pairs: int, solves: int):
         self = super().__new__(cls, (matches, unmatched))
-        self.pairs = pairs
+        self.pairs, self.solves = pairs, solves
         return self
 
 
@@ -115,50 +134,95 @@ def associate(
     range_weight: float,
     gate: float,
 ) -> Association:
-    """Optimal one-to-one assignment of the clipped polar distance, then gated.
+    """Optimal one-to-one assignment of the gated polar distance.
 
-    The assignment minimises the total of ``min(distance, 2 gate)`` over
-    the detections; pairs at ``gate`` or beyond are then dropped. The
-    matching runs over the candidate pairs within ``2 gate`` plus one dummy
-    landmark per detection at cost ``2 gate``. Any pair at the clip costs
-    the same as the dummy, and a landmark left over costs nothing, so this
-    optimum keeps the same pairs below the clip as the one over the dense
-    clipped matrix. Every weight is raised by ``2 gate`` because the solver
-    drops explicit zeros; a full matching holds one edge per detection, so
-    the shift changes no optimum.
+    A pair costs its polar distance below ``gate`` and ``2 gate`` otherwise,
+    the cost of leaving the detection unmatched; the assignment minimises
+    the total over the detections. Only the candidate pairs below the gate
+    can lower it, so the matching runs over them plus one dummy landmark per
+    detection at cost ``2 gate``, and every match it keeps is below the gate.
+    A landmark left over costs nothing, so this optimum keeps the same pairs
+    as the one over the dense matrix of the same cost.
+
+    The connected components of the candidate graph are solved apart: in
+    bundles of consecutive components of about ``_BUNDLE_ROWS`` detections,
+    one ``min_weight_full_bipartite_matching`` call each. A bundle's matrix
+    is block diagonal, so its optimum is that of each component. Every weight
+    is raised by ``gate`` because the solver drops explicit zeros; a full
+    matching holds one edge per detection, so the shift changes no optimum.
 
     Returns an ``Association`` ``(matches, unmatched)``: ``matches`` is a
     ``MATCH_DTYPE`` array, one row per match in detection order, and
-    ``unmatched`` the int array of detection indices with no valid landmark.
+    ``unmatched`` the int array of detection indices with no landmark.
     """
     n_det, n_lm = len(detections), len(landmarks)
+    no_match = Association(np.zeros(0, dtype=MATCH_DTYPE), np.arange(n_det), 0, 0)
     if n_det == 0 or n_lm == 0:
-        return Association(np.zeros(0, dtype=MATCH_DTYPE), np.arange(n_det), 0)
-    radius = 2.0 * gate
+        return no_match
     polar_d, polar_l = _polar(detections), _polar(landmarks)
-    det, lm, dist = _candidate_pairs(polar_d, polar_l, range_weight, radius)
-    rows = cols = np.zeros(0, dtype=int)
-    if len(det):
-        dummies = np.arange(n_det)
-        graph = coo_array(
-            (
-                np.concatenate([dist + radius, np.full(n_det, 2.0 * radius)]),
-                (np.concatenate([det, dummies]), np.concatenate([lm, n_lm + dummies])),
-            ),
-            shape=(n_det, n_lm + n_det),
-        ).tocsr()
-        rows, cols = min_weight_full_bipartite_matching(graph)
-        real = cols < n_lm
-        rows, cols = rows[real], cols[real]
+    det, lm, dist = _candidate_pairs(polar_d, polar_l, range_weight, gate)
+    if len(det) == 0:
+        return no_match
+    # detections are nodes 0 .. n_det - 1 of the candidate graph, landmarks
+    # the nodes after them
+    n_comp, label = connected_components(
+        coo_array((np.ones(len(det)), (det, n_det + lm)), shape=(n_det + n_lm,) * 2),
+        directed=False,
+    )
+    # the detections and landmarks with a candidate, ordered by component;
+    # a bundle's components then hold consecutive rows and columns
+    rows = np.flatnonzero(np.bincount(det, minlength=n_det))
+    cols = np.flatnonzero(np.bincount(lm, minlength=n_lm))
+    rows = rows[np.argsort(label[rows], kind="stable")]
+    cols = cols[np.argsort(label[n_det + cols], kind="stable")]
+    per_comp = np.bincount(label[rows], minlength=n_comp)
+    bundle = (np.cumsum(per_comp) - per_comp) // _BUNDLE_ROWS
+    row_bundle, col_bundle = bundle[label[rows]], bundle[label[n_det + cols]]
+    ids = np.unique(row_bundle)
+    row_lo = np.searchsorted(row_bundle, ids)
+    row_hi = np.searchsorted(row_bundle, ids, side="right")
+    col_lo = np.searchsorted(col_bundle, ids)
+    col_hi = np.searchsorted(col_bundle, ids, side="right")
+
+    # one CSR over every row: its pairs by column, then its dummy; a bundle
+    # is a slice of it, with columns counted from the bundle's first
+    row_at, col_at = np.empty(n_det, dtype=int), np.empty(n_lm, dtype=int)
+    row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
+    p, q = row_at[det], col_at[lm]
+    order = np.argsort(p * len(cols) + q)
+    p, q = p[order], q[order]
+    bundle_of_row = np.repeat(np.arange(len(ids)), row_hi - row_lo)
+    local_row = np.arange(len(rows)) - row_lo[bundle_of_row]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=len(rows)) + 1)])
+    pair_slot = np.arange(len(p)) + p  # each earlier row holds one dummy more
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    weights = np.empty(indptr[-1])
+    indices[pair_slot] = q - col_lo[bundle_of_row[p]]
+    weights[pair_slot] = dist[order] + gate
+    indices[indptr[1:] - 1] = (col_hi - col_lo)[bundle_of_row] + local_row
+    weights[indptr[1:] - 1] = 3.0 * gate
+
+    matched_rows, matched_cols = [], []
+    for r0, r1, c0, c1 in zip(row_lo, row_hi, col_lo, col_hi):
+        e0, e1 = indptr[r0], indptr[r1]
+        graph = csr_array(
+            (weights[e0:e1], indices[e0:e1], indptr[r0 : r1 + 1] - e0),
+            shape=(r1 - r0, c1 - c0 + r1 - r0),
+        )
+        r, c = min_weight_full_bipartite_matching(graph)
+        real = c < c1 - c0
+        matched_rows.append(rows[r0 + r[real]])
+        matched_cols.append(cols[c0 + c[real]])
+    rows, cols = np.concatenate(matched_rows), np.concatenate(matched_cols)
+    order = np.argsort(rows)
+    rows, cols = rows[order], cols[order]
     (phi_d, r_d, _), (phi_l, r_l, _) = polar_d, polar_l
     dist = _polar_distance(phi_d[rows], r_d[rows], phi_l[cols], r_l[cols], range_weight)
-    keep = dist < gate
-    rows, cols, dist = rows[keep], cols[keep], dist[keep]
     matches = np.empty(len(rows), dtype=MATCH_DTYPE)
     matches["detection"], matches["landmark"], matches["distance"] = rows, cols, dist
     matched = np.zeros(n_det, dtype=bool)
     matched[rows] = True
-    return Association(matches, np.flatnonzero(~matched), len(det))
+    return Association(matches, np.flatnonzero(~matched), len(det), len(ids))
 
 
 @dataclass
@@ -170,9 +234,11 @@ class LandmarkTracker:
     n_obs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     max_err: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t_last: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # counts of the latest update: candidate pairs within twice the gate,
-    # detections matched to a landmark, and detections that became a new one
+    # counts of the latest update: candidate pairs within the gate, matcher
+    # calls, detections matched to a landmark, and detections that became a
+    # new one
     pairs: int = 0
+    solves: int = 0
     matched: int = 0
     created: int = 0
 
@@ -216,5 +282,6 @@ class LandmarkTracker:
         self.n_obs = np.concatenate([self.n_obs[keep], np.zeros(n_new, dtype=int)])
         self.max_err = np.concatenate([self.max_err[keep], np.zeros(n_new)])
         self.t_last = np.concatenate([self.t_last[keep], np.full(n_new, now)])
-        self.pairs, self.matched, self.created = association.pairs, len(matches), n_new
+        self.pairs, self.solves = association.pairs, association.solves
+        self.matched, self.created = len(matches), n_new
         return active

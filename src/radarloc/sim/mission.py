@@ -91,8 +91,9 @@ def suburban_loop_scenario(
 ) -> dict:
     """Built-in default scenario: a residential block traversed ``laps`` times.
 
-    The street loop is an 80 m x 45 m rounded rectangle (roughly 250 m per
-    lap) lined with house fronts, fences, and posts on both sides.
+    The street loop is an 80 m x 45 m rounded rectangle (about 239 m per
+    lap along its waypoints) lined with house fronts, fences, and posts on
+    both sides.
     """
     half_x, half_y, corner = 40.0, 22.5, 6.0
     loop = _rounded_rectangle(0.0, 0.0, half_x, half_y, corner, points_per_side=5)
@@ -156,11 +157,14 @@ def suburban_loop_scenario(
                 }
             )
 
-    perimeter = 2.0 * (2.0 * half_x + 2.0 * half_y) - 8.0 * corner + 2.0 * np.pi * corner
-    duration = laps * perimeter / speed
+    # the waypoint schedule follows the chords between the waypoints, so one
+    # lap takes its chord length over the speed; rounded down to 10 ms, the
+    # duration never passes the schedule's end
+    lap_length = np.linalg.norm(np.diff(lap_pts + lap_pts[:1], axis=0), axis=1).sum()
+    duration = np.floor(100.0 * laps * lap_length / speed) / 100.0
     scenario = {
         "trajectory": {"kind": "waypoints", "points": points, "speed": speed},
-        "duration": round(duration, 2),
+        "duration": float(duration),
         "scene": {
             "walls": walls,
             "posts": posts,

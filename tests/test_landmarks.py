@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from scipy.optimize import linear_sum_assignment
 
+import radarloc.rio.landmarks as landmarks_module
 from oracles import DegenerateBearingError, polar_distance, polar_distance_matrix
 from radarloc.config import LandmarkParams, RunConfig
 from radarloc.rio import run_odometry
@@ -28,9 +29,10 @@ def at_bearings(bearings, ranges, z=0.0):
 
 
 def reference_associate(detections, landmarks, range_weight, gate):
-    """The dense assignment of the cost clipped at ``2 gate``, gated afterwards."""
+    """The dense assignment of the distance below the gate and ``2 gate``
+    beyond it; its pairs below the gate."""
     cost = polar_distance_matrix(detections, landmarks, range_weight)
-    rows, cols = linear_sum_assignment(np.minimum(cost, 2.0 * gate))
+    rows, cols = linear_sum_assignment(np.where(cost < gate, cost, 2.0 * gate))
     return [
         (int(r), int(c), float(cost[r, c]))
         for r, c in zip(rows, cols)
@@ -49,7 +51,7 @@ def assert_matches_reference(dets, lms, range_weight, gate):
     matched = {r for r, _, _ in expected}
     assert_array_equal(unmatched, [i for i in range(len(dets)) if i not in matched])
     cost = polar_distance_matrix(dets, lms, range_weight)
-    assert result.pairs == np.count_nonzero(cost < 2.0 * gate)
+    assert result.pairs == np.count_nonzero(cost < gate)
     return matches
 
 
@@ -160,24 +162,33 @@ class TestAssociation:
         assert total == pytest.approx(best, abs=1e-12)
 
     def test_hungarian_beats_greedy_on_classic_case(self):
-        # costs [[1, 2], [2, 10]]: optimal picks the anti-diagonal
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.array([[1.0, 2.0], [2.0, 10.0]])
-        rows, cols = linear_sum_assignment(cost)
-        assert cost[rows, cols].sum() == pytest.approx(4.0)
+        # one bearing: detections at 10.0 and 10.32, landmarks at 10.1 and
+        # 9.8. The distances are [[0.1, 0.2], [0.22, 0.52]]; the last is
+        # beyond the 0.5 gate and costs 2 gate = 1.0, so the costs are
+        # [[0.1, 0.2], [0.22, 1.0]], the classic [[1, 2], [2, 10]] shape (no
+        # distance can put the 10 inside the gate: it is at most 1 + 2 + 2).
+        # Greedy takes the 0.1 and leaves detection 1 unmatched, 1.1 in all;
+        # the anti-diagonal costs 0.42.
+        dets = at_bearings([0.0, 0.0], [10.0, 10.32])
+        lms = at_bearings([0.0, 0.0], [10.1, 9.8])
+        matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
+        assert_array_equal(matches["detection"], [0, 1])
+        assert_array_equal(matches["landmark"], [1, 0])
+        assert_allclose(matches["distance"], [0.2, 0.22], rtol=0, atol=1e-12)
+        assert len(unmatched) == 0
 
     def test_dense_assignment_then_gate(self):
         # one bearing: landmarks at 10.0 and 10.85, detections at 9.4 and
-        # 10.4. The dense optimum pairs (9.4, 10.0) at 0.6 and (10.4, 10.85)
-        # at 0.45; the gate then drops the first. Gating first would leave
-        # detection 1 as the only candidate and pair it with landmark 0 at 0.4.
+        # 10.4. The pair (9.4, 10.0) at 0.6 is beyond the gate and costs
+        # 2 gate, as leaving detection 0 unmatched does, so it uses up no
+        # landmark: detection 1 takes the nearer landmark 0 at 0.4 rather
+        # than landmark 1 at 0.45.
         dets = at_bearings([0.3, 0.3], [9.4, 10.4])
         lms = at_bearings([0.3, 0.3], [10.0, 10.85])
         matches, unmatched = associate(dets, lms, 5.0, gate=0.5)
         assert_array_equal(matches["detection"], [1])
-        assert_array_equal(matches["landmark"], [1])
-        assert matches["distance"][0] == pytest.approx(0.45, abs=1e-12)
+        assert_array_equal(matches["landmark"], [0])
+        assert matches["distance"][0] == pytest.approx(0.4, abs=1e-12)
         assert_array_equal(unmatched, [0])
 
     def test_matches_reference_on_wall_scene(self):
@@ -265,7 +276,7 @@ class TestCandidateEdges:
         assert_array_equal(result[1], [0])
 
     def test_every_pair_a_candidate(self):
-        # 2 gate = 200 reaches every pair, those across the bearing seam too
+        # a gate of 100 reaches every pair, those across the bearing seam too
         dets, lms = wall_scene(np.random.default_rng(5), 8.0, 10, 10, 40, 10)
         result = associate(dets, lms, 5.0, 100.0)
         n_ok_det, n_ok_lm = len(dets) - 1, len(lms) - 1  # one z-axis point in each
@@ -309,6 +320,41 @@ class TestCandidateEdges:
             matches, unmatched = result
             assert matches.dtype == MATCH_DTYPE and len(matches) == 0 and result.pairs == 0
             assert_array_equal(unmatched, np.arange(len(dets)))
+
+
+class TestBundledSolve:
+    """The components of the candidate graph are solved in bundles."""
+
+    @pytest.mark.parametrize("bundle_rows", [1, 8])
+    def test_bundles_match_reference(self, monkeypatch, bundle_rows):
+        monkeypatch.setattr(landmarks_module, "_BUNDLE_ROWS", bundle_rows)
+        dets, lms = wall_scene(np.random.default_rng(7), 24.0, 30, 60, 260, 40)
+        assert len(assert_matches_reference(dets, lms, 5.0, 0.5)) > 200
+        # far more components than fit one bundle
+        assert associate(dets, lms, 5.0, 0.5).solves > 20
+
+    def test_no_solver_call_without_candidates(self, monkeypatch):
+        calls = []
+        solve = landmarks_module.min_weight_full_bipartite_matching
+
+        def counting(graph):
+            calls.append(graph.shape)
+            return solve(graph)
+
+        monkeypatch.setattr(landmarks_module, "min_weight_full_bipartite_matching", counting)
+        lms = at_bearings([0.0, 1.0], [10.0, 10.0])
+        no_candidate = (
+            (np.zeros((0, 3)), lms),
+            (lms, np.zeros((0, 3))),
+            (at_bearings([0.0, 1.0], [12.0, 8.0]), lms),  # all beyond the gate
+            (np.array([[0.0, 0.0, 2.0]]), lms),  # no bearing
+        )
+        for dets, lm in no_candidate:
+            result = associate(dets, lm, 5.0, 0.5)
+            assert result.solves == 0 and len(result[0]) == 0
+        assert calls == []
+        result = associate(at_bearings([0.0, 1.0], [10.1, 12.0]), lms, 5.0, 0.5)
+        assert result.solves == len(calls) == 1 and len(result[0]) == 1
 
 
 class TestTracker:

@@ -385,6 +385,8 @@ class TestWindowBounds:
             assert diag.tracked_landmarks == len(est.tracker.landmarks)
             # every match is one of the candidate pairs
             assert diag.association_pairs >= diag.matched_landmarks
+            # a step with candidate pairs calls the matcher, one without does not
+            assert (diag.association_solves > 0) == (diag.association_pairs > 0)
             tracked.append(diag.tracked_landmarks)
             pairs.append(diag.association_pairs)
             assert len(est.window) <= cfg.window.size
@@ -411,7 +413,7 @@ class TestWindowBounds:
         assert all(d.inliers > 0 for d in diagnostics)
         for d in diagnostics:
             assert d.tracked_landmarks == d.matched_landmarks == d.created_landmarks == 0
-            assert d.association_pairs == 0
+            assert d.association_pairs == d.association_solves == 0
 
     def test_single_sensor_ablation_uses_front_only(self, monkeypatch):
         import radarloc.rio.estimator as estimator

@@ -60,6 +60,15 @@ class TestTrajectory:
         with pytest.raises(TrajectorySpecError):
             sim.gen_trajectory({"kind": "warp"}, 1.0, 100.0)
 
+    @pytest.mark.parametrize("laps", [1, 2])
+    def test_default_scenario_runs_its_whole_duration(self, laps):
+        scenario = sim.Scenario.from_dict(sim.suburban_loop_scenario(laps=laps))
+        gt = sim.gen_trajectory(scenario.trajectory, scenario.duration, scenario.rig.imu_rate)
+        assert gt.t[-1] == pytest.approx(scenario.duration, abs=1.0 / scenario.rig.imu_rate)
+        # the loop closes: the drive ends within 10 ms of driving of its start
+        speed = scenario.trajectory["speed"]
+        assert np.linalg.norm(gt.position[-1] - gt.position[0]) < 0.01 * speed + 1e-9
+
 
 class TestImu:
     def test_stationary_specific_force(self):

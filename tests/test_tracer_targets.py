@@ -60,6 +60,8 @@ def test_traced_counts_match_step_records(monkeypatch):
     assert stats.count["created"] == sum(d.created_landmarks for d in records) > 0
     assert stats.count["active"] == sum(d.heading_matches for d in records) > 0
     assert stats.count["optimize_iterations"] == sum(d.optimize_iterations for d in records)
+    with_pairs = [d.association_solves for d in records if d.association_pairs > 0]
+    assert with_pairs and min(with_pairs) >= 1
     doppler_passes = sum(name == "factors.doppler" for name, *_ in tracer.spans)
     assert doppler_passes == sum(d.linearizations for d in records)
     # one range-rate block per step with a RANSAC consensus, compressed once
@@ -75,3 +77,4 @@ def test_heading_off_records_no_heading_span(monkeypatch):
     heading = {"factors.heading", "factors.compress_landmarks"}
     assert [n for n in names if n in heading or n.startswith("landmarks.")] == []
     assert names.count("factors.doppler") == sum(d.linearizations for d in records) > 0
+    assert all(d.association_solves == 0 for d in records)
