@@ -282,14 +282,9 @@ class RioEstimator:
             raise EstimatorDivergence("window optimization diverged")
         self._check_health()
         states, edges = self.window.states, self.window.edges
-        diag.accel_bias_shift = max(
-            (float(np.linalg.norm(ba - edge.ba0)) for ba, edge in zip(states.ba, edges)),
-            default=0.0,
-        )
-        diag.gyro_bias_shift = max(
-            (float(np.linalg.norm(bg - edge.bg0)) for bg, edge in zip(states.bg, edges)),
-            default=0.0,
-        )
+        if len(self.window) > 1:  # edge i was integrated at the biases state i had then
+            diag.accel_bias_shift = float(np.linalg.norm(states.ba[:-1] - edges.ba0, axis=1).max())
+            diag.gyro_bias_shift = float(np.linalg.norm(states.bg[:-1] - edges.bg0, axis=1).max())
 
         if last is not None:
             v = states.v[-2:]  # optimized

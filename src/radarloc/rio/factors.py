@@ -52,7 +52,7 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     Zero exactly when ``x_k1`` equals the propagation of ``x_k``. Rows are
     [orientation error, velocity error, gyro-bias change, accel-bias
     change], each expressed as estimate minus prediction. For n edges at
-    once, pass stacked states and ``PreintegratedImu.stack``; the residual
+    once, pass the states and the edges stacked as ``Rows``; the residual
     is then (n, 12) and each Jacobian (n, 12, 12).
     """
     dq, dv, dbg = pre.corrected(x_k.ba, x_k.bg)
@@ -105,8 +105,8 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
 def imu_sqrt_information(pre: PreintegratedImu) -> np.ndarray:
     """Whitening matrix for the IMU residual (block diagonal 12x12).
 
-    A ``PreintegratedImu.stack`` of n edges gives the (n, 12, 12) stack of
-    their matrices.
+    n edges stacked as ``Rows`` give the (n, 12, 12) stack of their
+    matrices.
     """
     dt = np.asarray(pre.dt)[..., None, None]
     floor = COVARIANCE_FLOOR

@@ -36,7 +36,7 @@ from ..geometry import (
 )
 from ..config import ImuParams
 from ..sim.imu import ImuData
-from .state import State
+from .state import Rows, State
 
 
 def lerp(t: float, t0: float, t1: float, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ def imu_segment(imu: ImuData, t0: float, t1: float) -> ImuData:
 
 
 @dataclass
-class PreintegratedImu:
+class PreintegratedImu(Rows):
     """Compounded IMU increment over one radar interval.
 
     ``delta_q``/``delta_v`` are evaluated at the linearization biases
@@ -89,10 +89,15 @@ class PreintegratedImu:
     [rotation, velocity] residual; bias rows use random-walk covariance
     over ``dt``.
 
-    ``stack`` puts the compounds of several edges along a leading axis for
-    the batched IMU factor; a stack holds no samples (``None``). ``samples``
-    and ``reintegrated`` stay only as the benchmark tracer's target.
+    Edges stack as ``Rows`` for the batched IMU factor; the rows share
+    ``params`` and a stack holds no samples (``None``). ``samples`` and
+    ``reintegrated`` stay only as the benchmark tracer's target.
     """
+
+    ROWS = (
+        "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel_ba", "j_vel_bg", "cov_rot_vel"
+    )
+    SHARED = ("params",)
 
     dt: float
     delta_q: np.ndarray
@@ -103,27 +108,8 @@ class PreintegratedImu:
     j_vel_ba: np.ndarray
     j_vel_bg: np.ndarray
     cov_rot_vel: np.ndarray
-    samples: ImuData | None
     params: ImuParams
-
-    @staticmethod
-    def stack(pres: list["PreintegratedImu"]) -> "PreintegratedImu":
-        def stacked(name):
-            return np.stack([getattr(p, name) for p in pres])
-
-        return PreintegratedImu(
-            dt=np.array([p.dt for p in pres]),
-            delta_q=stacked("delta_q"),
-            delta_v=stacked("delta_v"),
-            ba0=stacked("ba0"),
-            bg0=stacked("bg0"),
-            j_rot_bg=stacked("j_rot_bg"),
-            j_vel_ba=stacked("j_vel_ba"),
-            j_vel_bg=stacked("j_vel_bg"),
-            cov_rot_vel=stacked("cov_rot_vel"),
-            samples=None,
-            params=pres[0].params,
-        )
+    samples: ImuData | None = None
 
     def corrected(self, ba: np.ndarray, bg: np.ndarray):
         """Bias-corrected (delta_q, delta_v) plus the gyro-bias offset used."""
@@ -192,8 +178,8 @@ def preintegrate(
         j_vel_ba=jac[3:, :3],
         j_vel_bg=jac[3:, 3:],
         cov_rot_vel=cov,
-        samples=segment,
         params=params,
+        samples=segment,
     )
 
 

@@ -4,13 +4,14 @@ Error/update ordering per state: [dtheta (body frame), dv, d accel bias,
 d gyro bias]. Orientation updates are right-multiplied increments,
 ``q <- q * Exp(dtheta)``.
 
-A ``State`` may also hold several states stacked along a leading axis
-(``State.stack``); ``retract`` and the batched factors work on either.
+A ``State`` may also hold several states stacked along a leading axis, as
+``Rows``; ``retract`` and the batched factors work on either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,13 +24,41 @@ BA = slice(6, 9)
 BG = slice(9, 12)
 
 
+class Rows:
+    """Records of one dataclass stacked along a leading axis, one row each.
+
+    ``ROWS`` names the fields that hold one row per record; a single record
+    holds one row's value in each. ``SHARED`` names the fields every row
+    shares, kept from the stack; any other field takes its default.
+    ``rows[index]`` keeps the rows at ``index``, ``record[None]`` is the
+    one-row stack of a single record and ``rows.append(record)`` adds
+    ``record`` after the last row.
+    """
+
+    ROWS: ClassVar[tuple[str, ...]]
+    SHARED: ClassVar[tuple[str, ...]] = ()
+
+    def _with_rows(self, rows: dict):
+        return type(self)(**rows, **{name: getattr(self, name) for name in self.SHARED})
+
+    def __getitem__(self, index):
+        return self._with_rows({n: np.asarray(getattr(self, n))[index] for n in self.ROWS})
+
+    def append(self, record):
+        return self._with_rows(
+            {n: np.concatenate([getattr(self, n), [getattr(record, n)]]) for n in self.ROWS}
+        )
+
+
 @dataclass
-class State:
+class State(Rows):
     """Velocity, orientation (q_OI), and IMU biases at one radar timestep.
 
     A stacked state has an (n,) ``t`` and a leading axis of length n on
-    every array; index it with ``states[i]`` or ``states[index_array]``.
+    every array; see ``Rows``.
     """
+
+    ROWS = ("t", "q", "v", "ba", "bg")
 
     t: float
     q: np.ndarray
@@ -46,29 +75,6 @@ class State:
             ba=np.zeros(3),
             bg=np.zeros(3),
         )
-
-    @staticmethod
-    def stack(states: list["State"]) -> "State":
-        return State(
-            t=np.array([s.t for s in states]),
-            q=np.stack([s.q for s in states]),
-            v=np.stack([s.v for s in states]),
-            ba=np.stack([s.ba for s in states]),
-            bg=np.stack([s.bg for s in states]),
-        )
-
-    def append(self, state: "State") -> "State":
-        """This stacked state with ``state`` added after its last."""
-        return State(
-            t=np.append(self.t, state.t),
-            q=np.vstack([self.q, state.q]),
-            v=np.vstack([self.v, state.v]),
-            ba=np.vstack([self.ba, state.ba]),
-            bg=np.vstack([self.bg, state.bg]),
-        )
-
-    def __getitem__(self, index) -> "State":
-        return State(self.t[index], self.q[index], self.v[index], self.ba[index], self.bg[index])
 
     def copy(self) -> "State":
         return State(self.t, self.q.copy(), self.v.copy(), self.ba.copy(), self.bg.copy())

@@ -32,16 +32,20 @@ one row per state in each array:
   in the IMU-frame velocity and the gyro bias, whatever its sensor, so the
   factor needs no extrinsic or gyro rate;
 * ``heading``: the state's ``compress_landmarks`` row ``[count, yaw_ref,
-  mean, spread]``;
-* ``edges``: the IMU edges, edge i from state i to state i + 1.
+  mean, spread]``.
 
-``SlidingWindow.append`` compresses a new state's raw blocks once. A state
-without a range-rate or heading factor has a zero row, and a zero row adds
-nothing to the cost, the gradient or the Gauss-Newton matrix. So a pass
-evaluates each factor kind on all states at once, and skips a kind with no
-factor in the window. The IMU edges are stacked with
-``PreintegratedImu.stack`` and whitened by one ``imu_sqrt_information``
-call once per ``optimize_window`` call.
+The IMU edges are stacked alike, one row per edge, edge i from state i to
+state i + 1:
+
+* ``edges``: one stacked ``PreintegratedImu``;
+* ``whitening``: the edge's ``imu_sqrt_information``.
+
+``SlidingWindow.append`` compresses a new state's raw blocks and whitens
+its edge once; no row changes after that, and ``marginalize_oldest`` drops
+row 0 of every array. A state without a range-rate or heading factor has a
+zero row, and a zero row adds nothing to the cost, the gradient or the
+Gauss-Newton matrix. So a pass evaluates each factor kind on all states at
+once, and skips a kind with no factor in the window.
 
 The iterates are one stacked ``State``; ``retract`` updates all of them at
 once and ``optimize_window`` writes the window's states once, at the end. A
@@ -61,6 +65,7 @@ import numpy as np
 from ..config import RunConfig
 from ..geometry import matvec
 from .factors import (
+    IMU_RESIDUAL_DIM,
     PriorFactor,
     compress_doppler,
     compress_landmarks,
@@ -84,7 +89,10 @@ class SlidingWindow:
     states: State | None = None  # stacked; None while empty
     doppler: np.ndarray = field(default_factory=lambda: np.zeros((0, 7, 7)))
     heading: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
-    edges: list[PreintegratedImu] = field(default_factory=list)
+    edges: PreintegratedImu | None = None  # stacked; None before the first edge
+    whitening: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
+    )
 
     def __len__(self) -> int:
         return len(self.doppler)
@@ -96,7 +104,7 @@ class SlidingWindow:
         window and refused on an empty one. ``doppler`` is the range-rate
         block ``(rays, levers, rates)`` and ``landmarks`` the heading block
         ``(bearings, offsets)``; each is compressed here once, and None
-        leaves a zero row.
+        leaves a zero row. ``pre`` is whitened here once.
         """
         if (pre is None) != (len(self) == 0):
             raise ValueError("every state but the first needs an IMU edge from its predecessor")
@@ -107,11 +115,12 @@ class SlidingWindow:
         heading_row = np.zeros((1, 4))
         if landmarks is not None:
             heading_row[0] = compress_landmarks(*landmarks)
-        self.states = State.stack([state]) if self.states is None else self.states.append(state)
+        self.states = state[None] if self.states is None else self.states.append(state)
         self.doppler = np.concatenate([self.doppler, doppler_row])
         self.heading = np.concatenate([self.heading, heading_row])
         if pre is not None:
-            self.edges.append(pre)
+            self.edges = pre[None] if self.edges is None else self.edges.append(pre)
+            self.whitening = np.concatenate([self.whitening, [imu_sqrt_information(pre)]])
 
     def factor_count(self) -> int:
         """Number of factors, each one whitened residual block.
@@ -121,7 +130,7 @@ class SlidingWindow:
         block holds. Zero rows are no factor.
         """
         doppler = np.count_nonzero(self.doppler.any(axis=(1, 2)))
-        return 1 + int(doppler) + int(np.count_nonzero(self.heading[:, 0])) + len(self.edges)
+        return 1 + int(doppler) + int(np.count_nonzero(self.heading[:, 0])) + len(self.whitening)
 
 
 # Levenberg-Marquardt schedule of ``optimize_window`` (Nielsen 1999; Madsen,
@@ -190,18 +199,11 @@ class OptimizeReport:
         return self.reason == DIVERGED
 
 
-def _whitened_edges(window: SlidingWindow):
-    """``PreintegratedImu.stack`` of the window's edges and their whitening matrices."""
-    imu = PreintegratedImu.stack(window.edges)
-    return imu, imu_sqrt_information(imu)
-
-
-def linearize(window: SlidingWindow, states: State, cfg: RunConfig, imu=None) -> Linearization:
+def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Linearization:
     """Cost, Gauss-Newton matrix and gradient of the window at ``states``.
 
-    ``imu`` is ``_whitened_edges(window)``, made here when not given. Each
-    factor kind is evaluated once for all its factors; single-state factors
-    add into the diagonal blocks and the IMU edges into the block
+    Each factor kind is evaluated once for all its factors; single-state
+    factors add into the diagonal blocks and the IMU edges into the block
     tridiagonal, and no dense Jacobian is formed.
     """
     n = len(window)
@@ -224,9 +226,9 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig, imu=None) ->
         grad += matvec(Jt, r)
     H = np.zeros((n, STATE_DIM, n, STATE_DIM))
     first_edge = None
-    if window.edges:
-        pre, W = _whitened_edges(window) if imu is None else imu
-        r, J_k, J_k1 = imu_residual(states[:-1], states[1:], pre)
+    if n > 1:
+        W = window.whitening
+        r, J_k, J_k1 = imu_residual(states[:-1], states[1:], window.edges)
         r, J_k, J_k1 = matvec(W, r), W @ J_k, W @ J_k1
         cost += float(np.sum(r**2))
         Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
@@ -265,9 +267,8 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
     n = len(window)
     if not n:
         raise ValueError("cannot optimize an empty window")
-    imu = _whitened_edges(window) if window.edges else None
 
-    lin = linearize(window, window.states, cfg, imu)
+    lin = linearize(window, window.states, cfg)
     linearizations = 1
     costs = [lin.cost]
     if not np.isfinite(lin.cost):
@@ -294,7 +295,7 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
                 gain = -np.inf
             else:
                 step = lin.states.retract(delta.reshape(n, STATE_DIM))
-                candidate = linearize(window, step, cfg, imu)
+                candidate = linearize(window, step, cfg)
                 linearizations += 1
                 # cost drop the linearized model predicts: ||r||^2 - ||r + J delta||^2
                 predicted = float(delta @ (lam * diag * delta - g))
@@ -332,8 +333,8 @@ def marginalize_oldest(
     adds on the next state. The Schur complement of the oldest state's
     block over these is the new prior; no factor is evaluated again.
     Singular information is regularized with the configured epsilon and
-    flagged. Row 0 of each of the window's arrays is dropped, with the
-    first edge. Returns the new prior, which is also the window's; its
+    flagged. Row 0 of each of the window's arrays is dropped, the first
+    edge's included. Returns the new prior, which is also the window's; its
     ``regularized`` flag is set when either the oldest state's block or the
     new prior's information needed the epsilon. Raises ``ValueError`` when
     the linearization was taken at other states than the window's first two.
@@ -371,5 +372,6 @@ def marginalize_oldest(
     window.states = window.states[1:]
     window.doppler = window.doppler[1:]
     window.heading = window.heading[1:]
-    del window.edges[0]
+    window.edges = window.edges[1:]
+    window.whitening = window.whitening[1:]
     return prior

@@ -83,8 +83,12 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
 
 
 def read_log(path) -> SensorLog:
-    """Parse a sensor log, validating structure with line-numbered errors."""
-    imu_rows: list[tuple[float, np.ndarray, np.ndarray]] = []
+    """Parse a sensor log, validating structure with line-numbered errors.
+
+    IMU records may come in any order; a time that repeats an earlier
+    record's is an error on the later record.
+    """
+    imu_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     scans: list[RadarScan] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -100,7 +104,7 @@ def read_log(path) -> SensorLog:
             kind = rec["type"]
             try:
                 if kind == "imu":
-                    imu_rows.append((float(rec["t"]), *_vectors([rec["a"], rec["w"]])))
+                    imu_rows.append((float(rec["t"]), line_no, *_vectors([rec["a"], rec["w"]])))
                 elif kind == "radar":
                     dets = rec.get("detections", [])
                     points = _vectors([d["p"] for d in dets])
@@ -119,10 +123,11 @@ def read_log(path) -> SensorLog:
                 raise LogFormatError(path, line_no, f"bad {kind} record: {exc}") from exc
     log = SensorLog(scans=scans)
     if imu_rows:
-        imu_rows.sort(key=lambda r: r[0])
-        log.imu = ImuData(
-            np.array([r[0] for r in imu_rows]),
-            np.array([r[1] for r in imu_rows], dtype=float),
-            np.array([r[2] for r in imu_rows], dtype=float),
-        )
+        t, line_nos, accel, gyro = (np.array(column) for column in zip(*imu_rows))
+        order = np.argsort(t, kind="stable")  # equal times keep their order in the file
+        repeats = np.flatnonzero(np.diff(t[order]) == 0.0)
+        if len(repeats):
+            later = order[repeats[0] + 1]
+            raise LogFormatError(path, int(line_nos[later]), f"repeated IMU time {t[later]}")
+        log.imu = ImuData(t[order], accel[order], gyro[order])
     return log

@@ -42,6 +42,14 @@ def random_state(rng: np.random.Generator, t: float = 0.0) -> State:
     )
 
 
+def stack(records):
+    """Single records of one ``Rows`` type, stacked in their order."""
+    rows = records[0][None]
+    for record in records[1:]:
+        rows = rows.append(record)
+    return rows
+
+
 def random_imu_segment(
     rng: np.random.Generator, duration: float = 0.05, rate: float = 200.0
 ) -> ImuData:

@@ -6,6 +6,7 @@ from conftest import (
     numeric_state_jacobian,
     random_imu_segment,
     random_state,
+    stack,
 )
 from oracles import doppler_residuals, landmark_residuals
 from radarloc.config import ImuParams, PriorParams
@@ -19,7 +20,7 @@ from radarloc.rio.factors import (
     imu_residual,
     imu_sqrt_information,
 )
-from radarloc.rio.preintegration import PreintegratedImu, predict_state, preintegrate
+from radarloc.rio.preintegration import predict_state, preintegrate
 from radarloc.rio.state import BA, BG, STATE_DIM, VEL, State
 from radarloc.sim.rig import sensor_extrinsic
 
@@ -72,7 +73,7 @@ class TestDopplerFactor:
         rng = np.random.default_rng(13)
         sizes = [1, 2, 3, 6, 7, 40]
         n = len(sizes)
-        x = State.stack([random_state(rng) for _ in range(n)])
+        x = stack([random_state(rng) for _ in range(n)])
         rows = np.zeros((n, 7, 7))
         for k, m in enumerate(sizes):
             rays = _random_rays(rng, m)
@@ -134,9 +135,9 @@ class TestImuFactor:
             edges.append((pre, x_k, x_k1))
 
         # the same edges as one batch, as the window evaluates them
-        pre = PreintegratedImu.stack([e[0] for e in edges])
-        x_k = State.stack([e[1] for e in edges])
-        x_k1 = State.stack([e[2] for e in edges])
+        pre = stack([e[0] for e in edges])
+        x_k = stack([e[1] for e in edges])
+        x_k1 = stack([e[2] for e in edges])
         r, J_k, J_k1 = imu_residual(x_k, x_k1, pre)
         J_k_num = numeric_state_jacobian(
             lambda s: imu_residual(s, x_k1, pre)[0], x_k
@@ -166,7 +167,7 @@ class TestImuFactor:
             preintegrate(random_imu_segment(rng, duration=d), np.zeros(3), np.zeros(3), imu_params)
             for d in (0.02, 0.05, 0.05, 0.1, 0.3)
         ]
-        W = imu_sqrt_information(PreintegratedImu.stack(pres))
+        W = imu_sqrt_information(stack(pres))
         assert W.shape == (len(pres), 12, 12)
         for W_k, pre in zip(W, pres):
             np.testing.assert_array_equal(W_k, imu_sqrt_information(pre))
@@ -244,7 +245,7 @@ class TestLandmarkFactor:
         # reference yaws cover the whole circle, including near +-pi
         rng = np.random.default_rng(14)
         n = 6
-        x = State.stack([random_state(rng) for _ in range(n)])
+        x = stack([random_state(rng) for _ in range(n)])
         summaries = []
         for yaw in (-np.pi + 1e-3, -1.0, 0.0, 2.0, np.pi - 1e-3, np.pi):
             offsets = rng.uniform(-30.0, 30.0, size=(7, 3))

@@ -406,6 +406,38 @@ class TestWindowBounds:
         assert full_counts
         assert max(full_counts) <= 1 + 2 * size + (size - 1)
 
+    def test_bias_shifts_are_the_largest_over_the_window_edges(self, monkeypatch):
+        # oracle: a loop over the edges the window holds once each step's
+        # optimization returns, before the oldest state is marginalized
+        import radarloc.rio.estimator as estimator
+
+        scenario, log = _fault_log(None)
+        edges, expected = [], []
+        preintegrate, optimize_window = estimator.preintegrate, estimator.optimize_window
+
+        def recording_preintegrate(*args):
+            edges.append(preintegrate(*args))
+            return edges[-1]
+
+        def recording_optimize(window, cfg):
+            report = optimize_window(window, cfg)
+            held = edges[len(edges) - (len(window) - 1) :]
+            accel, gyro = 0.0, 0.0
+            for i, edge in enumerate(held):
+                accel = max(accel, float(np.linalg.norm(window.states.ba[i] - edge.ba0)))
+                gyro = max(gyro, float(np.linalg.norm(window.states.bg[i] - edge.bg0)))
+            expected.append((accel, gyro))
+            return report
+
+        monkeypatch.setattr(estimator, "preintegrate", recording_preintegrate)
+        monkeypatch.setattr(estimator, "optimize_window", recording_optimize)
+        _, diagnostics = _run_recording(log, scenario, monkeypatch)
+        assert len(diagnostics) == len(expected) > RunConfig().window.size
+        for d, (accel, gyro) in zip(diagnostics, expected):
+            assert d.accel_bias_shift == pytest.approx(accel, rel=0.0, abs=1e-15)
+            assert d.gyro_bias_shift == pytest.approx(gyro, rel=0.0, abs=1e-15)
+        assert all(max(column) > 0.0 for column in zip(*expected))
+
     def test_tracker_counts_are_zero_with_heading_off(self, monkeypatch):
         scenario, log = _fault_log(None)
         cfg = config_from_dict({"ablation": {"disable_heading_constraint": True}})

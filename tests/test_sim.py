@@ -217,6 +217,8 @@ class TestLogIo:
             '{"type":"imu","t":0.1,"a":[0,9.81],"w":[0,0,0]}',
             '{"type":"imu","t":0.1,"a":[0,0,9.81],"w":[0,0,0,0]}',
             '{"type":"imu","t":0.1,"a":[0,0,9.81],"w":[0,[0],0]}',
+            # a second IMU record at the same time
+            '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}',
             # six coordinates in all, which reshape into 2 points for 3 range rates
             radar % ",".join('{"p":[%d,1],"rr":0.1}' % i for i in range(3)),
             radar % '{"p":[1,2,3,4],"rr":0.1}',

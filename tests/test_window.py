@@ -445,6 +445,7 @@ class TestMarginalPrior:
             doppler=window.doppler[:2] * only_first[:, None, None],
             heading=window.heading[:2] * only_first[:, None],
             edges=window.edges[:1],
+            whitening=window.whitening[:1],
         )
 
     @pytest.mark.parametrize("max_iterations", [8, 1])
@@ -470,6 +471,12 @@ class TestMarginalPrior:
         with pytest.raises(ValueError, match="first two states"):
             marginalize_oldest(window, stale, cfg)
         assert len(window) == 4
+
+
+# the fields of an IMU edge that hold one row per edge in a stack
+EDGE_FIELDS = (
+    "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel_ba", "j_vel_bg", "cov_rot_vel"
+)
 
 
 class TestMarginalize:
@@ -535,7 +542,7 @@ class TestMarginalize:
         np.testing.assert_allclose(b_new, b_oracle, atol=1e-8)
         assert len(window) == 1
         _assert_same_state(window.states[0], x1)
-        assert window.edges == []
+        assert len(window.edges.dt) == len(window.whitening) == 0
 
     def test_edge_only_marginalization_leaves_no_information(self, cfg, imu_params):
         # x0 has a prior without information and one IMU edge to x1: the
@@ -556,19 +563,40 @@ class TestMarginalize:
             H = window.prior.sqrt_info.T @ window.prior.sqrt_info
             assert np.linalg.norm(H) < 1e-6
 
+            # the emptied edge rows take the next edge
+            assert len(window.edges.dt) == len(window.whitening) == 0
+            pre = preintegrate(random_imu_segment(rng), x1.ba, x1.bg, imu_params)
+            x2 = predict_state(x1, pre)
+            x2.v = x2.v + 0.01  # leave some IMU residual
+            window.append(x2, pre)
+            lin = _linearize(window, cfg)
+            r_prior = window.prior.residual(window.states[0])[0]
+            W = imu_sqrt_information(pre)
+            r_imu = W @ imu_residual(x1, x2, pre)[0]
+            assert lin.cost == pytest.approx(r_prior @ r_prior + r_imu @ r_imu, rel=1e-12)
+            assert lin.H.shape == (2 * STATE_DIM, 2 * STATE_DIM) and lin.first_edge is not None
+
     def test_factor_count_bounded_over_repeated_marginalization(self, cfg, extrinsics, imu_params):
         rng = np.random.default_rng(5)
         cfg.window.size = 6
         x = State.initial(v=np.array([1.0, 0.0, 0.0]))
         prior = PriorFactor.from_sigmas(x, 0.02, 0.5, 0.1, 0.01)
         window = SlidingWindow(prior)
+        appended = []  # every edge appended, oldest first
 
         def assert_one_row_per_state():
             n = len(window.states.t)
             assert len(window) == len(window.doppler) == len(window.heading) == n
             assert all(len(a) == n for a in (window.states.q, window.states.v))
             assert all(len(a) == n for a in (window.states.ba, window.states.bg))
-            assert len(window.edges) == n - 1
+            # the edge rows are, bit for bit, the last n - 1 edges appended
+            held = appended[len(appended) - (n - 1) :]
+            assert len(window.whitening) == len(held)
+            for name in EDGE_FIELDS:
+                rows = getattr(window.edges, name) if held else np.zeros(0)
+                np.testing.assert_array_equal(rows, [getattr(e, name) for e in held])
+            for W, edge in zip(window.whitening, held):
+                np.testing.assert_array_equal(W, imu_sqrt_information(edge))
 
         with pytest.raises(ValueError, match="IMU edge"):
             window.append(x, preintegrate(random_imu_segment(rng), x.ba, x.bg, imu_params))
@@ -584,6 +612,7 @@ class TestMarginalize:
             shifted = ImuData(samples.t + 0.05 * k, samples.accel, samples.gyro)
             pre = preintegrate(shifted, np.zeros(3), np.zeros(3), imu_params)
             window.append(predict_state(window.states[-1], pre), pre)
+            appended.append(pre)
             assert_one_row_per_state()
             if len(window) > cfg.window.size:
                 marginalize_oldest(window, _linearize(window, cfg), cfg)
