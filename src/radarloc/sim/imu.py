@@ -9,12 +9,12 @@ streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..geometry import quat_to_matrix
-from .trajectory import GroundTruth
+from .trajectory import GroundTruth, check_keys
 
 GRAVITY = 9.81
 
@@ -37,25 +37,26 @@ class ImuData:
 
 @dataclass
 class ImuNoiseModel:
-    """White-noise densities, bias random walks, and initial biases."""
+    """White-noise densities, bias random walks, and the initial gyro bias.
+
+    The accelerometer bias starts at zero. ``from_dict`` takes these field
+    names as keys, each optional; any other key raises a ``ValueError`` that
+    names it.
+    """
 
     accel_noise_density: float = 0.02  # m/s^2 per sqrt(Hz)
     gyro_noise_density: float = 0.002  # rad/s per sqrt(Hz)
     accel_bias_walk: float = 2e-4  # m/s^2 per sqrt(s)
     gyro_bias_walk: float = 2e-5  # rad/s per sqrt(s)
-    accel_bias_init: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_bias_init: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gyro_bias_init: np.ndarray = field(default_factory=lambda: np.zeros(3))  # rad/s
 
     @staticmethod
     def from_dict(cfg: dict) -> "ImuNoiseModel":
+        check_keys(cfg, [f.name for f in fields(ImuNoiseModel)], "IMU noise")
         model = ImuNoiseModel()
         for key, value in cfg.items():
-            if not hasattr(model, key):
-                raise ValueError(f"unknown IMU noise parameter: {key}")
-            if key.endswith("_init"):
-                setattr(model, key, np.asarray(value, dtype=float))
-            else:
-                setattr(model, key, float(value))
+            value = np.asarray(value, dtype=float) if key == "gyro_bias_init" else float(value)
+            setattr(model, key, value)
         return model
 
 
@@ -68,8 +69,9 @@ def simulate_imu(
     """Generate the IMU stream for a trajectory.
 
     ``noise=None`` yields exact measurements; otherwise biases follow a
-    random walk from their initial values and white noise is added, all
-    drawn from a stream derived deterministically from ``seed``.
+    random walk from their initial values (zero for the accelerometer) and
+    white noise is added, all drawn from a stream derived deterministically
+    from ``seed``.
     """
     n = len(gt)
     g_global = np.array([0.0, 0.0, -gravity])
@@ -83,18 +85,13 @@ def simulate_imu(
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1101]))
         dt = float(np.mean(np.diff(gt.t)))
         sqrt_dt = np.sqrt(dt)
-        ba = np.asarray(noise.accel_bias_init, dtype=float) + np.concatenate(
-            [
-                np.zeros((1, 3)),
-                np.cumsum(noise.accel_bias_walk * sqrt_dt * rng.standard_normal((n - 1, 3)), axis=0),
-            ]
-        )
-        bg = np.asarray(noise.gyro_bias_init, dtype=float) + np.concatenate(
-            [
-                np.zeros((1, 3)),
-                np.cumsum(noise.gyro_bias_walk * sqrt_dt * rng.standard_normal((n - 1, 3)), axis=0),
-            ]
-        )
+
+        def walk(sigma: float) -> np.ndarray:
+            steps = sigma * sqrt_dt * rng.standard_normal((n - 1, 3))
+            return np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+
+        ba = walk(noise.accel_bias_walk)
+        bg = np.asarray(noise.gyro_bias_init, dtype=float) + walk(noise.gyro_bias_walk)
         accel = accel + ba + (noise.accel_noise_density / sqrt_dt) * rng.standard_normal((n, 3))
         gyro = gyro + bg + (noise.gyro_noise_density / sqrt_dt) * rng.standard_normal((n, 3))
 

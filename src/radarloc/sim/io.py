@@ -86,10 +86,12 @@ def read_log(path) -> SensorLog:
     """Parse a sensor log, validating structure with line-numbered errors.
 
     IMU records may come in any order; a time that repeats an earlier
-    record's is an error on the later record.
+    record's is an error on the later record, and so is a second radar scan
+    of one sensor at one time.
     """
     imu_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     scans: list[RadarScan] = []
+    scan_keys: set[tuple[float, int]] = set()
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -114,7 +116,11 @@ def read_log(path) -> SensorLog:
                     sensor = rec["sensor"]
                     if isinstance(sensor, bool) or not isinstance(sensor, int):
                         raise ValueError(f"sensor must be an integer, got {sensor!r}")
-                    scans.append(RadarScan(float(rec["t"]), sensor, points, doppler))
+                    t = float(rec["t"])
+                    if (round(t, 9), sensor) in scan_keys:  # the grouping of scans_by_time
+                        raise LogFormatError(path, line_no, f"repeated scan of sensor {sensor} at {t}")
+                    scan_keys.add((round(t, 9), sensor))
+                    scans.append(RadarScan(t, sensor, points, doppler))
                 else:
                     raise LogFormatError(path, line_no, f"unknown record type {kind!r}")
             except LogFormatError:

@@ -10,7 +10,7 @@ from .imu import ImuData, ImuNoiseModel, simulate_imu
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, rig_from_dict
 from .scene import Scene, scene_from_dict
-from .trajectory import GroundTruth, gen_trajectory
+from .trajectory import GroundTruth, check_keys, gen_trajectory
 
 
 @dataclass
@@ -23,6 +23,15 @@ class Scenario:
 
     @staticmethod
     def from_dict(cfg: dict) -> "Scenario":
+        """Parse a scenario JSON object.
+
+        Its keys: ``trajectory`` (a ``gen_trajectory`` spec) and ``duration``
+        (s), both required; ``scene`` (see ``scene_from_dict``) and ``rig``
+        (see ``rig_from_dict``), each empty by default; and ``imu_noise`` (see
+        ``ImuNoiseModel``), without which the IMU is exact. Any other key
+        raises a ``ValueError`` that names it.
+        """
+        check_keys(cfg, ("trajectory", "duration", "scene", "rig", "imu_noise"), "scenario")
         noise_cfg = cfg.get("imu_noise")
         return Scenario(
             trajectory=cfg["trajectory"],
@@ -53,109 +62,78 @@ def simulate_mission(scenario: Scenario, seed: int = 0) -> SimData:
     return SimData(gt=gt, imu=imu, scans=scans)
 
 
-def _rounded_rectangle(cx, cy, half_x, half_y, corner, points_per_side=3):
-    """Waypoints tracing a rounded rectangle, counterclockwise from +x side."""
+# The street's four sides, counterclockwise from the south one: the axis a
+# side runs along, the sign of its outward normal and its direction of travel.
+_SIDES = ((0, -1, 1), (1, 1, 1), (0, 1, -1), (1, -1, -1))
+
+
+def _on_side(axis: int, along, across) -> list:
+    """xy of the point at ``along`` on the axis a side runs along, ``across`` on the other."""
+    return [along, across] if axis == 0 else [across, along]
+
+
+def _rounded_rectangle(half, corner):
+    """Waypoints tracing a rounded rectangle about the origin, counterclockwise.
+
+    Each side gives five points on its straight, then two on the arc of the
+    corner that ends it.
+    """
     pts = []
-    straight_x = np.linspace(-half_x + corner, half_x - corner, points_per_side)
-    straight_y = np.linspace(-half_y + corner, half_y - corner, points_per_side)
-    pts += [(cx + x, cy - half_y) for x in straight_x]
-    pts += [
-        (cx + half_x - corner + corner * np.sin(a), cy - half_y + corner - corner * np.cos(a))
-        for a in np.linspace(0.3, np.pi / 2 - 0.3, 2)
-    ]
-    pts += [(cx + half_x, cy + y) for y in straight_y]
-    pts += [
-        (cx + half_x - corner + corner * np.cos(a), cy + half_y - corner + corner * np.sin(a))
-        for a in np.linspace(0.3, np.pi / 2 - 0.3, 2)
-    ]
-    pts += [(cx + x, cy + half_y) for x in straight_x[::-1]]
-    pts += [
-        (cx - half_x + corner - corner * np.sin(a), cy + half_y - corner + corner * np.cos(a))
-        for a in np.linspace(0.3, np.pi / 2 - 0.3, 2)
-    ]
-    pts += [(cx - half_x, cy + y) for y in straight_y[::-1]]
-    pts += [
-        (cx - half_x + corner - corner * np.cos(a), cy - half_y + corner - corner * np.sin(a))
-        for a in np.linspace(0.3, np.pi / 2 - 0.3, 2)
-    ]
+    for axis, normal, travel in _SIDES:
+        free, fixed = half[axis], half[1 - axis]
+        straight = np.linspace(-free + corner, free - corner, 5)[::travel]
+        pts += [_on_side(axis, s, normal * fixed) for s in straight]
+        for a in np.linspace(0.3, np.pi / 2 - 0.3, 2):
+            along = travel * (free - corner + corner * np.sin(a))
+            pts.append(_on_side(axis, along, normal * (fixed - corner + corner * np.cos(a))))
     return pts
 
 
 def suburban_loop_scenario(
     laps: float = 2.0,
-    speed: float = 2.5,
     clutter_density: float = 5.0,
     dynamic_objects: bool = True,
-    gyro_yaw_bias: float = 0.003,
     noisy: bool = True,
 ) -> dict:
     """Built-in default scenario: a residential block traversed ``laps`` times.
 
     The street loop is an 80 m x 45 m rounded rectangle (about 239 m per
-    lap along its waypoints) lined with house fronts, fences, and posts on
-    both sides.
+    lap along its waypoints), driven at 2.5 m/s and lined with house fronts,
+    fences, and posts on both sides. ``clutter_density`` is the scene's
+    spurious detections per scan; ``dynamic_objects`` adds 10 walkers and 6
+    vehicles; ``noisy`` adds IMU noise with a 0.003 rad/s yaw-gyro bias.
     """
-    half_x, half_y, corner = 40.0, 22.5, 6.0
-    loop = _rounded_rectangle(0.0, 0.0, half_x, half_y, corner, points_per_side=5)
-    lap_pts = [(x, y, 0.0) for x, y in loop]
-    n_laps = int(np.ceil(laps))
-    points = []
-    for _ in range(n_laps):
-        points += lap_pts
-    points.append(lap_pts[0])
+    speed = 2.5
+    half = (40.0, 22.5)
+    lap_pts = [(x, y, 0.0) for x, y in _rounded_rectangle(half, corner=6.0)]
+    points = lap_pts * int(np.ceil(laps)) + lap_pts[:1]
 
     walls = []
     # house fronts outside the street, fences inside
     for off, spacing, weight in ((9.0, 0.6, 0.95), (-6.0, 0.8, 0.85)):
-        ox = half_x + off
-        oy = half_y + off
-        segs = [
-            ((-ox, -oy), (ox, -oy)),
-            ((ox, -oy), (ox, oy)),
-            ((ox, oy), (-ox, oy)),
-            ((-ox, oy), (-ox, -oy)),
-        ]
-        for start, end in segs:
-            walls.append(
-                {"start": list(start), "end": list(end), "spacing": spacing, "weight": weight}
-            )
+        for axis, normal, travel in _SIDES:
+            free, fixed = half[axis] + off, half[1 - axis] + off
+            start, end = (_on_side(axis, sign * travel * free, normal * fixed) for sign in (-1, 1))
+            walls.append({"start": start, "end": end, "spacing": spacing, "weight": weight})
     posts = []
     rng = np.random.default_rng(424242)
     for k in range(28):
-        side = k % 4
-        along = rng.uniform(-0.9, 0.9)
-        if side == 0:
-            pos = [along * half_x, -half_y - 4.0]
-        elif side == 1:
-            pos = [half_x + 4.0, along * half_y]
-        elif side == 2:
-            pos = [along * half_x, half_y + 4.0]
-        else:
-            pos = [-half_x - 4.0, along * half_y]
-        posts.append({"position": pos, "weight": 0.9})
+        axis, normal, _ = _SIDES[k % 4]
+        along = rng.uniform(-0.9, 0.9) * half[axis]
+        position = _on_side(axis, along, normal * (half[1 - axis] + 4.0))
+        posts.append({"position": position, "weight": 0.9})
 
     dynamics = []
     if dynamic_objects:
-        # slow walkers and a few vehicles circulating near the street
-        walker_speed = 1.0
+        # walkers at 1 m/s and a few vehicles circulating near the street
         for k in range(10):
-            side = k % 4
-            offset = -30.0 + 7.0 * k
-            if side == 0:
-                dynamics.append({"position": [offset, -half_y + 2.0, 0.8], "velocity": [walker_speed, 0.0, 0.0]})
-            elif side == 1:
-                dynamics.append({"position": [half_x - 2.0, offset, 0.8], "velocity": [0.0, walker_speed, 0.0]})
-            elif side == 2:
-                dynamics.append({"position": [offset, half_y - 2.0, 0.8], "velocity": [-walker_speed, 0.0, 0.0]})
-            else:
-                dynamics.append({"position": [-half_x + 2.0, offset, 0.8], "velocity": [0.0, -walker_speed, 0.0]})
+            axis, normal, travel = _SIDES[k % 4]
+            position = _on_side(axis, -30.0 + 7.0 * k, normal * (half[1 - axis] - 2.0))
+            velocity = _on_side(axis, travel * 1.0, 0.0)
+            dynamics.append({"position": [*position, 0.8], "velocity": [*velocity, 0.0]})
         for k in range(6):
-            dynamics.append(
-                {
-                    "position": [-60.0 + 24.0 * k, -half_y + 0.5, 0.6],
-                    "velocity": [3.0 if k % 2 == 0 else -3.0, 0.0, 0.0],
-                }
-            )
+            velocity = [3.0 if k % 2 == 0 else -3.0, 0.0, 0.0]
+            dynamics.append({"position": [-60.0 + 24.0 * k, -half[1] + 0.5, 0.6], "velocity": velocity})
 
     # the waypoint schedule follows the chords between the waypoints, so one
     # lap takes its chord length over the speed; rounded down to 10 ms, the
@@ -179,6 +157,6 @@ def suburban_loop_scenario(
             "gyro_noise_density": 0.002,
             "accel_bias_walk": 2e-4,
             "gyro_bias_walk": 2e-5,
-            "gyro_bias_init": [0.0, 0.0, gyro_yaw_bias],
+            "gyro_bias_init": [0.0, 0.0, 0.003],
         }
     return scenario

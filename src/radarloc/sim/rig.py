@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..geometry import RigidTransform, quat_from_axis_angle
+
+_SIGMAS = ("range_sigma", "azimuth_sigma", "elevation_sigma", "doppler_sigma")
 
 
 @dataclass
@@ -38,12 +40,7 @@ class SensorRig:
         ratio = self.imu_rate / self.radar_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("radar_rate must divide imu_rate")
-        for name in (
-            "range_sigma",
-            "azimuth_sigma",
-            "elevation_sigma",
-            "doppler_sigma",
-        ):
+        for name in _SIGMAS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.min_range < self.max_range):
@@ -59,20 +56,7 @@ class SensorRig:
 
     def noise_free(self) -> "SensorRig":
         """Copy of the rig with all measurement noise zeroed."""
-        return SensorRig(
-            extrinsics=list(self.extrinsics),
-            imu_rate=self.imu_rate,
-            radar_rate=self.radar_rate,
-            max_range=self.max_range,
-            azimuth_fov=self.azimuth_fov,
-            elevation_fov=self.elevation_fov,
-            range_sigma=0.0,
-            azimuth_sigma=0.0,
-            elevation_sigma=0.0,
-            doppler_sigma=0.0,
-            doppler_max=self.doppler_max,
-            min_range=self.min_range,
-        )
+        return replace(self, extrinsics=list(self.extrinsics), **dict.fromkeys(_SIGMAS, 0.0))
 
 
 def sensor_extrinsic(position, yaw_rad: float) -> RigidTransform:
@@ -93,23 +77,12 @@ def default_rig(**overrides) -> SensorRig:
 
 
 def rig_from_dict(cfg: dict) -> SensorRig:
-    """Build a rig from a scenario JSON fragment; missing keys use defaults."""
-    cfg = dict(cfg)
-    sensors = cfg.pop("sensors", None)
-    angle_keys = {"azimuth_fov", "elevation_fov", "azimuth_sigma", "elevation_sigma"}
-    kwargs = {}
-    for key, value in cfg.items():
-        if key.endswith("_deg"):
-            base = key[: -len("_deg")]
-            if base not in angle_keys:
-                raise ValueError(f"unknown rig parameter: {key}")
-            kwargs[base] = np.deg2rad(float(value))
-        else:
-            kwargs[key] = value
-    if sensors is None:
-        return default_rig(**kwargs)
-    extrinsics = []
-    for s in sensors:
-        yaw = np.deg2rad(float(s["yaw_deg"])) if "yaw_deg" in s else float(s.get("yaw", 0.0))
-        extrinsics.append(sensor_extrinsic(s.get("position", [0.0, 0.0, 0.0]), yaw))
-    return SensorRig(extrinsics=extrinsics, **kwargs)
+    """The default rig with the overrides of a scenario JSON ``rig`` block.
+
+    The keys are the ``SensorRig`` fields but ``extrinsics``: ``imu_rate``,
+    ``radar_rate``, ``max_range``, ``azimuth_fov``, ``elevation_fov``,
+    ``range_sigma``, ``azimuth_sigma``, ``elevation_sigma``, ``doppler_sigma``,
+    ``doppler_max`` and ``min_range``, in the units of those fields (angles in
+    radians). Any other key raises a ``TypeError`` that names it.
+    """
+    return default_rig(**cfg)

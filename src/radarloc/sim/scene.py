@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .trajectory import check_keys
+
 
 @dataclass
 class DynamicObject:
@@ -45,57 +47,50 @@ class Scene:
             raise ValueError("clutter_density must be >= 0")
 
 
-def wall_points(start, end, spacing: float = 0.5, z_levels=(0.5, 1.5)) -> np.ndarray:
-    """Point reflectors along a vertical wall segment between two xy points."""
+def wall_points(start, end, spacing: float = 0.5) -> np.ndarray:
+    """Point reflectors along a wall segment between two xy points, at 0.5 and 1.5 m height."""
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     length = np.linalg.norm(end - start)
     count = max(int(np.floor(length / spacing)) + 1, 2)
     alphas = np.linspace(0.0, 1.0, count)
     base = start[None, :] + alphas[:, None] * (end - start)[None, :]
-    points = []
-    for z in z_levels:
-        level = np.zeros((count, 3))
-        level[:, :2] = base[:, :2]
-        level[:, 2] = z
-        points.append(level)
-    return np.vstack(points)
+    return np.vstack([np.column_stack([base[:, :2], np.full(count, z)]) for z in (0.5, 1.5)])
 
 
 def scene_from_dict(cfg: dict) -> Scene:
-    """Expand a scenario JSON scene block into explicit point targets."""
-    points = []
-    weights = []
-    for target in cfg.get("static_targets", []):
-        target = list(target)
-        w = float(target[3]) if len(target) > 3 else 1.0
-        points.append(np.asarray(target[:3], dtype=float))
-        weights.append(w)
-    points = [np.atleast_2d(p) for p in points]
+    """Expand a scenario JSON scene block into explicit point targets.
+
+    The block's keys, each optional:
+
+    * ``walls``: objects with xy ``start`` and ``end``, and optional
+      ``spacing`` (m, default 0.5) and detection ``weight`` (default 1);
+      each is a row of reflectors at 0.5 and 1.5 m height (``wall_points``).
+    * ``posts``: objects with a ``position`` (its xy is used) and optional
+      ``weight`` (default 1); each is three reflectors at 0.5, 1.5, 2.5 m.
+    * ``dynamic_objects``: objects with xyz ``position`` and ``velocity``.
+    * ``clutter_density``: spurious detections per scan (default 0).
+
+    A key not listed raises a ``ValueError`` that names it.
+    """
+    check_keys(cfg, ("walls", "posts", "dynamic_objects", "clutter_density"), "scene")
+    points, weights = [], []
     for wall in cfg.get("walls", []):
-        pts = wall_points(
-            wall["start"],
-            wall["end"],
-            spacing=float(wall.get("spacing", 0.5)),
-            z_levels=tuple(wall.get("z_levels", (0.5, 1.5))),
-        )
+        check_keys(wall, ("start", "end", "spacing", "weight"), "wall")
+        pts = wall_points(wall["start"], wall["end"], spacing=float(wall.get("spacing", 0.5)))
         points.append(pts)
         weights.extend([float(wall.get("weight", 1.0))] * len(pts))
     for post in cfg.get("posts", []):
-        z_levels = tuple(post.get("z_levels", (0.5, 1.5, 2.5)))
-        xy = np.asarray(post["position"], dtype=float)[:2]
-        pts = np.array([[xy[0], xy[1], z] for z in z_levels])
-        points.append(pts)
-        weights.extend([float(post.get("weight", 1.0))] * len(pts))
+        check_keys(post, ("position", "weight"), "post")
+        x, y = np.asarray(post["position"], dtype=float)[:2]
+        points.append(np.array([[x, y, z] for z in (0.5, 1.5, 2.5)]))
+        weights.extend([float(post.get("weight", 1.0))] * 3)
     static = np.vstack(points) if points else np.zeros((0, 3))
-    dynamics = [
-        DynamicObject(
-            np.asarray(obj["position"], dtype=float),
-            np.asarray(obj["velocity"], dtype=float),
-            float(obj.get("weight", 1.0)),
-        )
-        for obj in cfg.get("dynamic_objects", [])
-    ]
+    dynamics = []
+    for obj in cfg.get("dynamic_objects", []):
+        check_keys(obj, ("position", "velocity"), "dynamic object")
+        position, velocity = (np.asarray(obj[key], dtype=float) for key in ("position", "velocity"))
+        dynamics.append(DynamicObject(position, velocity))
     return Scene(
         static_points=static,
         static_weights=np.asarray(weights, dtype=float),

@@ -67,70 +67,84 @@ def _heading_from_velocity(vel: np.ndarray, acc: np.ndarray):
     return yaw, yaw_rate
 
 
+def check_keys(spec: dict, known, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming the first key of ``spec`` that is not in ``known``."""
+    for key in spec:
+        if key not in known:
+            raise error(f"unknown {what} key: {key!r}")
+
+
+# the keys each trajectory kind takes besides "kind"
+_KIND_KEYS = {
+    "stationary": (),
+    "line": ("speed", "yaw"),
+    "circle": ("radius", "speed"),
+    "figure8": ("period",),
+    "waypoints": ("points", "speed"),
+}
+
+
 def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     """Sample the trajectory described by ``spec`` at ``imu_rate``.
 
-    Supported kinds: ``stationary``, ``line``, ``circle``, ``figure8``,
-    ``waypoints``. Raises :class:`TrajectorySpecError` for malformed or
-    non-smooth specs.
+    Every kind starts at the origin. The kinds and their keys:
+
+    * ``stationary``: no other key; it stays at yaw 0.
+    * ``line``: ``speed`` (m/s) along ``yaw`` (rad, default 0).
+    * ``circle``: ``radius`` (m) and ``speed`` (m/s), counterclockwise about
+      the origin from its +x point.
+    * ``figure8``: ``period`` (s) of a 40 m x 10 m figure eight.
+    * ``waypoints``: ``points`` (at least 3 xyz), joined by a natural cubic
+      spline and timed by their chord lengths over ``speed`` (m/s, default 1).
+
+    Raises :class:`TrajectorySpecError` for an unknown kind or key and for
+    malformed or non-smooth specs.
     """
     if duration <= 0.0:
         raise TrajectorySpecError("duration must be positive")
     if imu_rate <= 0.0:
         raise TrajectorySpecError("imu_rate must be positive")
+    kind = spec.get("kind")
+    if kind not in _KIND_KEYS:
+        raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")
+    check_keys(spec, ("kind", *_KIND_KEYS[kind]), f"{kind} trajectory", TrajectorySpecError)
     n = int(round(duration * imu_rate)) + 1
     t = np.arange(n) / imu_rate
-    kind = spec.get("kind")
 
     if kind == "stationary":
-        pos0 = np.asarray(spec.get("position", [0.0, 0.0, 0.0]), dtype=float)
-        yaw0 = float(spec.get("yaw", 0.0))
-        pos = np.tile(pos0, (n, 1))
         zeros = np.zeros((n, 3))
-        return _assemble(t, pos, zeros.copy(), zeros.copy(), np.full(n, yaw0), np.zeros(n))
+        return _assemble(t, zeros, zeros.copy(), zeros.copy(), np.zeros(n), np.zeros(n))
 
     if kind == "line":
-        start = np.asarray(spec.get("start", [0.0, 0.0, 0.0]), dtype=float)
         yaw0 = float(spec.get("yaw", 0.0))
         speed = float(spec["speed"])
         if speed <= 0.0:
             raise TrajectorySpecError("line speed must be positive (use kind=stationary)")
         direction = np.array([np.cos(yaw0), np.sin(yaw0), 0.0])
-        pos = start[None, :] + speed * t[:, None] * direction[None, :]
+        pos = speed * t[:, None] * direction[None, :]
         vel = np.tile(speed * direction, (n, 1))
         return _assemble(t, pos, vel, np.zeros((n, 3)), np.full(n, yaw0), np.zeros(n))
 
     if kind == "circle":
-        center = np.asarray(spec.get("center", [0.0, 0.0, 0.0]), dtype=float)
         radius = float(spec["radius"])
         speed = float(spec["speed"])
         if radius <= 0.0 or speed <= 0.0:
             raise TrajectorySpecError("circle radius and speed must be positive")
-        ccw = bool(spec.get("ccw", True))
-        s = 1.0 if ccw else -1.0
-        theta0 = float(spec.get("start_angle", 0.0))
         omega = speed / radius
-        theta = theta0 + s * omega * t
-        pos = center[None, :] + radius * np.stack(
-            [np.cos(theta), np.sin(theta), np.zeros(n)], axis=1
-        )
-        vel = speed * np.stack([-s * np.sin(theta), s * np.cos(theta), np.zeros(n)], axis=1)
+        theta = omega * t
+        pos = radius * np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
+        vel = speed * np.stack([-np.sin(theta), np.cos(theta), np.zeros(n)], axis=1)
         acc = -(speed * omega) * np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
-        yaw = theta + s * np.pi / 2.0
-        return _assemble(t, pos, vel, acc, yaw, np.full(n, s * omega))
+        return _assemble(t, pos, vel, acc, theta + np.pi / 2.0, np.full(n, omega))
 
     if kind == "figure8":
-        center = np.asarray(spec.get("center", [0.0, 0.0, 0.0]), dtype=float)
-        a = float(spec.get("scale_x", 20.0))
-        b = float(spec.get("scale_y", 10.0))
+        a, b = 20.0, 10.0
         period = float(spec["period"])
-        if a <= 0.0 or b <= 0.0 or period <= 0.0:
-            raise TrajectorySpecError("figure8 scales and period must be positive")
+        if period <= 0.0:
+            raise TrajectorySpecError("figure8 period must be positive")
         w = 2.0 * np.pi / period
         phi = w * t
-        pos = center[None, :] + np.stack(
-            [a * np.sin(phi), b * np.sin(phi) * np.cos(phi), np.zeros(n)], axis=1
-        )
+        pos = np.stack([a * np.sin(phi), b * np.sin(phi) * np.cos(phi), np.zeros(n)], axis=1)
         vel = np.stack([a * w * np.cos(phi), b * w * np.cos(2.0 * phi), np.zeros(n)], axis=1)
         acc = np.stack(
             [-a * w * w * np.sin(phi), -2.0 * b * w * w * np.sin(2.0 * phi), np.zeros(n)], axis=1
@@ -138,30 +152,21 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
         yaw, yaw_rate = _heading_from_velocity(vel, acc)
         return _assemble(t, pos, vel, acc, yaw, yaw_rate)
 
-    if kind == "waypoints":
-        points = np.asarray(spec["points"], dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3 or len(points) < 3:
-            raise TrajectorySpecError("waypoints need at least 3 xyz points")
-        if "times" in spec:
-            times = np.asarray(spec["times"], dtype=float)
-        else:
-            speed = float(spec.get("speed", 1.0))
-            if speed <= 0.0:
-                raise TrajectorySpecError("waypoint speed must be positive")
-            chord = np.linalg.norm(np.diff(points, axis=0), axis=1)
-            if np.any(chord <= 0.0):
-                raise TrajectorySpecError("consecutive waypoints coincide")
-            times = np.concatenate([[0.0], np.cumsum(chord / speed)])
-        if len(times) != len(points) or np.any(np.diff(times) <= 0.0):
-            raise TrajectorySpecError("waypoint times must be strictly increasing")
-        if times[-1] < duration:
-            raise TrajectorySpecError("waypoint schedule shorter than requested duration")
-        spline = CubicSpline(times, points, axis=0, bc_type="natural")
-        pos = spline(t)
-        vel = spline(t, 1)
-        acc = spline(t, 2)
-        yaw, yaw_rate = _heading_from_velocity(vel, acc)
-        return _assemble(t, pos, vel, acc, yaw, yaw_rate)
-
-    raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")
-
+    points = np.asarray(spec["points"], dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 3:
+        raise TrajectorySpecError("waypoints need at least 3 xyz points")
+    speed = float(spec.get("speed", 1.0))
+    if speed <= 0.0:
+        raise TrajectorySpecError("waypoint speed must be positive")
+    chord = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    if np.any(chord <= 0.0):
+        raise TrajectorySpecError("consecutive waypoints coincide")
+    times = np.concatenate([[0.0], np.cumsum(chord / speed)])
+    if times[-1] < duration:
+        raise TrajectorySpecError("waypoint schedule shorter than requested duration")
+    spline = CubicSpline(times, points, axis=0, bc_type="natural")
+    pos = spline(t)
+    vel = spline(t, 1)
+    acc = spline(t, 2)
+    yaw, yaw_rate = _heading_from_velocity(vel, acc)
+    return _assemble(t, pos, vel, acc, yaw, yaw_rate)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,87 @@ class TestTrajectory:
         # the loop closes: the drive ends within 10 ms of driving of its start
         speed = scenario.trajectory["speed"]
         assert np.linalg.norm(gt.position[-1] - gt.position[0]) < 0.01 * speed + 1e-9
+
+
+_TRAJECTORIES = {
+    "stationary": {"kind": "stationary"},
+    "line": {"kind": "line", "speed": 1.0, "yaw": 0.0},
+    "circle": {"kind": "circle", "radius": 10.0, "speed": 2.0},
+    "figure8": {"kind": "figure8", "period": 40.0},
+    "waypoints": {"kind": "waypoints", "points": [[0, 0, 0], [5, 1, 0], [10, 0, 0]], "speed": 1.0},
+}
+_SCENE_ITEMS = {
+    "wall": ("walls", {"start": [-5, 5], "end": [5, 5], "spacing": 0.5, "weight": 0.9}),
+    "post": ("posts", {"position": [2, 3], "weight": 0.9}),
+    "dynamic object": ("dynamic_objects", {"position": [1, 0, 0], "velocity": [0, 1, 0]}),
+}
+_MINIMAL_SCENARIO = {"trajectory": {"kind": "stationary"}, "duration": 1.0}
+
+
+def _parse_scenario(extra):
+    return sim.Scenario.from_dict({**_MINIMAL_SCENARIO, **extra})
+
+
+def _trajectory_parser(kind):
+    return lambda extra: sim.gen_trajectory({**_TRAJECTORIES[kind], **extra}, 1.0, 100.0)
+
+
+def _scene_item_parser(item):
+    block, good = _SCENE_ITEMS[item]
+    return lambda extra: _parse_scenario({"scene": {block: [good, {**good, **extra}]}})
+
+
+def _block_parser(block):
+    return lambda extra: _parse_scenario({block: extra})
+
+
+# each parser, the error it raises for a key it does not take, and its bad
+# keys: a misspelling, then the keys it took before they were removed
+_PARSERS = {
+    **{
+        f"{kind} trajectory": (TrajectorySpecError, _trajectory_parser(kind), keys)
+        for kind, keys in (
+            ("stationary", ["kindd", "position", "yaw"]),
+            ("line", ["sped", "start"]),
+            ("circle", ["raduis", "center", "ccw", "start_angle"]),
+            ("figure8", ["periode", "center", "scale_x", "scale_y"]),
+            ("waypoints", ["point", "times"]),
+        )
+    },
+    "scene": (ValueError, _block_parser("scene"), ["wals", "static_targets"]),
+    **{
+        item: (ValueError, _scene_item_parser(item), keys)
+        for item, keys in (
+            ("wall", ["spaceing", "z_levels"]),
+            ("post", ["positon", "z_levels"]),
+            ("dynamic object", ["velocty", "weight"]),
+        )
+    },
+    "scenario": (ValueError, _parse_scenario, ["imu_nosie"]),
+    "rig": (
+        TypeError,
+        _block_parser("rig"),
+        ["max_rnage", "sensors", "azimuth_fov_deg", "elevation_fov_deg"]
+        + ["azimuth_sigma_deg", "elevation_sigma_deg"],
+    ),
+    "imu_noise": (ValueError, _block_parser("imu_noise"), ["gyro_bias_inti", "accel_bias_init"]),
+    "suburban_loop_scenario": (
+        TypeError,
+        lambda extra: sim.suburban_loop_scenario(**extra),
+        ["lap", "speed", "gyro_yaw_bias"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "parser, key",
+    [(parser, key) for parser, (_, _, keys) in _PARSERS.items() for key in keys],
+)
+def test_unknown_key_is_an_error_that_names_it(parser, key):
+    error, parse, _ = _PARSERS[parser]
+    parse({})  # the same input without the bad key parses
+    with pytest.raises(error, match=re.escape(f"'{key}'")):
+        parse({key: 1.0})
 
 
 class TestImu:
@@ -184,6 +268,21 @@ class TestRadar:
             assert np.all(np.abs(el) <= rig.elevation_fov)
 
 
+class TestRig:
+    def test_noise_free_keeps_every_field_but_the_sigmas(self):
+        rig = sim.default_rig(max_range=60.0, min_range=1.0, imu_rate=400.0, doppler_max=20.0)
+        quiet = rig.noise_free()
+        sigmas = {"range_sigma", "azimuth_sigma", "elevation_sigma", "doppler_sigma"}
+        for f in dataclasses.fields(sim.SensorRig):
+            if f.name in sigmas:
+                assert getattr(rig, f.name) > 0.0 and getattr(quiet, f.name) == 0.0, f.name
+            elif f.name != "extrinsics":
+                assert getattr(quiet, f.name) == getattr(rig, f.name), f.name
+        assert quiet.extrinsics == rig.extrinsics and quiet.extrinsics is not rig.extrinsics
+        quiet.extrinsics.pop()
+        assert rig.num_sensors == 3
+
+
 class TestLogIo:
     def test_round_trip(self, tmp_path):
         scenario = sim.Scenario.from_dict(
@@ -236,6 +335,18 @@ class TestLogIo:
             with pytest.raises(sim.LogFormatError) as err:
                 sim.read_log(path)
             assert err.value.line_no == 2, bad
+
+    def test_repeated_scan_of_a_sensor_is_an_error(self, tmp_path):
+        imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
+        scan = '{"type":"radar","t":0.1,"sensor":%d,"detections":[{"p":[1,2,3],"rr":0.5}]}'
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([imu, scan % 0, scan % 1, ""]))
+        groups = sim.read_log(path).scans_by_time()
+        assert [[s.sensor_id for s in group] for _, group in groups] == [[0, 1]]
+        path.write_text("\n".join([imu, scan % 0, scan % 0, ""]))
+        with pytest.raises(sim.LogFormatError) as err:
+            sim.read_log(path)
+        assert err.value.line_no == 3
 
     def test_written_text(self, tmp_path):
         # the format, byte for byte: IMU before radar at the same time
