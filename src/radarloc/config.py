@@ -81,7 +81,6 @@ class RunConfig:
     window: WindowParams = field(default_factory=WindowParams)
     prior: PriorParams = field(default_factory=PriorParams)
     ablation: AblationParams = field(default_factory=AblationParams)
-    rig: dict = field(default_factory=dict)  # forwarded to sim.rig_from_dict
 
 
 # (lo, hi, inclusive_lo, inclusive_hi) per dotted parameter path
@@ -155,8 +154,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("ablation.single_sensor must be a bool")
     if not isinstance(cfg.ablation.disable_heading_constraint, bool):
         raise ConfigError("ablation.disable_heading_constraint must be a bool")
-    if not isinstance(cfg.rig, dict):
-        raise ConfigError("rig must be an object")
     return cfg
 
 

@@ -26,7 +26,7 @@ from ..config import RunConfig
 from ..geometry import quat_canonical, quat_to_matrix, tilt_matrix
 from ..sim.imu import ImuData
 from ..sim.io import SensorLog
-from ..sim.rig import rig_from_dict
+from ..sim.rig import default_rig
 from .factors import PriorFactor
 from .landmarks import LandmarkTracker
 from .preintegration import imu_segment, lerp, predict_state, preintegrate, segment_span
@@ -312,9 +312,10 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
     Outputs are in the IMU frame of the first processed step (see
     ``OdometryOutput``). Scan groups without full IMU coverage (before the
     first or after the last IMU sample) are skipped with a warning.
+    ``extrinsics`` default to the three radars of ``default_rig``.
     """
     if extrinsics is None:
-        extrinsics = rig_from_dict(cfg.rig).extrinsics
+        extrinsics = default_rig().extrinsics
     if sensor_log.imu is None or len(sensor_log.imu) < 2:
         raise ValueError("sensor log carries no usable IMU stream")
     est = RioEstimator(cfg, extrinsics)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..geometry import quat_to_matrix
-from .trajectory import GroundTruth, check_keys
+from .spec import check_keys
+from .trajectory import GroundTruth
 
 GRAVITY = 9.81
 

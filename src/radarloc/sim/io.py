@@ -29,6 +29,10 @@ class LogFormatError(ValueError):
         self.line_no = line_no
 
 
+def _group_time(t: float) -> float:
+    return round(t, 9)  # the key of the step a scan at time t belongs to
+
+
 @dataclass
 class SensorLog:
     imu: ImuData | None = None
@@ -38,7 +42,7 @@ class SensorLog:
         """Group scans sharing a timestamp (multi-sensor timesteps)."""
         groups: dict[float, list[RadarScan]] = {}
         for scan in self.scans:
-            groups.setdefault(round(scan.t, 9), []).append(scan)
+            groups.setdefault(_group_time(scan.t), []).append(scan)
         return [(t, sorted(group, key=lambda s: s.sensor_id)) for t, group in sorted(groups.items())]
 
 
@@ -117,9 +121,9 @@ def read_log(path) -> SensorLog:
                     if isinstance(sensor, bool) or not isinstance(sensor, int):
                         raise ValueError(f"sensor must be an integer, got {sensor!r}")
                     t = float(rec["t"])
-                    if (round(t, 9), sensor) in scan_keys:  # the grouping of scans_by_time
+                    if (_group_time(t), sensor) in scan_keys:
                         raise LogFormatError(path, line_no, f"repeated scan of sensor {sensor} at {t}")
-                    scan_keys.add((round(t, 9), sensor))
+                    scan_keys.add((_group_time(t), sensor))
                     scans.append(RadarScan(t, sensor, points, doppler))
                 else:
                     raise LogFormatError(path, line_no, f"unknown record type {kind!r}")

@@ -10,7 +10,8 @@ from .imu import ImuData, ImuNoiseModel, simulate_imu
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, rig_from_dict
 from .scene import Scene, scene_from_dict
-from .trajectory import GroundTruth, check_keys, gen_trajectory
+from .spec import check_keys
+from .trajectory import GroundTruth, gen_trajectory
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trajectory import check_keys
+from .spec import check_keys
 
 
 @dataclass
@@ -49,8 +49,7 @@ class Scene:
 
 def wall_points(start, end, spacing: float = 0.5) -> np.ndarray:
     """Point reflectors along a wall segment between two xy points, at 0.5 and 1.5 m height."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
+    start, end = (np.asarray(point, dtype=float) for point in (start, end))
     length = np.linalg.norm(end - start)
     count = max(int(np.floor(length / spacing)) + 1, 2)
     alphas = np.linspace(0.0, 1.0, count)
@@ -91,9 +90,5 @@ def scene_from_dict(cfg: dict) -> Scene:
         check_keys(obj, ("position", "velocity"), "dynamic object")
         position, velocity = (np.asarray(obj[key], dtype=float) for key in ("position", "velocity"))
         dynamics.append(DynamicObject(position, velocity))
-    return Scene(
-        static_points=static,
-        static_weights=np.asarray(weights, dtype=float),
-        dynamic_objects=dynamics,
-        clutter_density=float(cfg.get("clutter_density", 0.0)),
-    )
+    clutter = float(cfg.get("clutter_density", 0.0))
+    return Scene(static, np.asarray(weights, dtype=float), dynamics, clutter)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .spec import check_keys
+
 
 class TrajectorySpecError(ValueError):
     """Raised for trajectory specs that are malformed or not smooth enough."""
@@ -67,13 +69,6 @@ def _heading_from_velocity(vel: np.ndarray, acc: np.ndarray):
     return yaw, yaw_rate
 
 
-def check_keys(spec: dict, known, what: str, error=ValueError) -> None:
-    """Raise ``error`` naming the first key of ``spec`` that is not in ``known``."""
-    for key in spec:
-        if key not in known:
-            raise error(f"unknown {what} key: {key!r}")
-
-
 # the keys each trajectory kind takes besides "kind"
 _KIND_KEYS = {
     "stationary": (),
@@ -100,10 +95,8 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     Raises :class:`TrajectorySpecError` for an unknown kind or key and for
     malformed or non-smooth specs.
     """
-    if duration <= 0.0:
-        raise TrajectorySpecError("duration must be positive")
-    if imu_rate <= 0.0:
-        raise TrajectorySpecError("imu_rate must be positive")
+    if duration <= 0.0 or imu_rate <= 0.0:
+        raise TrajectorySpecError("duration and imu_rate must be positive")
     kind = spec.get("kind")
     if kind not in _KIND_KEYS:
         raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")

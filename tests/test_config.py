@@ -32,6 +32,8 @@ def test_override_is_applied():
         pytest.param({"window": {"no_such_key": 1}}, id="key"),
         # IMU edges are never re-integrated, so there is no threshold for it
         pytest.param({"imu": {"bias_relin_threshold": 1e-3}}, id="bias_relin_threshold"),
+        # the odometry takes its extrinsics as an argument, not from the config
+        pytest.param({"rig": {"max_range": 60.0}}, id="rig"),
     ],
 )
 def test_unknown_key_raises(overrides):
