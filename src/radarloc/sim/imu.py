@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..geometry import quat_to_matrix
-from .spec import check_keys
+from ..spec import NON_NEGATIVE, check_fields, check_spec, ranged
 from .trajectory import GroundTruth
 
 GRAVITY = 9.81
@@ -40,25 +40,29 @@ class ImuData:
 class ImuNoiseModel:
     """White-noise densities, bias random walks, and the initial gyro bias.
 
-    The accelerometer bias starts at zero. ``from_dict`` takes these field
-    names as keys, each optional; any other key raises a ``ValueError`` that
-    names it.
+    The accelerometer bias starts at zero. The densities and walks are
+    finite and >= 0, and ``gyro_bias_init`` is 3 finite numbers. ``from_dict``
+    takes the field names as keys, each optional. A bad value or any other
+    key raises a ``ValueError`` that names it.
     """
 
-    accel_noise_density: float = 0.02  # m/s^2 per sqrt(Hz)
-    gyro_noise_density: float = 0.002  # rad/s per sqrt(Hz)
-    accel_bias_walk: float = 2e-4  # m/s^2 per sqrt(s)
-    gyro_bias_walk: float = 2e-5  # rad/s per sqrt(s)
+    accel_noise_density: float = ranged(0.02, *NON_NEGATIVE)  # m/s^2 per sqrt(Hz)
+    gyro_noise_density: float = ranged(0.002, *NON_NEGATIVE)  # rad/s per sqrt(Hz)
+    accel_bias_walk: float = ranged(2e-4, *NON_NEGATIVE)  # m/s^2 per sqrt(s)
+    gyro_bias_walk: float = ranged(2e-5, *NON_NEGATIVE)  # rad/s per sqrt(s)
     gyro_bias_init: np.ndarray = field(default_factory=lambda: np.zeros(3))  # rad/s
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        bias = np.asarray(self.gyro_bias_init)
+        if bias.shape != (3,) or bias.dtype.kind not in "iuf" or not np.all(np.isfinite(bias)):
+            raise ValueError(f"gyro_bias_init must be 3 finite numbers, got {self.gyro_bias_init!r}")
+        self.gyro_bias_init = bias.astype(float)
 
     @staticmethod
     def from_dict(cfg: dict) -> "ImuNoiseModel":
-        check_keys(cfg, [f.name for f in fields(ImuNoiseModel)], "IMU noise")
-        model = ImuNoiseModel()
-        for key, value in cfg.items():
-            value = np.asarray(value, dtype=float) if key == "gyro_bias_init" else float(value)
-            setattr(model, key, value)
-        return model
+        check_spec(cfg, [f.name for f in fields(ImuNoiseModel)], "IMU noise")
+        return ImuNoiseModel(**cfg)
 
 
 def simulate_imu(
@@ -92,7 +96,7 @@ def simulate_imu(
             return np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
 
         ba = walk(noise.accel_bias_walk)
-        bg = np.asarray(noise.gyro_bias_init, dtype=float) + walk(noise.gyro_bias_walk)
+        bg = noise.gyro_bias_init + walk(noise.gyro_bias_walk)
         accel = accel + ba + (noise.accel_noise_density / sqrt_dt) * rng.standard_normal((n, 3))
         gyro = gyro + bg + (noise.gyro_noise_density / sqrt_dt) * rng.standard_normal((n, 3))
 

@@ -46,12 +46,12 @@ class SensorLog:
         return [(t, sorted(group, key=lambda s: s.sensor_id)) for t, group in sorted(groups.items())]
 
 
-def _vectors(rows: list) -> np.ndarray:
-    """``rows`` as an (n, 3) float array; a ValueError unless each row is 3 numbers."""
-    array = np.array(rows, dtype=float)
-    if rows and array.shape != (len(rows), 3):
-        raise ValueError(f"expected vectors of 3 numbers, got an array of shape {array.shape}")
-    return array.reshape(len(rows), 3)
+def _numbers(values: list, *shape: int) -> np.ndarray:
+    """JSON numbers ``values`` as floats of shape ``(len(values), *shape)``; else a ValueError."""
+    array, expected = np.array(values), (len(values), *shape)
+    if array.dtype.kind not in "iuf" or values and array.shape != expected:
+        raise ValueError(f"expected numbers of shape {expected}, got {array.dtype} of shape {array.shape}")
+    return array.astype(float, copy=False).reshape(expected)
 
 
 def _rows(x) -> list:
@@ -108,27 +108,26 @@ def read_log(path) -> SensorLog:
             if not isinstance(rec, dict) or "type" not in rec:
                 raise LogFormatError(path, line_no, "record must be an object with a 'type' field")
             kind = rec["type"]
+            if kind not in ("imu", "radar"):
+                raise LogFormatError(path, line_no, f"unknown record type {kind!r}")
             try:
+                t = rec["t"]
+                if type(t) not in (int, float):  # a JSON number; a bool is an int subclass
+                    raise ValueError(f"t must be a number, got {t!r}")
+                t = float(t)
                 if kind == "imu":
-                    imu_rows.append((float(rec["t"]), line_no, *_vectors([rec["a"], rec["w"]])))
-                elif kind == "radar":
+                    imu_rows.append((t, line_no, *_numbers([rec["a"], rec["w"]], 3)))
+                else:
                     dets = rec.get("detections", [])
-                    points = _vectors([d["p"] for d in dets])
-                    doppler = np.array([d["rr"] for d in dets], dtype=float)
-                    if doppler.shape != (len(dets),):
-                        raise ValueError("each range rate must be one number")
+                    points = _numbers([d["p"] for d in dets], 3)
+                    doppler = _numbers([d["rr"] for d in dets])
                     sensor = rec["sensor"]
                     if isinstance(sensor, bool) or not isinstance(sensor, int):
                         raise ValueError(f"sensor must be an integer, got {sensor!r}")
-                    t = float(rec["t"])
                     if (_group_time(t), sensor) in scan_keys:
-                        raise LogFormatError(path, line_no, f"repeated scan of sensor {sensor} at {t}")
+                        raise ValueError(f"repeated scan of sensor {sensor} at {t}")
                     scan_keys.add((_group_time(t), sensor))
                     scans.append(RadarScan(t, sensor, points, doppler))
-                else:
-                    raise LogFormatError(path, line_no, f"unknown record type {kind!r}")
-            except LogFormatError:
-                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(path, line_no, f"bad {kind} record: {exc}") from exc
     log = SensorLog(scans=scans)

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..spec import check_spec
 from .imu import ImuData, ImuNoiseModel, simulate_imu
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, rig_from_dict
 from .scene import Scene, scene_from_dict
-from .spec import check_keys
 from .trajectory import GroundTruth, gen_trajectory
 
 
@@ -27,12 +27,12 @@ class Scenario:
         """Parse a scenario JSON object.
 
         Its keys: ``trajectory`` (a ``gen_trajectory`` spec) and ``duration``
-        (s), both required; ``scene`` (see ``scene_from_dict``) and ``rig``
+        (s > 0), both required; ``scene`` (see ``scene_from_dict``) and ``rig``
         (see ``rig_from_dict``), each empty by default; and ``imu_noise`` (see
         ``ImuNoiseModel``), without which the IMU is exact. Any other key
         raises a ``ValueError`` that names it.
         """
-        check_keys(cfg, ("trajectory", "duration", "scene", "rig", "imu_noise"), "scenario")
+        check_spec(cfg, ("trajectory", "duration", "scene", "rig", "imu_noise"), "scenario")
         noise_cfg = cfg.get("imu_noise")
         return Scenario(
             trajectory=cfg["trajectory"],

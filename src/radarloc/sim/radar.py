@@ -115,8 +115,7 @@ def simulate_scan(
     if scene.dynamic_objects:
         dyn_pos = np.array([obj.position_at(t) for obj in scene.dynamic_objects])
         dyn_vel = np.array([obj.velocity for obj in scene.dynamic_objects])
-        dyn_w = np.array([obj.weight for obj in scene.dynamic_objects])
-        add_targets(dyn_pos, dyn_vel, dyn_w)
+        add_targets(dyn_pos, dyn_vel, np.ones(len(dyn_pos)))
 
     n_clutter = int(rng_stream.poisson(scene.clutter_density))
     if n_clutter > 0:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..geometry import RigidTransform, quat_from_axis_angle
+from ..spec import NON_NEGATIVE, POSITIVE, check_fields, ranged
 
 _SIGMAS = ("range_sigma", "azimuth_sigma", "elevation_sigma", "doppler_sigma")
 
@@ -22,29 +23,25 @@ class SensorRig:
     """
 
     extrinsics: list[RigidTransform] = field(default_factory=list)
-    imu_rate: float = 200.0
-    radar_rate: float = 20.0
-    max_range: float = 80.0
-    azimuth_fov: float = np.deg2rad(75.0)
-    elevation_fov: float = np.deg2rad(15.0)
-    range_sigma: float = 0.03
-    azimuth_sigma: float = np.deg2rad(0.2)
-    elevation_sigma: float = np.deg2rad(0.25)
-    doppler_sigma: float = 0.04
-    doppler_max: float = 30.0
-    min_range: float = 0.5
+    imu_rate: float = ranged(200.0, *POSITIVE)
+    radar_rate: float = ranged(20.0, *POSITIVE)
+    max_range: float = ranged(80.0, *POSITIVE)
+    azimuth_fov: float = ranged(np.deg2rad(75.0), 0.0, np.pi, inc_lo=False)
+    elevation_fov: float = ranged(np.deg2rad(15.0), 0.0, np.pi / 2.0, inc_lo=False)
+    range_sigma: float = ranged(0.03, *NON_NEGATIVE)
+    azimuth_sigma: float = ranged(np.deg2rad(0.2), *NON_NEGATIVE)
+    elevation_sigma: float = ranged(np.deg2rad(0.25), *NON_NEGATIVE)
+    doppler_sigma: float = ranged(0.04, *NON_NEGATIVE)
+    doppler_max: float = ranged(30.0, *POSITIVE)
+    min_range: float = ranged(0.5, *POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.imu_rate <= 0.0 or self.radar_rate <= 0.0:
-            raise ValueError("rates must be positive")
+        check_fields(self)
         ratio = self.imu_rate / self.radar_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("radar_rate must divide imu_rate")
-        for name in _SIGMAS:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not (0.0 < self.min_range < self.max_range):
-            raise ValueError("need 0 < min_range < max_range")
+        if not self.min_range < self.max_range:
+            raise ValueError("need min_range < max_range")
 
     @property
     def num_sensors(self) -> int:
@@ -79,10 +76,11 @@ def default_rig(**overrides) -> SensorRig:
 def rig_from_dict(cfg: dict) -> SensorRig:
     """The default rig with the overrides of a scenario JSON ``rig`` block.
 
-    The keys are the ``SensorRig`` fields but ``extrinsics``: ``imu_rate``,
-    ``radar_rate``, ``max_range``, ``azimuth_fov``, ``elevation_fov``,
-    ``range_sigma``, ``azimuth_sigma``, ``elevation_sigma``, ``doppler_sigma``,
-    ``doppler_max`` and ``min_range``, in the units of those fields (angles in
-    radians). Any other key raises a ``TypeError`` that names it.
+    The keys are the ``SensorRig`` fields but ``extrinsics``, in their units
+    (angles in radians). Each is a finite number: the rates, the ranges and
+    ``doppler_max`` above 0, ``azimuth_fov`` in (0, pi], ``elevation_fov`` in
+    (0, pi/2] and the sigmas at least 0; ``radar_rate`` divides ``imu_rate``
+    and ``min_range < max_range``. A bad value raises a ``ValueError`` and
+    any other key a ``TypeError``, each naming it.
     """
     return default_rig(**cfg)

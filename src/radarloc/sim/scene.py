@@ -6,16 +6,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spec import check_keys
+from ..spec import NON_NEGATIVE, POSITIVE, check_fields, check_spec, ranged
+
+_WEIGHT = (0.0, 1.0, False, True)  # the range of a detection probability
 
 
 @dataclass
 class DynamicObject:
-    """Point reflector moving at constant velocity."""
+    """Point reflector moving at constant velocity, detected whenever in view."""
 
     position0: np.ndarray
     velocity: np.ndarray
-    weight: float = 1.0
 
     def position_at(self, t: float) -> np.ndarray:
         return self.position0 + self.velocity * t
@@ -32,19 +33,16 @@ class Scene:
     static_points: np.ndarray
     static_weights: np.ndarray
     dynamic_objects: list[DynamicObject] = field(default_factory=list)
-    clutter_density: float = 0.0
+    clutter_density: float = ranged(0.0, *NON_NEGATIVE)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         self.static_points = np.atleast_2d(np.asarray(self.static_points, dtype=float))
         if self.static_points.size == 0:
             self.static_points = np.zeros((0, 3))
         self.static_weights = np.asarray(self.static_weights, dtype=float).reshape(-1)
         if len(self.static_weights) != len(self.static_points):
             raise ValueError("one weight per static target required")
-        if np.any((self.static_weights <= 0.0) | (self.static_weights > 1.0)):
-            raise ValueError("weights must lie in (0, 1]")
-        if self.clutter_density < 0.0:
-            raise ValueError("clutter_density must be >= 0")
 
 
 def wall_points(start, end, spacing: float = 0.5) -> np.ndarray:
@@ -63,32 +61,33 @@ def scene_from_dict(cfg: dict) -> Scene:
     The block's keys, each optional:
 
     * ``walls``: objects with xy ``start`` and ``end``, and optional
-      ``spacing`` (m, default 0.5) and detection ``weight`` (default 1);
-      each is a row of reflectors at 0.5 and 1.5 m height (``wall_points``).
+      ``spacing`` (m > 0, default 0.5) and detection ``weight`` (in (0, 1],
+      default 1); each is a row of reflectors at 0.5 and 1.5 m height.
     * ``posts``: objects with a ``position`` (its xy is used) and optional
-      ``weight`` (default 1); each is three reflectors at 0.5, 1.5, 2.5 m.
+      ``weight`` (in (0, 1], default 1); each is three reflectors at 0.5, 1.5, 2.5 m.
     * ``dynamic_objects``: objects with xyz ``position`` and ``velocity``.
-    * ``clutter_density``: spurious detections per scan (default 0).
+    * ``clutter_density``: spurious detections per scan (>= 0, default 0).
 
-    A key not listed raises a ``ValueError`` that names it.
+    A key not listed, or a number that is not finite or not in its range,
+    raises a ``ValueError`` that names it.
     """
-    check_keys(cfg, ("walls", "posts", "dynamic_objects", "clutter_density"), "scene")
+    check_spec(cfg, ("walls", "posts", "dynamic_objects", "clutter_density"), "scene")
     points, weights = [], []
     for wall in cfg.get("walls", []):
-        check_keys(wall, ("start", "end", "spacing", "weight"), "wall")
+        check_spec(wall, {"start": None, "end": None, "spacing": POSITIVE, "weight": _WEIGHT}, "wall")
         pts = wall_points(wall["start"], wall["end"], spacing=float(wall.get("spacing", 0.5)))
         points.append(pts)
         weights.extend([float(wall.get("weight", 1.0))] * len(pts))
     for post in cfg.get("posts", []):
-        check_keys(post, ("position", "weight"), "post")
+        check_spec(post, {"position": None, "weight": _WEIGHT}, "post")
         x, y = np.asarray(post["position"], dtype=float)[:2]
         points.append(np.array([[x, y, z] for z in (0.5, 1.5, 2.5)]))
         weights.extend([float(post.get("weight", 1.0))] * 3)
     static = np.vstack(points) if points else np.zeros((0, 3))
     dynamics = []
     for obj in cfg.get("dynamic_objects", []):
-        check_keys(obj, ("position", "velocity"), "dynamic object")
+        check_spec(obj, ("position", "velocity"), "dynamic object")
         position, velocity = (np.asarray(obj[key], dtype=float) for key in ("position", "velocity"))
         dynamics.append(DynamicObject(position, velocity))
-    clutter = float(cfg.get("clutter_density", 0.0))
+    clutter = cfg.get("clutter_density", 0.0)
     return Scene(static, np.asarray(weights, dtype=float), dynamics, clutter)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .spec import check_keys
+from ..spec import FINITE, POSITIVE, check_spec, check_value
 
 
 class TrajectorySpecError(ValueError):
@@ -69,13 +69,13 @@ def _heading_from_velocity(vel: np.ndarray, acc: np.ndarray):
     return yaw, yaw_rate
 
 
-# the keys each trajectory kind takes besides "kind"
+# the keys each trajectory kind takes besides "kind", with their ranges
 _KIND_KEYS = {
-    "stationary": (),
-    "line": ("speed", "yaw"),
-    "circle": ("radius", "speed"),
-    "figure8": ("period",),
-    "waypoints": ("points", "speed"),
+    "stationary": {},
+    "line": {"speed": POSITIVE, "yaw": FINITE},
+    "circle": {"radius": POSITIVE, "speed": POSITIVE},
+    "figure8": {"period": POSITIVE},
+    "waypoints": {"points": None, "speed": POSITIVE},
 }
 
 
@@ -85,22 +85,23 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     Every kind starts at the origin. The kinds and their keys:
 
     * ``stationary``: no other key; it stays at yaw 0.
-    * ``line``: ``speed`` (m/s) along ``yaw`` (rad, default 0).
-    * ``circle``: ``radius`` (m) and ``speed`` (m/s), counterclockwise about
-      the origin from its +x point.
-    * ``figure8``: ``period`` (s) of a 40 m x 10 m figure eight.
+    * ``line``: ``speed`` (m/s > 0) along ``yaw`` (rad, default 0).
+    * ``circle``: ``radius`` (m > 0) and ``speed`` (m/s > 0), counterclockwise
+      about the origin from its +x point.
+    * ``figure8``: ``period`` (s > 0) of a 40 m x 10 m figure eight.
     * ``waypoints``: ``points`` (at least 3 xyz), joined by a natural cubic
-      spline and timed by their chord lengths over ``speed`` (m/s, default 1).
+      spline and timed by their chord lengths over ``speed`` (m/s > 0, default 1).
 
-    Raises :class:`TrajectorySpecError` for an unknown kind or key and for
-    malformed or non-smooth specs.
+    Every number is finite, ``duration`` (s) and ``imu_rate`` (Hz) above 0. A
+    bad kind, key or number (named) or a malformed or non-smooth spec raises
+    :class:`TrajectorySpecError`.
     """
-    if duration <= 0.0 or imu_rate <= 0.0:
-        raise TrajectorySpecError("duration and imu_rate must be positive")
+    check_value("duration", duration, POSITIVE, TrajectorySpecError)
+    check_value("imu_rate", imu_rate, POSITIVE, TrajectorySpecError)
     kind = spec.get("kind")
     if kind not in _KIND_KEYS:
         raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")
-    check_keys(spec, ("kind", *_KIND_KEYS[kind]), f"{kind} trajectory", TrajectorySpecError)
+    check_spec(spec, {"kind": None, **_KIND_KEYS[kind]}, f"{kind} trajectory", TrajectorySpecError)
     n = int(round(duration * imu_rate)) + 1
     t = np.arange(n) / imu_rate
 
@@ -111,8 +112,6 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     if kind == "line":
         yaw0 = float(spec.get("yaw", 0.0))
         speed = float(spec["speed"])
-        if speed <= 0.0:
-            raise TrajectorySpecError("line speed must be positive (use kind=stationary)")
         direction = np.array([np.cos(yaw0), np.sin(yaw0), 0.0])
         pos = speed * t[:, None] * direction[None, :]
         vel = np.tile(speed * direction, (n, 1))
@@ -121,8 +120,6 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     if kind == "circle":
         radius = float(spec["radius"])
         speed = float(spec["speed"])
-        if radius <= 0.0 or speed <= 0.0:
-            raise TrajectorySpecError("circle radius and speed must be positive")
         omega = speed / radius
         theta = omega * t
         pos = radius * np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
@@ -133,8 +130,6 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     if kind == "figure8":
         a, b = 20.0, 10.0
         period = float(spec["period"])
-        if period <= 0.0:
-            raise TrajectorySpecError("figure8 period must be positive")
         w = 2.0 * np.pi / period
         phi = w * t
         pos = np.stack([a * np.sin(phi), b * np.sin(phi) * np.cos(phi), np.zeros(n)], axis=1)
@@ -149,8 +144,6 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 3:
         raise TrajectorySpecError("waypoints need at least 3 xyz points")
     speed = float(spec.get("speed", 1.0))
-    if speed <= 0.0:
-        raise TrajectorySpecError("waypoint speed must be positive")
     chord = np.linalg.norm(np.diff(points, axis=0), axis=1)
     if np.any(chord <= 0.0):
         raise TrajectorySpecError("consecutive waypoints coincide")

@@ -56,6 +56,21 @@ def test_out_of_range_raises(overrides):
         config_from_dict(overrides)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("path", sorted(PARAMETER_RANGES))
+def test_non_finite_value_raises(path, value):
+    *sections, name = path.split(".")
+    overrides, default = {name: value}, RunConfig()
+    for section in sections:
+        default = getattr(default, section)
+    for section in reversed(sections):
+        overrides = {section: overrides}
+    # a float where the default is an int is refused before its range is
+    message = "must be an integer" if isinstance(getattr(default, name), int) else "outside valid range"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(overrides)
+
+
 @pytest.mark.parametrize("overrides", [{"window": {"size": True}}, {"seed": False}])
 def test_bool_in_numeric_field_raises(overrides):
     with pytest.raises(ConfigError, match="must be numeric"):

@@ -154,6 +154,80 @@ def test_unknown_key_is_an_error_that_names_it(parser, key):
         parse({key: 1.0})
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+# each parser that checks values: the error it raises, and how it parses a
+# valid input with the keys of its argument added
+_VALUE_PARSERS = {
+    "imu_noise": (ValueError, _block_parser("imu_noise")),
+    "rig": (ValueError, _block_parser("rig")),
+    "scene": (ValueError, _block_parser("scene")),
+    "wall": (ValueError, _scene_item_parser("wall")),
+    "post": (ValueError, _scene_item_parser("post")),
+    **{f"{kind} trajectory": (TrajectorySpecError, _trajectory_parser(kind)) for kind in _TRAJECTORIES},
+    "trajectory sampling": (
+        TrajectorySpecError,
+        lambda extra: sim.gen_trajectory(
+            {"kind": "stationary"}, **{"duration": 1.0, "imu_rate": 100.0, **extra}
+        ),
+    ),
+}
+# for each ImuNoiseModel and SensorRig field, a finite value outside its range
+_OUT_OF_RANGE = {
+    "imu_noise": {
+        "accel_noise_density": -1.0,
+        "gyro_noise_density": -1.0,
+        "accel_bias_walk": -1e-4,
+        "gyro_bias_walk": -1e-5,
+    },
+    "rig": {
+        "imu_rate": 0.0,
+        "radar_rate": -20.0,
+        "max_range": 0.0,
+        "azimuth_fov": -1.0,
+        "elevation_fov": 2.0,
+        "range_sigma": -0.1,
+        "azimuth_sigma": -0.1,
+        "elevation_sigma": -0.1,
+        "doppler_sigma": -0.1,
+        "doppler_max": 0.0,
+        "min_range": 0.0,
+    },
+}
+_BAD_VALUES = [
+    *(
+        (parser, key, value)
+        for parser, keys in _OUT_OF_RANGE.items()
+        for key, out_of_range in keys.items()
+        for value in (_NAN, out_of_range)
+    ),
+    *(("imu_noise", "gyro_bias_init", value) for value in (0.003, [0.0, 0.003], [0.0, 0.0, _NAN])),
+    *(
+        (f"{kind} trajectory", key, value)
+        for kind, key in [("line", "speed"), ("line", "yaw"), ("circle", "radius")]
+        + [("circle", "speed"), ("figure8", "period"), ("waypoints", "speed")]
+        for value in (_NAN, _INF)
+    ),
+    ("trajectory sampling", "duration", _NAN),
+    ("trajectory sampling", "imu_rate", _NAN),
+    ("scene", "clutter_density", _NAN),
+    ("wall", "weight", _NAN),
+    ("wall", "spacing", 0.0),
+    ("post", "weight", _NAN),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, key, value",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]}") for case in _BAD_VALUES],
+)
+def test_bad_value_is_an_error_that_names_its_key(parser, key, value):
+    error, parse = _VALUE_PARSERS[parser]
+    parse({})  # the same input without the bad value parses
+    with pytest.raises(error, match=re.escape(key)):
+        parse({key: value})
+
+
 class TestImu:
     def test_stationary_specific_force(self):
         gt = sim.gen_trajectory({"kind": "stationary"}, 1.0, 200.0)
@@ -335,6 +409,26 @@ class TestLogIo:
             with pytest.raises(sim.LogFormatError) as err:
                 sim.read_log(path)
             assert err.value.line_no == 2, bad
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"type":"imu","t":"0.1","a":[0,0,9.81],"w":[0,0,0]}',
+            '{"type":"imu","t":true,"a":[0,0,9.81],"w":[0,0,0]}',
+            '{"type":"imu","t":0.1,"a":["0",0,9.81],"w":[0,0,0]}',
+            '{"type":"imu","t":0.1,"a":[0,0,9.81],"w":[0,null,0]}',
+            '{"type":"radar","t":null,"sensor":0,"detections":[]}',
+            '{"type":"radar","t":0.1,"sensor":0,"detections":[{"p":["1",2,3],"rr":0.5}]}',
+            '{"type":"radar","t":0.1,"sensor":0,"detections":[{"p":[1,2,3],"rr":"0.5"}]}',
+            '{"type":"radar","t":0.1,"sensor":0,"detections":[{"p":[1,2,3],"rr":null}]}',
+        ],
+    )
+    def test_string_or_null_for_a_number_is_an_error(self, tmp_path, bad):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}\n%s\n' % bad)
+        with pytest.raises(sim.LogFormatError) as err:
+            sim.read_log(path)
+        assert err.value.line_no == 2
 
     def test_repeated_scan_of_a_sensor_is_an_error(self, tmp_path):
         imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
