@@ -17,6 +17,14 @@ Conventions, fixed here once for the whole project:
   results, so the window evaluates all its factors of one kind at once and
   preintegration maps all its IMU intervals at once. One input and a stack
   go through the same code.
+* Each linear or quadratic map is one numpy operation on a constant table,
+  so its cost is per call rather than per component: ``skew`` and the
+  quaternion product matrices gather the input's components through an
+  index table and multiply by a sign table, ``quat_mul`` is a product with
+  one of those matrices, and ``quat_to_matrix`` is the identity plus the
+  outer product ``q q^T`` times a constant (16, 9) coefficient table. The
+  component formulas they replace are the test oracles in
+  ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,21 +36,19 @@ import numpy as np
 _SMALL_ANGLE = 1e-10
 
 
+# S[i, j] = _SKEW_SIGN[i, j] * v[_SKEW_INDEX[i, j]]
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Return the 3x3 matrix S with S @ w == cross(v, w); (n, 3) gives (n, 3, 3)."""
-    x, y, z = np.asarray(v, dtype=float).T
-    o = 0.0 * x
-    return _matrix([[o, -z, y], [z, o, -x], [-y, x, o]])
+    return np.asarray(v, dtype=float)[..., _SKEW_INDEX] * _SKEW_SIGN
 
 
-def _matrix(rows) -> np.ndarray:
-    """Matrix, or stack of matrices, from rows of components unpacked from ``a.T``.
-
-    ``a.T`` puts the component axis first and reverses the leading axes;
-    ``.T`` undoes both and ``swapaxes`` restores the row layout, so that a
-    single matrix comes out C-contiguous as if built directly.
-    """
-    return np.array(rows).T.swapaxes(-1, -2)
+def _norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm over the last axis; what ``np.linalg.norm`` computes there."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
 def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -72,7 +78,7 @@ def quat_identity() -> np.ndarray:
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit quaternion(s); a near-zero input maps to the identity."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    n = _norm(q, keepdims=True)
     return np.where(n < _SMALL_ANGLE, quat_identity(), q / np.maximum(n, _SMALL_ANGLE))
 
 
@@ -85,58 +91,66 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return q * _CONJ
 
 
+# L(q)[i, j] = _LEFT_SIGN[i, j] * q[_PRODUCT_INDEX[i, j]], and R(q) alike
+_PRODUCT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
+)
+_RIGHT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
+)
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b (not normalized)."""
-    aw, ax, ay, az = np.asarray(a).T
-    bw, bx, by, bz = np.asarray(b).T
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    ).T
+    """Hamilton product a * b (not normalized), as ``R(b) @ a``.
+
+    Each row of ``R(b)`` takes the terms in the order of the component
+    formula, so a stack sums them as that formula does.
+    """
+    return matvec(quat_right_mat(b), np.asarray(a, dtype=float))
 
 
 def quat_left_mat(q: np.ndarray) -> np.ndarray:
     """4x4 matrix L with L(q) @ p == quat_mul(q, p)."""
-    w, x, y, z = np.asarray(q).T
-    return _matrix(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    return np.asarray(q, dtype=float)[..., _PRODUCT_INDEX] * _LEFT_SIGN
 
 
 def quat_right_mat(q: np.ndarray) -> np.ndarray:
     """4x4 matrix R with R(q) @ p == quat_mul(p, q)."""
-    w, x, y, z = np.asarray(q).T
-    return _matrix(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
+    return np.asarray(q, dtype=float)[..., _PRODUCT_INDEX] * _RIGHT_SIGN
+
+
+def _rotation_coefficients() -> np.ndarray:
+    """(16, 9) table C with R(q) = I + (q q^T).ravel() @ C, row-major R."""
+    C = np.zeros((4, 4, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            # R = I + 2 w [v]x + 2 [v]x^2, with [v]x^2 = v v^T - |v|^2 I
+            if i == j:
+                for k in range(1, 4):
+                    if k != i + 1:
+                        C[k, k, i, j] = -2.0
+            else:
+                C[i + 1, j + 1, i, j] = 2.0
+                k = 3 - i - j  # the third axis
+                C[0, k + 1, i, j] = 2.0 * _SKEW_SIGN[i, j]
+    return C.reshape(16, 9)
+
+
+_ROTATION_COEFFICIENTS = _rotation_coefficients()
+_EYE3 = np.eye(3)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q).T
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return _matrix(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    """Rotation matrix of unit quaternion(s) q; (n, 4) gives (n, 3, 3).
+
+    Every entry of ``R(q) - I`` is a quadratic form in ``q`` with at most
+    two terms of coefficient +-2, so the one table product computes each
+    exactly as the component formula does.
+    """
+    q = np.asarray(q, dtype=float)
+    outer = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
+    return _EYE3 + (outer @ _ROTATION_COEFFICIENTS).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -153,7 +167,7 @@ def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     written as ``0.5 * sinc(angle/2pi) * rotvec``, exact at angle 0.
     """
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = np.linalg.norm(rotvec, axis=-1, keepdims=True)
+    angle = _norm(rotvec, keepdims=True)
     return np.concatenate(
         [np.cos(0.5 * angle), 0.5 * np.sinc(angle / (2.0 * np.pi)) * rotvec], axis=-1
     )
@@ -197,7 +211,7 @@ def retract(q: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
 def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
     """Right Jacobian Jr with Exp(phi + Jr(phi) @ d) ~ Exp(phi) Exp(d)."""
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = np.linalg.norm(rotvec, axis=-1)[..., None, None]
+    angle = _norm(rotvec)[..., None, None]
     small = angle < 1e-7
     S = skew(rotvec)
     safe = np.where(small, 1.0, angle)

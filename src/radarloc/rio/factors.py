@@ -40,6 +40,23 @@ IMU_RESIDUAL_DIM = 12  # rows: [rotation, velocity, gyro bias, accel bias]
 COVARIANCE_FLOOR = 1e-12
 
 
+def _imu_unit_entries() -> np.ndarray:
+    """The +-I entries of the IMU residual's Jacobian in x_k1, constant at any states.
+
+    The velocity, gyro-bias and accel-bias rows are each the estimate minus
+    the prediction, so ``x_k1`` enters them with +I and ``x_k`` with -I.
+    """
+    unit = np.zeros((IMU_RESIDUAL_DIM, STATE_DIM))
+    eye = np.eye(3)
+    unit[3:6, VEL] = eye
+    unit[6:9, BG] = eye
+    unit[9:12, BA] = eye
+    return unit
+
+
+_IMU_UNIT = _imu_unit_entries()
+
+
 def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
     """d(2*vec(q_left * dq * q_right))/d dtheta for dq = Exp(dtheta)."""
     M = quat_left_mat(q_left) @ quat_right_mat(q_right)
@@ -71,10 +88,9 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     )
 
     shape = res.shape[:-1] + (IMU_RESIDUAL_DIM, STATE_DIM)
-    J_k = np.zeros(shape)
-    J_k1 = np.zeros(shape)
+    J_k1 = np.broadcast_to(_IMU_UNIT, shape).copy()
+    J_k = np.broadcast_to(-_IMU_UNIT, shape).copy()
     sign = sign[..., None]
-    eye = np.eye(3)
 
     # rotation rows
     vec_k1 = _vec_jacobian(x_k1.q, q_pred_inv)
@@ -87,18 +103,11 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     j_eff = right_jacobian_so3(matvec(pre.j_rot_bg, dbg)) @ pre.j_rot_bg
     J_k[..., 0:3, BG] = -sign * vec_k1 @ j_eff
 
-    # velocity rows
-    J_k1[..., 3:6, VEL] = eye
+    # velocity rows; the bias columns BA, BG are adjacent
     J_k[..., 3:6, THETA] = R_k @ skew(dv)
-    J_k[..., 3:6, VEL] = -eye
-    J_k[..., 3:6, BA] = -R_k @ pre.j_vel_ba
-    J_k[..., 3:6, BG] = -R_k @ pre.j_vel_bg
-
-    # bias rows
-    J_k1[..., 6:9, BG] = eye
-    J_k[..., 6:9, BG] = -eye
-    J_k1[..., 9:12, BA] = eye
-    J_k[..., 9:12, BA] = -eye
+    J_k[..., 3:6, BA.start : BG.stop] = -R_k @ np.concatenate(
+        [pre.j_vel_ba, pre.j_vel_bg], axis=-1
+    )
     return res, J_k, J_k1
 
 
@@ -263,6 +272,7 @@ class PriorFactor:
         res = self.sqrt_info @ delta + self.rhs
         e_q = quat_mul(quat_conj(self.mean.q), x.q)
         sign = -1.0 if e_q[0] < 0.0 else 1.0
-        J_delta = np.eye(STATE_DIM)
-        J_delta[0:3, 0:3] = sign * _vec_jacobian(e_q, quat_identity())
-        return res, self.sqrt_info @ J_delta
+        # d delta / d dtheta is the identity but for its rotation block
+        J = self.sqrt_info.copy()
+        J[:, THETA] = self.sqrt_info[:, THETA] @ (sign * _vec_jacobian(e_q, quat_identity()))
+        return res, J

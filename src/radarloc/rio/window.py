@@ -54,6 +54,15 @@ and ``imu_residual`` at most once, through this module's names: the
 benchmark's tracer wraps exactly these names and counts one span per pass
 and kind. Single-state factors add into the diagonal blocks of the normal
 equations and the IMU edges into the block tridiagonal.
+
+The Gauss-Newton matrix is block tridiagonal, so a ``Linearization`` holds
+only its n diagonal and n - 1 super-diagonal 12x12 blocks, never the dense
+``(12 n)^2`` matrix. Each iteration copies them once into LAPACK's lower
+band storage (bandwidth 23, ``lower_band``), and each damped try solves
+that band by banded Cholesky (``damped_step``; Golub & Van Loan, *Matrix
+Computations*, section 4.3), in time linear in n. A damped matrix that is
+not positive definite fails the try like a singular one.
+``Linearization.H`` builds the dense matrix from the blocks for the tests.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from ..config import RunConfig
 from ..geometry import matvec
@@ -164,19 +174,68 @@ DIVERGED = "diverged"  # non-finite cost or normal equations; the states are kep
 class Linearization:
     """One pass over the window's factors at ``states``.
 
-    ``cost`` sums the squared whitened residuals; ``H`` is the Gauss-Newton
-    matrix ``J^T J`` and ``g`` the gradient ``J^T r`` of the same residuals.
-    ``first_edge`` is the ``(J^T J, J^T r)`` block that the IMU edge from the
-    first state to the second adds on the second state, or None in a
-    one-state window: marginalization needs it apart from the second
-    state's other factors.
+    ``cost`` sums the squared whitened residuals and ``g`` is the gradient
+    ``J^T r`` of the same residuals, one 12-row per state. The Gauss-Newton
+    matrix ``J^T J`` is block tridiagonal: ``blocks[i]`` is its diagonal
+    block on state i, (n, 12, 12), and ``off[i]`` the block coupling state i
+    (rows) to state i + 1 (columns), (n - 1, 12, 12). ``H`` is the dense
+    matrix, built from them on each access for tests. ``first_edge`` is the
+    ``(J^T J, J^T r)`` block that the IMU edge from the first state to the
+    second adds on the second state, or None in a one-state window:
+    marginalization needs it apart from the second state's other factors.
     """
 
     states: State
     cost: float
-    H: np.ndarray
+    blocks: np.ndarray
+    off: np.ndarray
     g: np.ndarray
     first_edge: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def H(self) -> np.ndarray:
+        n, S = len(self.blocks), STATE_DIM
+        H = np.zeros((n, S, n, S))
+        k, i = np.arange(n), np.arange(n - 1)
+        H[k, :, k, :] = self.blocks
+        H[i, :, i + 1, :] = self.off
+        H[i + 1, :, i, :] = np.swapaxes(self.off, -1, -2)
+        return H.reshape(n * S, n * S)
+
+
+# LAPACK lower band storage of a symmetric matrix with 12x12 blocks on three
+# block diagonals: band[r, j] = H[j + r, j] for r < 2 * 12. In block column k,
+# rows j + r run down the diagonal block into the sub-diagonal block, the
+# transpose of ``off[k]``; ``lower_band`` stacks the two (and a zero block for
+# the last column's overrun) and gathers entry (b + r, b) of that stack.
+_BAND_ROWS = 2 * STATE_DIM
+_BAND_COLUMN = np.arange(STATE_DIM)  # b
+_BAND_ROW = np.arange(_BAND_ROWS)[:, None] + _BAND_COLUMN  # b + r, (24, 12)
+
+
+def lower_band(blocks: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Lower band storage (24, 12 n) of the block-tridiagonal symmetric matrix.
+
+    ``blocks`` (n, 12, 12) are its diagonal blocks and ``off`` (n - 1, 12, 12)
+    its super-diagonal ones, as in ``Linearization``. Row 0 is the diagonal.
+    """
+    n, S = len(blocks), STATE_DIM
+    column = np.zeros((n, 3 * S, S))
+    column[:, :S] = blocks
+    column[:-1, S : 2 * S] = np.swapaxes(off, -1, -2)
+    band = column[:, _BAND_ROW, _BAND_COLUMN]  # (n, 24, 12)
+    return band.transpose(1, 0, 2).reshape(_BAND_ROWS, n * S)
+
+
+def damped_step(band: np.ndarray, damping: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve ``(H + diag(damping)) delta = -g`` with ``H`` in lower band storage.
+
+    ``band`` is left as it is. Raises ``np.linalg.LinAlgError`` when the
+    damped matrix is not positive definite.
+    """
+    damped = band.copy()
+    damped[0] += damping
+    return solveh_banded(damped, -g, lower=True, check_finite=False)
 
 
 @dataclass
@@ -200,11 +259,12 @@ class OptimizeReport:
 
 
 def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Linearization:
-    """Cost, Gauss-Newton matrix and gradient of the window at ``states``.
+    """Cost, Gauss-Newton blocks and gradient of the window at ``states``.
 
     Each factor kind is evaluated once for all its factors; single-state
-    factors add into the diagonal blocks and the IMU edges into the block
-    tridiagonal, and no dense Jacobian is formed.
+    factors add into the diagonal blocks and the IMU edges into the
+    diagonal and super-diagonal blocks, and no dense Jacobian or matrix is
+    formed.
     """
     n = len(window)
     diag = np.zeros((n, STATE_DIM, STATE_DIM))
@@ -224,7 +284,7 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Lineariza
         Jt = np.swapaxes(J, -1, -2)
         diag += Jt @ J
         grad += matvec(Jt, r)
-    H = np.zeros((n, STATE_DIM, n, STATE_DIM))
+    off = np.zeros((0, STATE_DIM, STATE_DIM))
     first_edge = None
     if n > 1:
         W = window.whitening
@@ -237,15 +297,9 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Lineariza
         diag[1:] += H_k1
         grad[:-1] += matvec(Jt_k, r)
         grad[1:] += g_k1
-        i = np.arange(n - 1)
         off = Jt_k @ J_k1
-        H[i, :, i + 1, :] = off
-        H[i + 1, :, i, :] = np.swapaxes(off, -1, -2)
         first_edge = (H_k1[0], g_k1[0])
-    k = np.arange(n)
-    H[k, :, k, :] = diag
-    H = H.reshape(n * STATE_DIM, n * STATE_DIM)
-    return Linearization(states, cost, H, grad.reshape(-1), first_edge)
+    return Linearization(states, cost, diag, off, grad.reshape(-1), first_edge)
 
 
 def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
@@ -281,16 +335,16 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
 
     while iterations < cfg.window.max_iterations:
         iterations += 1
-        H, g, cost = lin.H, lin.g, lin.cost
-        if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
+        band, g, cost = lower_band(lin.blocks, lin.off), lin.g, lin.cost
+        if not np.all(np.isfinite(band)) or not np.all(np.isfinite(g)):
             return OptimizeReport(iterations, costs[0], np.inf, DIVERGED, costs, linearizations)
-        diag = np.clip(np.diag(H), 1e-12, None)
+        diag = np.clip(band[0], 1e-12, None)
         if np.max(np.abs(g) / np.sqrt(diag)) <= GRADIENT_FLOOR:
             reason = CONVERGED
             break
         for _ in range(MAX_TRIES):
             try:
-                delta = np.linalg.solve(H + lam * np.diag(diag), -g)
+                delta = damped_step(band, lam * diag, g)
             except np.linalg.LinAlgError:
                 gain = -np.inf
             else:
@@ -347,10 +401,8 @@ def marginalize_oldest(
         for name in ("t", "q", "v", "ba", "bg")
     ):
         raise ValueError("linearization is not at the window's first two states")
-    S = STATE_DIM
-    H00 = linearization.H[:S, :S]
-    H01 = linearization.H[:S, S : 2 * S]
-    b0 = linearization.g[:S]
+    H00, H01 = linearization.blocks[0], linearization.off[0]
+    b0 = linearization.g[:STATE_DIM]
     H11, b1 = linearization.first_edge
 
     regularized = False

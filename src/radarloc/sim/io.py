@@ -63,26 +63,32 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
     """Write a merged, time-sorted sensor log.
 
     At equal timestamps IMU records precede radar, so a streaming consumer
-    always has IMU coverage for a scan.
+    always has IMU coverage for a scan; records of one kind at one time keep
+    their input order. The order is sorted first, then each record is
+    serialized and written on its own, so no more than one line is held.
     """
-    records: list[tuple[float, int, str]] = []
-    if imu is not None:
-        for t, a, w in zip(_rows(imu.t), _rows(imu.accel), _rows(imu.gyro)):
-            records.append((t, 0, json.dumps({"type": "imu", "t": t, "a": a, "w": w})))
-    for scan in scans or []:
-        rec = {
-            "type": "radar",
-            "t": float(scan.t),
-            "sensor": int(scan.sensor_id),
-            "detections": [
-                {"p": p, "rr": rr} for p, rr in zip(_rows(scan.points), _rows(scan.doppler))
-            ],
-        }
-        records.append((rec["t"], 1, json.dumps(rec)))
-    records.sort(key=lambda r: (r[0], r[1]))
+    scans = scans or []
+    t, accel, gyro = ([], [], []) if imu is None else map(_rows, (imu.t, imu.accel, imu.gyro))
+    order = sorted(
+        [(t_i, 0, i) for i, t_i in enumerate(t)]
+        + [(float(scan.t), 1, i) for i, scan in enumerate(scans)]
+    )
     with open(path, "w") as f:
-        for _, _, line in records:
-            f.write(line)
+        for t_i, kind, i in order:
+            if kind == 0:
+                rec = {"type": "imu", "t": t_i, "a": accel[i], "w": gyro[i]}
+            else:
+                scan = scans[i]
+                rec = {
+                    "type": "radar",
+                    "t": t_i,
+                    "sensor": int(scan.sensor_id),
+                    "detections": [
+                        {"p": p, "rr": rr}
+                        for p, rr in zip(_rows(scan.points), _rows(scan.doppler))
+                    ],
+                }
+            f.write(json.dumps(rec))
             f.write("\n")
 
 

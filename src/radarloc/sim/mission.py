@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..spec import check_spec
+from ..spec import POSITIVE, check_spec
 from .imu import ImuData, ImuNoiseModel, simulate_imu
 from .radar import RadarScan, simulate_scan
 from .rig import SensorRig, rig_from_dict
@@ -29,10 +29,18 @@ class Scenario:
         Its keys: ``trajectory`` (a ``gen_trajectory`` spec) and ``duration``
         (s > 0), both required; ``scene`` (see ``scene_from_dict``) and ``rig``
         (see ``rig_from_dict``), each empty by default; and ``imu_noise`` (see
-        ``ImuNoiseModel``), without which the IMU is exact. Any other key
-        raises a ``ValueError`` that names it.
+        ``ImuNoiseModel``), without which the IMU is exact. Any other key, a
+        missing required key or a ``duration`` that is not a finite number
+        above 0 raises a ``ValueError`` that names it.
         """
-        check_spec(cfg, ("trajectory", "duration", "scene", "rig", "imu_noise"), "scenario")
+        keys = {
+            "trajectory": None,
+            "duration": POSITIVE,
+            "scene": None,
+            "rig": None,
+            "imu_noise": None,
+        }
+        check_spec(cfg, keys, "scenario", required=("trajectory", "duration"))
         noise_cfg = cfg.get("imu_noise")
         return Scenario(
             trajectory=cfg["trajectory"],

@@ -77,6 +77,14 @@ _KIND_KEYS = {
     "figure8": {"period": POSITIVE},
     "waypoints": {"points": None, "speed": POSITIVE},
 }
+# those of them without a default
+_REQUIRED_KEYS = {
+    "stationary": (),
+    "line": ("speed",),
+    "circle": ("radius", "speed"),
+    "figure8": ("period",),
+    "waypoints": ("points",),
+}
 
 
 def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
@@ -93,15 +101,21 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
       spline and timed by their chord lengths over ``speed`` (m/s > 0, default 1).
 
     Every number is finite, ``duration`` (s) and ``imu_rate`` (Hz) above 0. A
-    bad kind, key or number (named) or a malformed or non-smooth spec raises
-    :class:`TrajectorySpecError`.
+    bad kind, an unknown or missing key or a bad number (each named), or a
+    malformed or non-smooth spec raises :class:`TrajectorySpecError`.
     """
     check_value("duration", duration, POSITIVE, TrajectorySpecError)
     check_value("imu_rate", imu_rate, POSITIVE, TrajectorySpecError)
     kind = spec.get("kind")
     if kind not in _KIND_KEYS:
         raise TrajectorySpecError(f"unknown trajectory kind: {kind!r}")
-    check_spec(spec, {"kind": None, **_KIND_KEYS[kind]}, f"{kind} trajectory", TrajectorySpecError)
+    check_spec(
+        spec,
+        {"kind": None, **_KIND_KEYS[kind]},
+        f"{kind} trajectory",
+        TrajectorySpecError,
+        _REQUIRED_KEYS[kind],
+    )
     n = int(round(duration * imu_rate)) + 1
     t = np.arange(n) / imu_rate
 

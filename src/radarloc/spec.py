@@ -17,14 +17,18 @@ def ranged(default, lo, hi, inc_lo: bool = True, inc_hi: bool = True):
     return field(default=default, metadata={"range": (lo, hi, inc_lo, inc_hi)})
 
 
-def check_spec(spec: dict, known, what: str, error=ValueError) -> None:
-    """Raise ``error`` naming the first key of ``spec`` not in ``known``, or the first value
-    out of the range that a dict ``known`` maps its key to (None for no range)."""
+def check_spec(spec: dict, known, what: str, error=ValueError, required=()) -> None:
+    """Raise ``error`` naming the first key of ``spec`` not in ``known``, the first value
+    out of the range that a dict ``known`` maps its key to (None for no range), or the
+    first key of ``required`` missing from ``spec``."""
     for key, value in spec.items():
         if key not in known:
             raise error(f"unknown {what} key: {key!r}")
         if isinstance(known, dict) and known[key] is not None:
             check_value(f"{what} {key}", value, known[key], error)
+    for key in required:
+        if key not in spec:
+            raise error(f"missing {what} key: {key!r}")
 
 
 def check_value(name: str, value, bounds: tuple, error=ValueError, integer: bool = False) -> None:

@@ -10,23 +10,76 @@ match) the oracle of ``compress_landmarks`` and ``heading_block_residual``.
 The rotation references are ``exp_so3`` (Rodrigues' formula), the oracle of
 ``quat_exp`` and of the fine-step integrator the preintegration tests
 compare with, ``log_so3`` its inverse, and ``quat_from_matrix`` (Shepperd's
-method), the inverse of ``quat_to_matrix``.
+method), the inverse of ``quat_to_matrix``. ``skew``, ``quat_mul``,
+``quat_left_mat``, ``quat_right_mat`` and ``quat_to_matrix`` write out each
+component, the oracles of the constant-table maps of the same names in
+``radarloc.geometry``; the other oracles use them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from radarloc.geometry import (
-    _SMALL_ANGLE,
-    quat_canonical,
-    quat_normalize,
-    quat_to_matrix,
-    skew,
-    wrap_angle,
-)
+from radarloc.geometry import _SMALL_ANGLE, quat_canonical, quat_normalize, wrap_angle
 from radarloc.rio.factors import yaw_and_jacobian
 from radarloc.rio.state import BG, STATE_DIM, THETA, VEL, State
+
+
+def _matrix(rows) -> np.ndarray:
+    """Matrix, or stack of matrices, from rows of components unpacked from ``a.T``.
+
+    ``a.T`` puts the component axis first and reverses the leading axes;
+    ``.T`` undoes both and ``swapaxes`` restores the row layout.
+    """
+    return np.array(rows).T.swapaxes(-1, -2)
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """The 3x3 matrix S with S @ w == cross(v, w); (n, 3) gives (n, 3, 3)."""
+    x, y, z = np.asarray(v, dtype=float).T
+    o = 0.0 * x
+    return _matrix([[o, -z, y], [z, o, -x], [-y, x, o]])
+
+
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a * b, component by component."""
+    aw, ax, ay, az = np.asarray(a).T
+    bw, bx, by, bz = np.asarray(b).T
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    ).T
+
+
+def quat_left_mat(q: np.ndarray) -> np.ndarray:
+    """4x4 matrix L with L(q) @ p == quat_mul(q, p)."""
+    w, x, y, z = np.asarray(q).T
+    return _matrix([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+
+
+def quat_right_mat(q: np.ndarray) -> np.ndarray:
+    """4x4 matrix R with R(q) @ p == quat_mul(p, q)."""
+    w, x, y, z = np.asarray(q).T
+    return _matrix([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+
+
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a unit quaternion, entry by entry."""
+    w, x, y, z = np.asarray(q).T
+    xx, yy, zz = x * x, y * y, z * z
+    wx, wy, wz = w * x, w * y, w * z
+    xy, xz, yz = x * y, x * z, y * z
+    return _matrix(
+        [
+            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
+            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
+            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
+        ]
+    )
 
 
 class DegenerateBearingError(ValueError):

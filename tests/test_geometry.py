@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import DegenerateBearingError, bearing, exp_so3, log_so3, quat_from_matrix
 from radarloc import geometry as geo
 
@@ -171,3 +172,26 @@ def test_quat_mul_and_retract_broadcast():
         np.testing.assert_allclose(
             geo.retract(a, dtheta)[k], geo.retract(a[k], dtheta[k]), atol=1e-15
         )
+
+
+@pytest.mark.parametrize(
+    "name", ["skew", "quat_left_mat", "quat_right_mat", "quat_to_matrix", "quat_mul"]
+)
+def test_constant_table_maps_equal_their_component_oracles(name):
+    # one input, a stack, and for quat_mul a single times a stack either way,
+    # on unit quaternions and unit-scale vectors
+    rng = np.random.default_rng(7)
+    size = 3 if name == "skew" else 4
+    stack = rng.normal(size=(8, size))
+    if name != "skew":
+        stack = geo.quat_normalize(stack)
+    other = geo.quat_normalize(rng.normal(size=(8, 4)))
+    f, oracle = getattr(geo, name), getattr(oracles, name)
+    if name == "quat_mul":
+        cases = [(stack[0], other[0]), (stack, other), (stack[0], other), (stack, other[0])]
+    else:
+        cases = [(stack[0],), (stack,)]
+    for args in cases:
+        out, expected = f(*args), oracle(*args)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)

@@ -154,6 +154,35 @@ def test_unknown_key_is_an_error_that_names_it(parser, key):
         parse({key: 1.0})
 
 
+def _sample(spec):
+    return sim.gen_trajectory(spec, 1.0, 100.0)
+
+
+# each required key: what it is a key of, the parser and the error it raises,
+# and an input with the key, which the parser then gets without it
+_REQUIRED = [
+    *(
+        (f"{kind} trajectory", _sample, TrajectorySpecError, _TRAJECTORIES[kind], key)
+        for kind, key in [("line", "speed"), ("circle", "radius"), ("circle", "speed")]
+        + [("figure8", "period"), ("waypoints", "points")]
+    ),
+    *(
+        ("scenario", sim.Scenario.from_dict, ValueError, _MINIMAL_SCENARIO, key)
+        for key in ("trajectory", "duration")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "what, parse, error, spec, key",
+    [pytest.param(*case, id=f"{case[0]}-{case[-1]}") for case in _REQUIRED],
+)
+def test_missing_required_key_is_an_error_that_names_it(what, parse, error, spec, key):
+    parse(spec)  # the input with the key parses
+    with pytest.raises(error, match=re.escape(f"missing {what} key: '{key}'")):
+        parse({k: v for k, v in spec.items() if k != key})
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 # each parser that checks values: the error it raises, and how it parses a
@@ -165,6 +194,7 @@ _VALUE_PARSERS = {
     "wall": (ValueError, _scene_item_parser("wall")),
     "post": (ValueError, _scene_item_parser("post")),
     **{f"{kind} trajectory": (TrajectorySpecError, _trajectory_parser(kind)) for kind in _TRAJECTORIES},
+    "scenario": (ValueError, _parse_scenario),
     "trajectory sampling": (
         TrajectorySpecError,
         lambda extra: sim.gen_trajectory(
@@ -208,6 +238,7 @@ _BAD_VALUES = [
         + [("circle", "speed"), ("figure8", "period"), ("waypoints", "speed")]
         for value in (_NAN, _INF)
     ),
+    *(("scenario", "duration", value) for value in ("5", True, _NAN, _INF, 0.0, -1.0)),
     ("trajectory sampling", "duration", _NAN),
     ("trajectory sampling", "imu_rate", _NAN),
     ("scene", "clutter_density", _NAN),

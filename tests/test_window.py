@@ -24,8 +24,11 @@ from radarloc.rio.window import (
     DIVERGED,
     ITERATION_CAP,
     NO_DESCENT,
+    Linearization,
     SlidingWindow,
+    damped_step,
     linearize,
+    lower_band,
     marginalize_oldest,
     optimize_window,
 )
@@ -383,6 +386,57 @@ class TestCompressedFactors:
         np.testing.assert_array_equal(prior.mean.q, x1.q)
 
 
+class TestBandedSolve:
+    """The damped step solved in band storage equals the dense solve."""
+
+    @staticmethod
+    def _block_tridiagonal(n, rng):
+        """Dense SPD ``J^T J`` of random factors on one state or on two neighbours."""
+        S = STATE_DIM
+        J = np.zeros((0, n * S))
+        for k in range(n):
+            rows = np.zeros((S + 2, n * S))
+            rows[:, k * S : (k + 1) * S] = rng.normal(size=(S + 2, S))
+            J = np.vstack([J, rows])
+        for k in range(n - 1):
+            rows = np.zeros((S, n * S))
+            rows[:, k * S : (k + 2) * S] = rng.normal(size=(S, 2 * S))
+            J = np.vstack([J, rows])
+        return J.T @ J
+
+    @staticmethod
+    def _blocks(H, n):
+        S = STATE_DIM
+        blocks = np.array([H[k * S : (k + 1) * S, k * S : (k + 1) * S] for k in range(n)])
+        off = np.array([H[k * S : (k + 1) * S, (k + 1) * S : (k + 2) * S] for k in range(n - 1)])
+        return blocks, off.reshape(n - 1, S, S)
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_equals_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        H = self._block_tridiagonal(n, rng)
+        g = rng.normal(size=n * STATE_DIM)
+        damping = rng.uniform(0.0, 2.0, size=n * STATE_DIM) * np.diag(H)
+        blocks, off = self._blocks(H, n)
+        np.testing.assert_array_equal(Linearization(None, 0.0, blocks, off, g).H, H)
+        band = lower_band(blocks, off)
+        assert band.shape == (2 * STATE_DIM, n * STATE_DIM)
+        undamped = band.copy()
+        for d in (damping, np.zeros(n * STATE_DIM)):
+            delta = damped_step(band, d, g)
+            assert _rel(delta, np.linalg.solve(H + np.diag(d), -g)) < 1e-12
+        np.testing.assert_array_equal(band, undamped)
+
+    def test_indefinite_damped_matrix_raises(self):
+        n = 3
+        H = self._block_tridiagonal(n, np.random.default_rng(0))
+        band = lower_band(*self._blocks(H, n))
+        damping = np.zeros(n * STATE_DIM)
+        damping[5] = -2.0 * H[5, 5]  # a negative diagonal entry
+        with pytest.raises(np.linalg.LinAlgError):
+            damped_step(band, damping, np.ones(n * STATE_DIM))
+
+
 class TestFactorCallsPerPass:
     """Each factor function is called once per linearization, and only there.
 
@@ -407,8 +461,8 @@ class TestFactorCallsPerPass:
         for name in self.NAMES:
             counting(window_module, name, name)
         counting(window_module, "linearize", "linearize")
-        # the damped solves of optimize_window; the factors solve nothing
-        counting(window_module.np.linalg, "solve", "solve")
+        # the damped banded solves of optimize_window; the factors solve nothing
+        counting(window_module, "solveh_banded", "solve")
         return calls
 
     def test_optimize_calls_each_factor_once_per_pass(
