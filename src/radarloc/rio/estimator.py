@@ -16,7 +16,6 @@ window's prior.
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
 
@@ -114,59 +113,60 @@ class RioEstimator:
         self.t_oi = np.zeros(3)
         self.step_count = 0
         self.last_diagnostics = StepDiagnostics()
-        self._imu_t: list[float] = []
-        self._imu_a: list[np.ndarray] = []
-        self._imu_w: list[np.ndarray] = []
+        self._imu = ImuData(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
         self._skipped_imu = 0
         self._last_t: float | None = None
 
     @property
     def last_imu_time(self) -> float | None:
         """Time of the newest IMU sample fed, or None before the first."""
-        return self._imu_t[-1] if self._imu_t else None
+        return float(self._imu.t[-1]) if len(self._imu) else None
 
     # ------------------------------------------------------------------
-    def add_imu(self, t: float, accel: np.ndarray, gyro: np.ndarray) -> None:
-        """Buffer one IMU sample.
+    def add_imu(self, t: float | np.ndarray, accel: np.ndarray, gyro: np.ndarray) -> None:
+        """Buffer one IMU sample, or a block of them in time order.
 
-        A sample with a non-finite time, acceleration or rate is skipped and
-        counted in the next step's ``skipped_imu_samples``.
+        One sample is a time and two 3-vectors; a block of m is m times and
+        two ``(m, 3)`` arrays. A sample with a non-finite time, acceleration
+        or rate is skipped and counted in the next step's
+        ``skipped_imu_samples``. The times kept must increase strictly, from
+        the newest buffered sample on; else a ``ValueError``, which leaves
+        the buffer and the count as they were.
         """
-        accel = np.asarray(accel, dtype=float)
-        gyro = np.asarray(gyro, dtype=float)
-        if not (np.isfinite(t) and np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
-            self._skipped_imu += 1
-            return
-        if self._imu_t and t <= self._imu_t[-1]:
-            raise ValueError("IMU timestamps must be strictly increasing")
-        self._imu_t.append(float(t))
-        self._imu_a.append(accel)
-        self._imu_w.append(gyro)
-
-    def _imu_data(self) -> ImuData:
-        return ImuData(
-            np.asarray(self._imu_t), np.asarray(self._imu_a), np.asarray(self._imu_w)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        accel = np.asarray(accel, dtype=float).reshape(len(t), 3)
+        gyro = np.asarray(gyro, dtype=float).reshape(len(t), 3)
+        finite = np.isfinite(t) & np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1)
+        skipped = len(t) - int(np.count_nonzero(finite))
+        if skipped:
+            t, accel, gyro = t[finite], accel[finite], gyro[finite]
+        buffer = self._imu
+        self._imu = ImuData(
+            np.concatenate([buffer.t, t]),
+            np.concatenate([buffer.accel, accel]),
+            np.concatenate([buffer.gyro, gyro]),
         )
+        self._skipped_imu += skipped
 
     def _trim_imu(self, keep_from: float) -> None:
+        imu = self._imu
         cut = min(
-            bisect.bisect_left(self._imu_t, keep_from) - 1,
-            len(self._imu_t) - IMU_BUFFER_MIN_SAMPLES,
+            int(np.searchsorted(imu.t, keep_from, side="left")) - 1,
+            len(imu) - IMU_BUFFER_MIN_SAMPLES,
         )
         if cut > 0:
-            del self._imu_t[:cut]
-            del self._imu_a[:cut]
-            del self._imu_w[:cut]
+            self._imu = ImuData(imu.t[cut:], imu.accel[cut:], imu.gyro[cut:])
 
     def _gyro_at(self, t: float) -> np.ndarray:
-        if not self._imu_t:
+        imu = self._imu
+        if not len(imu):
             return np.zeros(3)
-        i = bisect.bisect_right(self._imu_t, t) - 1
+        i = int(np.searchsorted(imu.t, t, side="right")) - 1
         if i < 0:
-            return self._imu_w[0].copy()
-        if i + 1 < len(self._imu_t) and self._imu_t[i] < t:
-            return lerp(t, self._imu_t[i], self._imu_t[i + 1], self._imu_w[i], self._imu_w[i + 1])
-        return self._imu_w[i].copy()
+            return imu.gyro[0].copy()
+        if i + 1 < len(imu) and imu.t[i] < t:
+            return lerp(t, imu.t[i], imu.t[i + 1], imu.gyro[i], imu.gyro[i + 1])
+        return imu.gyro[i].copy()
 
     # ------------------------------------------------------------------
     def _filter_scans(self, scans):
@@ -174,8 +174,8 @@ class RioEstimator:
             return [s for s in scans if s.sensor_id == 0]
         return list(scans)
 
-    def _landmark_block(self, pooled, mask, t, x_pred, t_oi_prov, diag: StepDiagnostics):
-        """Heading block ``(bearings, offsets)`` from the inliers (``mask``) of
+    def _landmark_block(self, pooled, inliers, t, x_pred, t_oi_prov, diag: StepDiagnostics):
+        """Heading block ``(bearings, offsets)`` from the rows ``inliers`` of
         ``pooled``, or None.
 
         The tracker sees the inliers' IMU-frame positions in pooled order;
@@ -183,7 +183,7 @@ class RioEstimator:
         """
         if self.cfg.ablation.disable_heading_constraint:
             return None
-        detections = pooled.positions[mask]
+        detections = pooled.positions.take(inliers, axis=0)
         active = self.tracker.update(detections, t, quat_to_matrix(x_pred.q), t_oi_prov)
         diag.tracked_landmarks = len(self.tracker.landmarks)
         diag.association_pairs = self.tracker.pairs
@@ -237,7 +237,7 @@ class RioEstimator:
             t_oi_prov = self.t_oi
         else:
             dt = t - self._last_t
-            imu = self._imu_data()
+            imu = self._imu
             segment = imu_segment(imu, self._last_t, t)
             i0, i1 = segment_span(imu, self._last_t, t)
             diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
@@ -268,10 +268,12 @@ class RioEstimator:
             self.window = SlidingWindow(prior)
         doppler = landmarks = None
         if result.ok:
-            mask = result.inlier_mask
-            diag.inliers = int(mask.sum())
-            doppler = (pooled.directions[mask], pooled.levers[mask], pooled.rates[mask])
-            landmarks = self._landmark_block(pooled, mask, t, x_pred, t_oi_prov, diag)
+            # a row gather by take: boolean indexing of (n, 3) costs 2x
+            inliers = np.flatnonzero(result.inlier_mask)
+            diag.inliers = len(inliers)
+            columns = (pooled.directions, pooled.levers, pooled.rates)
+            doppler = tuple(rows.take(inliers, axis=0) for rows in columns)
+            landmarks = self._landmark_block(pooled, inliers, t, x_pred, t_oi_prov, diag)
             if landmarks is not None:
                 diag.heading_matches = len(landmarks[0])
         self.window.append(x_pred, pre, doppler, landmarks)
@@ -320,13 +322,21 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
         raise ValueError("sensor log carries no usable IMU stream")
     est = RioEstimator(cfg, extrinsics)
     imu = sensor_log.imu
+    # each sample's time, a NaN one taking its predecessor's: a sorted key
+    # for the binary search, as the finite times increase strictly
+    feed_key = np.maximum.accumulate(np.where(np.isnan(imu.t), -np.inf, imu.t))
     fed = 0
     outputs: list[OdometryOutput] = []
     skipped = 0
     for t, scans in sensor_log.scans_by_time():
-        # Feed through t, and past it while the newest fed sample is before t:
-        # a refused sample at t must not leave the group uncovered. A NaN time
-        # is fed too, for add_imu to skip, rather than stall the feed.
+        # Feed through t as one block; a NaN time goes with the sample before
+        # it, for add_imu to skip rather than stall the feed. Then feed one
+        # sample at a time while the newest kept one is before t: a refused
+        # sample at t must not leave the group uncovered.
+        stop = int(np.searchsorted(feed_key, t + 1e-12, side="right"))
+        if stop > fed:
+            est.add_imu(imu.t[fed:stop], imu.accel[fed:stop], imu.gyro[fed:stop])
+            fed = stop
         while fed < len(imu):
             last = est.last_imu_time
             if imu.t[fed] > t + 1e-12 and (last is None or last >= t - 1e-9):

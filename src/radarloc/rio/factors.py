@@ -55,6 +55,7 @@ def _imu_unit_entries() -> np.ndarray:
 
 
 _IMU_UNIT = _imu_unit_entries()
+_IMU_UNIT_NEG = -_IMU_UNIT
 
 
 def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
@@ -88,8 +89,10 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     )
 
     shape = res.shape[:-1] + (IMU_RESIDUAL_DIM, STATE_DIM)
-    J_k1 = np.broadcast_to(_IMU_UNIT, shape).copy()
-    J_k = np.broadcast_to(-_IMU_UNIT, shape).copy()
+    J_k1 = np.empty(shape)
+    J_k1[...] = _IMU_UNIT
+    J_k = np.empty(shape)
+    J_k[...] = _IMU_UNIT_NEG
     sign = sign[..., None]
 
     # rotation rows
@@ -224,8 +227,11 @@ def heading_block_residual(state: State, rows: np.ndarray):
 class PriorFactor:
     """Gaussian prior on one state, anchored at a linearization point.
 
-    Residual is ``sqrt_info @ local_error(x, mean) + rhs``; ``rhs`` carries
-    the information-vector offset produced by marginalization.
+    Residual is ``sqrt_info @ delta + rhs`` with ``delta`` the error of the
+    state relative to ``mean``, the inverse of ``mean.retract``: rotation
+    ``quat_local_error(x.q, mean.q)``, then ``x.v - mean.v``,
+    ``x.ba - mean.ba`` and ``x.bg - mean.bg``. ``rhs`` carries the
+    information-vector offset produced by marginalization.
     """
 
     mean: State
@@ -268,10 +274,15 @@ class PriorFactor:
         return PriorFactor(mean.copy(), sqrt_info, rhs, regularized)
 
     def residual(self, x: State):
-        delta = x.local_error(self.mean)
-        res = self.sqrt_info @ delta + self.rhs
-        e_q = quat_mul(quat_conj(self.mean.q), x.q)
+        # quat_local_error(x.q, mean.q) is 2 vec(e_q), e_q flipped to w >= 0;
+        # e_q also gives the Jacobian
+        mean = self.mean
+        e_q = quat_mul(quat_conj(mean.q), x.q)
         sign = -1.0 if e_q[0] < 0.0 else 1.0
+        delta = np.concatenate(
+            [2.0 * sign * e_q[1:4], x.v - mean.v, x.ba - mean.ba, x.bg - mean.bg]
+        )
+        res = self.sqrt_info @ delta + self.rhs
         # d delta / d dtheta is the identity but for its rotation block
         J = self.sqrt_info.copy()
         J[:, THETA] = self.sqrt_info[:, THETA] @ (sign * _vec_jacobian(e_q, quat_identity()))

@@ -1,13 +1,16 @@
 """Ego-velocity estimation and dynamic-detection rejection.
 
-All sensors' detections at one timestep pool into one linear problem. A
-static detection's raw range rate is ``ray . v - (omega - bg) . lever``,
-with its IMU-frame ray, ``lever = ray x arm`` of its sensor's lever arm,
-the IMU-frame velocity ``v``, the gyro rate ``omega`` and its bias ``bg``.
-A pooled rate adds the known ``omega . lever`` and so is
-``ray . v + bg . lever``. The Doppler factor fits ``v`` and ``bg`` to these
-rows; RANSAC fits ``v`` to ``rates - levers @ bg`` at the predicted bias
-and flags the detections off its consensus as dynamic.
+All sensors' detections at one timestep pool into one linear problem;
+each scan enters it rotated into the IMU frame by one product with its
+sensor's rotation. A static detection's raw range rate is
+``ray . v - (omega - bg) . lever``, with its IMU-frame ray,
+``lever = ray x arm`` of its sensor's lever arm, the IMU-frame velocity
+``v``, the gyro rate ``omega`` and its bias ``bg``. A pooled rate adds the
+known ``omega . lever`` and so is ``ray . v + bg . lever``. The Doppler
+factor fits ``v`` and ``bg`` to these rows; RANSAC fits ``v`` to
+``rates - levers @ bg`` at the predicted bias and flags the detections off
+its consensus as dynamic. Each least-squares refit is one SVD, whose
+singular values also give its rank test.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import RansacParams
-from ..geometry import RigidTransform, matvec
+from ..geometry import RigidTransform
 
 # Probability that at least one of the draws made was all inliers when the
 # adaptive stop ends the loop (Hartley & Zisserman, Multiple View Geometry,
@@ -44,33 +47,33 @@ class PooledDetections:
 def pool_scans(scans, extrinsics: list[RigidTransform], omega: np.ndarray) -> PooledDetections:
     """All sensors' detections at one timestep as bias-free rows.
 
-    Each detection takes the rotation and lever arm of its scan's sensor. A
-    detection with a non-finite coordinate or range rate, or at zero range,
-    has no ray; it is left out and counted in ``dropped``. A scan whose
-    sensor id has no extrinsic is a ``ValueError``.
+    Each scan's points are rotated at once by its sensor's rotation, read
+    once per sensor, and take that sensor's lever arm. A detection with a
+    non-finite coordinate or range rate, or at zero range, has no ray; it is
+    left out and counted in ``dropped``. A scan whose sensor id has no
+    extrinsic is a ``ValueError``.
     """
-    ids = np.array([scan.sensor_id for scan in scans], dtype=int)
-    unknown = ids[(ids < 0) | (ids >= len(extrinsics))]
-    if len(unknown):
-        raise ValueError(f"sensor ids {sorted(set(unknown.tolist()))} have no extrinsic")
-    sensors = np.repeat(ids, [len(scan) for scan in scans])
-    points = np.concatenate([np.zeros((0, 3)), *(scan.points for scan in scans)])
+    ids = [scan.sensor_id for scan in scans]
+    unknown = sorted({int(i) for i in ids if not 0 <= i < len(extrinsics)})
+    if unknown:
+        raise ValueError(f"sensor ids {unknown} have no extrinsic")
+    rotations = {i: extrinsics[i].rotation for i in set(ids)}
+    # an infinite coordinate rotates to NaN (inf * 0); its row is dropped below
+    with np.errstate(invalid="ignore"):
+        points = np.concatenate(
+            [np.zeros((0, 3)), *(scan.points @ rotations[scan.sensor_id].T for scan in scans)]
+        )
+    arms = np.array([extrinsics[i].t for i in ids]).reshape(-1, 3)
+    arms = np.repeat(arms, [len(scan) for scan in scans], axis=0)
     doppler = np.concatenate([np.zeros(0), *(scan.doppler for scan in scans)])
-    ranges = np.linalg.norm(points, axis=1)
+    ranges = np.sqrt(np.einsum("ij,ij->i", points, points))
     keep = np.isfinite(ranges) & (ranges > 0.0) & np.isfinite(doppler)
     dropped = len(keep) - int(np.count_nonzero(keep))
-    sensors, points, ranges = sensors[keep], points[keep], ranges[keep]
-    rotations = np.stack([e.rotation for e in extrinsics])[sensors]
-    arms = np.stack([e.t for e in extrinsics])[sensors]
-    directions = matvec(rotations, points / ranges[:, None])
+    if dropped:
+        points, ranges, arms, doppler = points[keep], ranges[keep], arms[keep], doppler[keep]
+    directions = points / ranges[:, None]
     levers = np.cross(directions, arms)
-    return PooledDetections(
-        directions,
-        doppler[keep] + levers @ omega,
-        levers,
-        matvec(rotations, points) + arms,
-        dropped,
-    )
+    return PooledDetections(directions, doppler + levers @ omega, levers, points + arms, dropped)
 
 
 @dataclass
@@ -106,6 +109,21 @@ def draws_needed(count: int, n: int, cap: int) -> int:
     return cap if draws >= cap else max(1, math.ceil(draws))
 
 
+def refit_velocity(
+    directions: np.ndarray, rates: np.ndarray, mask: np.ndarray
+) -> np.ndarray | None:
+    """Least-squares ``v`` of ``rates = directions @ v`` over the rows in
+    ``mask``; None unless their rays span three directions.
+
+    The rank test counts the singular values above 1e-6 that the solve
+    returns, as ``np.linalg.matrix_rank(rays, tol=1e-6)`` does with an SVD
+    of its own.
+    """
+    rows = np.flatnonzero(mask)  # a row gather by take: boolean indexing of (n, 3) costs 2x
+    v, _, _, singular = np.linalg.lstsq(directions.take(rows, axis=0), rates.take(rows), rcond=None)
+    return None if np.count_nonzero(singular > 1e-6) < 3 else v
+
+
 def estimate_velocity(
     directions: np.ndarray,
     rates: np.ndarray,
@@ -118,7 +136,8 @@ def estimate_velocity(
     residual below the inlier threshold; the returned velocity refits all
     consensus inliers by least squares and the mask is recomputed once
     from that refit. Degenerate geometry (rays spanning fewer than three
-    directions) and thin consensus both degrade the step.
+    directions, see ``refit_velocity``) and thin consensus both degrade the
+    step.
 
     The number of draws adapts to the best consensus so far: each time it
     grows, the loop is set to stop after ``draws_needed`` draws, at most
@@ -150,7 +169,7 @@ def estimate_velocity(
             continue
         v = np.linalg.solve(A, rates[pick])
         mask = np.abs(rates - directions @ v) < params.inlier_threshold
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if count > best_count:
             best_count = count
             best_mask = mask
@@ -161,22 +180,15 @@ def estimate_velocity(
     if best_count < params.min_inliers:
         return RansacResult(None, empty, "insufficient_consensus", iterations)
 
-    def refit(mask):
-        A = directions[mask]
-        if np.linalg.matrix_rank(A, tol=1e-6) < 3:
-            return None
-        v, *_ = np.linalg.lstsq(A, rates[mask], rcond=None)
-        return v
-
-    v = refit(best_mask)
+    v = refit_velocity(directions, rates, best_mask)
     if v is None:
         return RansacResult(None, empty, "degenerate_geometry", iterations)
     mask = np.abs(rates - directions @ v) < params.inlier_threshold
-    if int(mask.sum()) >= params.min_inliers:
-        refined = refit(mask)
+    if np.count_nonzero(mask) >= params.min_inliers:
+        refined = refit_velocity(directions, rates, mask)
         if refined is not None:
             v = refined
             mask = np.abs(rates - directions @ v) < params.inlier_threshold
-    if int(mask.sum()) < params.min_inliers:
+    if np.count_nonzero(mask) < params.min_inliers:
         return RansacResult(None, empty, "insufficient_consensus", iterations)
     return RansacResult(v, mask, "", iterations)

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..geometry import quat_canonical, quat_identity, quat_local_error, retract
+from ..geometry import quat_canonical, quat_identity, retract
 
 STATE_DIM = 12
 THETA = slice(0, 3)
@@ -88,15 +88,6 @@ class State(Rows):
             ba=self.ba + delta[..., BA],
             bg=self.bg + delta[..., BG],
         )
-
-    def local_error(self, ref: "State") -> np.ndarray:
-        """12-dim error of self relative to ref; inverse of ``ref.retract``."""
-        out = np.empty(STATE_DIM)
-        out[THETA] = quat_local_error(self.q, ref.q)
-        out[VEL] = self.v - ref.v
-        out[BA] = self.ba - ref.ba
-        out[BG] = self.bg - ref.bg
-        return out
 
     def is_finite(self) -> bool:
         return bool(

@@ -22,14 +22,19 @@ GRAVITY = 9.81
 
 @dataclass
 class ImuData:
-    """Time-ordered IMU stream as packed arrays."""
+    """Time-ordered IMU stream as packed arrays.
+
+    The finite times increase strictly; a non-finite time may stand
+    anywhere, for a consumer to skip.
+    """
 
     t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.t) <= 0.0):
+        t = np.asarray(self.t)
+        if np.any(np.diff(t[np.isfinite(t)]) <= 0.0):
             raise ValueError("IMU timestamps must be strictly increasing")
 
     def __len__(self) -> int:

@@ -97,7 +97,8 @@ def read_log(path) -> SensorLog:
 
     IMU records may come in any order; a time that repeats an earlier
     record's is an error on the later record, and so is a second radar scan
-    of one sensor at one time.
+    of one sensor at one time. A radar record's time must be finite; an IMU
+    record's need not be, and the estimator skips and counts such a sample.
     """
     imu_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     scans: list[RadarScan] = []
@@ -124,6 +125,8 @@ def read_log(path) -> SensorLog:
                 if kind == "imu":
                     imu_rows.append((t, line_no, *_numbers([rec["a"], rec["w"]], 3)))
                 else:
+                    if not np.isfinite(t):
+                        raise ValueError(f"t must be finite, got {t}")
                     dets = rec.get("detections", [])
                     points = _numbers([d["p"] for d in dets], 3)
                     doppler = _numbers([d["rr"] for d in dets])

@@ -10,7 +10,13 @@ from conftest import (
 )
 from oracles import doppler_residuals, landmark_residuals
 from radarloc.config import ImuParams, PriorParams
-from radarloc.geometry import quat_from_axis_angle, quat_mul, quat_to_matrix, quat_yaw
+from radarloc.geometry import (
+    quat_from_axis_angle,
+    quat_local_error,
+    quat_mul,
+    quat_to_matrix,
+    quat_yaw,
+)
 from radarloc.rio.factors import (
     PriorFactor,
     compress_doppler,
@@ -316,6 +322,23 @@ class TestPriorFactor:
                 lambda s: prior.residual(s)[0], x
             )
             assert jacobian_close(J, J_num)
+
+    def test_residual_is_the_whitened_local_error(self):
+        # the rotation part is quat_local_error, the inverse of retract, on
+        # both sides of the antipodal flip
+        rng = np.random.default_rng(12)
+        for k in range(10):
+            mean = random_state(rng)
+            H = np.diag(rng.uniform(0.5, 2.0, size=STATE_DIM))
+            prior = PriorFactor.from_information(mean, H, rng.normal(size=STATE_DIM), epsilon=1e-9)
+            x = mean.retract(rng.normal(size=STATE_DIM))
+            if k % 2:
+                x.q = -x.q
+            delta = np.concatenate(
+                [quat_local_error(x.q, mean.q), x.v - mean.v, x.ba - mean.ba, x.bg - mean.bg]
+            )
+            res, _ = prior.residual(x)
+            np.testing.assert_array_equal(res, prior.sqrt_info @ delta + prior.rhs)
 
     def test_from_information_round_trip(self):
         rng = np.random.default_rng(11)

@@ -29,7 +29,7 @@ def test_skew_self_cross_is_zero():
     np.testing.assert_allclose(geo.skew(v) @ v, np.zeros(3), atol=1e-15)
 
 
-# quat_local_error is the rotation part of State.local_error, which the prior factor uses
+# quat_local_error is the rotation part of the prior factor's error (see TestPriorFactor)
 def test_quat_error_identical():
     q = geo.quat_from_axis_angle([0.0, 0.0, 1.0], 0.7)
     np.testing.assert_allclose(geo.quat_local_error(q, q), np.zeros(3), atol=1e-12)

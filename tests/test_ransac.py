@@ -3,7 +3,7 @@ import pytest
 
 from radarloc.config import RansacParams
 from radarloc.geometry import quat_to_matrix
-from radarloc.rio.ransac import draws_needed, estimate_velocity, pool_scans
+from radarloc.rio.ransac import draws_needed, estimate_velocity, pool_scans, refit_velocity
 from radarloc.sim import RadarScan, default_rig, sensor_extrinsic
 
 
@@ -226,6 +226,47 @@ def _scene_with_movers(seed, n, mover_fraction, v_static):
     return (dirs, rates), distinct
 
 
+class TestRefit:
+    @staticmethod
+    def _ray_sets(rng):
+        full = _random_dirs(rng, 30)
+        coplanar = full.copy()
+        coplanar[:, 2] = 0.0
+        collinear = np.outer(rng.choice([-1.0, 1.0], 30), [0.6, 0.8, 0.0])
+        # out of plane by far less than the rank tolerance
+        nearly_coplanar = coplanar + [0.0, 0.0, 1e-9] * rng.standard_normal((30, 1))
+        return {
+            "full": full,
+            "coplanar": coplanar,
+            "collinear": collinear,
+            "nearly_coplanar": nearly_coplanar,
+        }
+
+    def test_rank_test_agrees_with_matrix_rank(self):
+        rng = np.random.default_rng(11)
+        for name, dirs in self._ray_sets(rng).items():
+            rates = dirs @ [1.0, -2.0, 0.5] + 0.01 * rng.standard_normal(len(dirs))
+            mask = rng.random(len(dirs)) < 0.8
+            v = refit_velocity(dirs, rates, mask)
+            assert (v is None) == (np.linalg.matrix_rank(dirs[mask], tol=1e-6) < 3), name
+            assert (v is None) == (name != "full"), name
+            if v is not None:  # the least-squares solution over the mask itself
+                lstsq = np.linalg.lstsq(dirs[mask], rates[mask], rcond=None)[0]
+                np.testing.assert_array_equal(v, lstsq)
+
+    def test_coplanar_inliers_give_degenerate_geometry(self):
+        # rays scaled by 100 and out of their plane by 1e-10: every triplet
+        # passes the draw's determinant test, but the consensus spans two
+        # directions to the refit's tolerance
+        rng = np.random.default_rng(12)
+        dirs = _random_dirs(rng, 50)
+        dirs[:, 2] = 1e-10 * rng.standard_normal(50)
+        dirs *= 100.0
+        assert np.linalg.matrix_rank(dirs, tol=1e-6) == 2
+        result = estimate_velocity(dirs, dirs @ [1.0, 0.5, 0.0], RansacParams(), seed=0)
+        assert result.degraded and result.reason == "degenerate_geometry"
+
+
 class TestAdaptiveStop:
     V_STATIC = np.array([3.0, 0.2, -0.1])
 
@@ -334,6 +375,14 @@ class TestPooling:
         assert alone.dropped == 0
         np.testing.assert_array_equal(pooled.rates[:2], alone.rates)
         np.testing.assert_array_equal(pooled.positions[:2], alone.positions)
+
+    def test_pool_scans_drops_infinite_coordinates_quietly(self):
+        # a RuntimeWarning fails the test (pyproject.toml)
+        points = np.array([[np.inf, 0.0, 1.0], [-np.inf, np.inf, 0.0], [8.0, 1.0, 1.0]])
+        scan = RadarScan(0.0, 1, points, np.array([0.5, 0.5, 0.3]))
+        pooled = pool_scans([scan], default_rig().extrinsics, np.zeros(3))
+        assert pooled.dropped == 2 and len(pooled) == 1
+        assert np.all(np.isfinite(pooled.positions)) and np.all(np.isfinite(pooled.rates))
 
     def test_pool_scans_of_no_detections(self):
         rig = default_rig()

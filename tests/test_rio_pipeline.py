@@ -271,6 +271,85 @@ class TestFaultInjection:
             assert sum(overlaps) == 7
 
 
+def _run_per_sample(log, scenario, cfg=None):
+    """``run_odometry``'s replay with one ``add_imu`` call per sample, and
+    each step's ``StepDiagnostics``."""
+    est = RioEstimator(cfg or RunConfig(), scenario.rig.extrinsics)
+    imu, fed = log.imu, 0
+    outputs, diagnostics = [], []
+    for t, scans in log.scans_by_time():
+        while fed < len(imu):
+            last = est.last_imu_time
+            if imu.t[fed] > t + 1e-12 and (last is None or last >= t - 1e-9):
+                break
+            est.add_imu(imu.t[fed], imu.accel[fed], imu.gyro[fed])
+            fed += 1
+        last = est.last_imu_time
+        if last is None or last < t - 1e-9:
+            continue
+        outputs.append(est.process_scans(t, scans))
+        diagnostics.append(est.last_diagnostics)
+    return outputs, diagnostics
+
+
+class TestImuBlockFeed:
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(5)
+        t = 0.01 * np.arange(12)
+        accel, gyro = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+        t[3] = np.nan
+        accel[7, 1] = np.inf
+        gyro[10, 2] = np.nan
+        return t, accel, gyro
+
+    @staticmethod
+    def _buffer(est):
+        imu = est._imu
+        return imu.t, imu.accel, imu.gyro
+
+    def test_block_buffers_as_its_samples_one_by_one(self):
+        t, accel, gyro = self._samples()
+        one_by_one = RioEstimator(RunConfig(), [])
+        for sample in zip(t, accel, gyro):
+            one_by_one.add_imu(*sample)
+        blocks = RioEstimator(RunConfig(), [])
+        blocks.add_imu(t[:5], accel[:5], gyro[:5])
+        blocks.add_imu(t[5:], accel[5:], gyro[5:])
+        for a, b in zip(self._buffer(one_by_one), self._buffer(blocks)):
+            np.testing.assert_array_equal(a, b)
+        assert len(blocks._imu) == 9
+        assert blocks._skipped_imu == one_by_one._skipped_imu == 3
+        assert blocks.last_imu_time == one_by_one.last_imu_time == t[-1]
+
+    def test_time_that_does_not_increase_is_refused(self):
+        t, accel, gyro = self._samples()
+        est = RioEstimator(RunConfig(), [])
+        back = t[[0, 2, 1]]  # within one block
+        with pytest.raises(ValueError, match="strictly increasing"):
+            est.add_imu(back, accel[:3], gyro[:3])
+        est.add_imu(t[4:8], accel[4:8], gyro[4:8])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            est.add_imu(t[:3], accel[:3], gyro[:3])  # across two blocks
+        with pytest.raises(ValueError, match="strictly increasing"):
+            est.add_imu(t[6], accel[6], gyro[6])
+        # a refused block leaves the buffer and the count as they were
+        np.testing.assert_array_equal(est._imu.t, t[[4, 5, 6]])
+        assert est._skipped_imu == 1
+
+    @pytest.mark.parametrize("fault", [f for f, _, _ in TestFaultInjection.FAULTS])
+    def test_replay_matches_the_per_sample_feed(self, fault, monkeypatch):
+        scenario, log = _fault_log(fault)
+        expected, expected_diagnostics = _run_per_sample(log, scenario)
+        outputs, diagnostics = _run_recording(log, scenario, monkeypatch)
+        assert len(outputs) == len(expected)
+        for out, ref in zip(outputs, expected):
+            assert out.t == ref.t and out.degraded == ref.degraded
+            for name in ("q", "v", "p"):
+                np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+        assert diagnostics == expected_diagnostics
+
+
 class TestAdaptiveRansac:
     def test_draws_stay_few_on_a_clean_drive(self, monkeypatch):
         # at this drive's inlier ratio a handful of draws reaches 99.9%

@@ -284,6 +284,17 @@ class TestImu:
         assert not np.array_equal(a.accel, c.accel)
 
 
+    def test_finite_times_must_increase_across_a_nan(self):
+        zeros = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sim.ImuData(np.array([0.0, np.nan, -1.0]), zeros, zeros)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sim.ImuData(np.array([0.0, np.nan, 0.0]), zeros, zeros)
+        # a non-finite time may stand anywhere
+        for t in ([0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, np.inf]):
+            assert len(sim.ImuData(np.array(t), zeros, zeros)) == 3
+
+
 class TestRadar:
     def test_driving_toward_target_positive_doppler(self):
         gt = sim.gen_trajectory({"kind": "line", "speed": 1.0, "yaw": 0.0}, 1.0, 200.0)
@@ -460,6 +471,27 @@ class TestLogIo:
         with pytest.raises(sim.LogFormatError) as err:
             sim.read_log(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_radar_time_that_is_not_finite_is_an_error(self, tmp_path, t):
+        imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
+        scan = '{"type":"radar","t":%s,"sensor":0,"detections":[{"p":[1,2,3],"rr":0.5}]}' % t
+        path = tmp_path / "log.jsonl"
+        path.write_text(f"{imu}\n{scan}\n")
+        with pytest.raises(sim.LogFormatError, match="finite") as err:
+            sim.read_log(path)
+        assert err.value.line_no == 2
+
+    def test_imu_time_that_is_not_finite_reads(self, tmp_path):
+        # the estimator skips such a sample and counts it
+        rows = [
+            '{"type":"imu","t":%s,"a":[0,0,9.81],"w":[0,0,0]}' % t
+            for t in ("0.0", "NaN", "0.01", "Infinity")
+        ]
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([*rows, ""]))
+        t = sim.read_log(path).imu.t
+        assert t[:2].tolist() == [0.0, 0.01] and np.isinf(t[2]) and np.isnan(t[3])
 
     def test_repeated_scan_of_a_sensor_is_an_error(self, tmp_path):
         imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
