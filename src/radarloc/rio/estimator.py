@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..geometry import quat_canonical, quat_to_matrix, tilt_matrix
-from ..sim.imu import ImuData
+from ..sim.imu import ImuData, stream_key
 from ..sim.io import SensorLog
 from ..sim.rig import default_rig
 from .factors import PriorFactor
@@ -322,14 +322,13 @@ def run_odometry(sensor_log: SensorLog, cfg: RunConfig, extrinsics=None) -> list
         raise ValueError("sensor log carries no usable IMU stream")
     est = RioEstimator(cfg, extrinsics)
     imu = sensor_log.imu
-    # each sample's time, a NaN one taking its predecessor's: a sorted key
-    # for the binary search, as the finite times increase strictly
-    feed_key = np.maximum.accumulate(np.where(np.isnan(imu.t), -np.inf, imu.t))
+    # a non-finite time takes its predecessor's: a sorted key for the binary search
+    feed_key = stream_key(imu.t)
     fed = 0
     outputs: list[OdometryOutput] = []
     skipped = 0
     for t, scans in sensor_log.scans_by_time():
-        # Feed through t as one block; a NaN time goes with the sample before
+        # Feed through t as one block; a non-finite time goes with the sample before
         # it, for add_imu to skip rather than stall the feed. Then feed one
         # sample at a time while the newest kept one is before t: a refused
         # sample at t must not leave the group uncovered.

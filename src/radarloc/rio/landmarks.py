@@ -263,15 +263,18 @@ class LandmarkTracker:
         association = associate(detections_imu, projected, p.range_weight, p.gate)
         matches, unmatched = association
 
+        # new arrays, so that a snapshot of the tracker taken before the step
+        # keeps its counts
         det, row = matches["detection"], matches["landmark"]
-        self.n_obs[row] += 1
-        self.max_err[row] = np.maximum(self.max_err[row], matches["distance"])
-        self.t_last[row] = now
-        promoted = (self.n_obs[row] > p.n_obs_min) & (self.max_err[row] < p.max_err_max)
+        n_obs, max_err, t_last = self.n_obs.copy(), self.max_err.copy(), self.t_last.copy()
+        n_obs[row] += 1
+        max_err[row] = np.maximum(max_err[row], matches["distance"])
+        t_last[row] = now
+        promoted = (n_obs[row] > p.n_obs_min) & (max_err[row] < p.max_err_max)
 
         # a matched landmark was seen now, so it is kept: its new row is its
         # index among the kept rows
-        keep = now - self.t_last <= p.staleness
+        keep = now - t_last <= p.staleness
         kept_row = np.cumsum(keep) - 1
         active = np.column_stack([det[promoted], kept_row[row[promoted]]])
 
@@ -279,9 +282,9 @@ class LandmarkTracker:
         self.landmarks = np.concatenate(
             [self.landmarks[keep], matvec(R_oi, detections_imu[unmatched]) + t_oi]
         )
-        self.n_obs = np.concatenate([self.n_obs[keep], np.zeros(n_new, dtype=int)])
-        self.max_err = np.concatenate([self.max_err[keep], np.zeros(n_new)])
-        self.t_last = np.concatenate([self.t_last[keep], np.full(n_new, now)])
+        self.n_obs = np.concatenate([n_obs[keep], np.zeros(n_new, dtype=int)])
+        self.max_err = np.concatenate([max_err[keep], np.zeros(n_new)])
+        self.t_last = np.concatenate([t_last[keep], np.full(n_new, now)])
         self.pairs, self.solves = association.pairs, association.solves
         self.matched, self.created = len(matches), n_new
         return active

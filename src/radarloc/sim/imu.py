@@ -41,6 +41,19 @@ class ImuData:
         return len(self.t)
 
 
+def stream_key(t: np.ndarray) -> np.ndarray:
+    """The times ``t`` of IMU records in input order, each non-finite one replaced by the
+    key of the record before it (-inf for the first).
+
+    Sorted by this key, stably, a record with a non-finite time keeps its place
+    right after the record before it. For the times of an ``ImuData`` the key
+    never decreases.
+    """
+    t = np.asarray(t, dtype=float)
+    before = np.maximum.accumulate(np.where(np.isfinite(t), np.arange(1, len(t) + 1), 0))
+    return np.concatenate([[-np.inf], t])[before]
+
+
 @dataclass
 class ImuNoiseModel:
     """White-noise densities, bias random walks, and the initial gyro bias.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imu import ImuData
+from .imu import ImuData, stream_key
 from .radar import RadarScan
 
 
@@ -64,19 +64,21 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
 
     At equal timestamps IMU records precede radar, so a streaming consumer
     always has IMU coverage for a scan; records of one kind at one time keep
-    their input order. The order is sorted first, then each record is
-    serialized and written on its own, so no more than one line is held.
+    their input order. An IMU record whose time is not finite keeps its place
+    after the IMU record before it (see ``stream_key``). The order is sorted
+    first, then each record is serialized and written on its own, so no more
+    than one line is held.
     """
     scans = scans or []
     t, accel, gyro = ([], [], []) if imu is None else map(_rows, (imu.t, imu.accel, imu.gyro))
     order = sorted(
-        [(t_i, 0, i) for i, t_i in enumerate(t)]
+        [(key, 0, i) for i, key in enumerate(stream_key(t).tolist())]
         + [(float(scan.t), 1, i) for i, scan in enumerate(scans)]
     )
     with open(path, "w") as f:
         for t_i, kind, i in order:
             if kind == 0:
-                rec = {"type": "imu", "t": t_i, "a": accel[i], "w": gyro[i]}
+                rec = {"type": "imu", "t": t[i], "a": accel[i], "w": gyro[i]}
             else:
                 scan = scans[i]
                 rec = {
@@ -99,6 +101,7 @@ def read_log(path) -> SensorLog:
     record's is an error on the later record, and so is a second radar scan
     of one sensor at one time. A radar record's time must be finite; an IMU
     record's need not be, and the estimator skips and counts such a sample.
+    Such a record stays right after the IMU record before it in the file.
     """
     imu_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     scans: list[RadarScan] = []
@@ -142,10 +145,11 @@ def read_log(path) -> SensorLog:
     log = SensorLog(scans=scans)
     if imu_rows:
         t, line_nos, accel, gyro = (np.array(column) for column in zip(*imu_rows))
-        order = np.argsort(t, kind="stable")  # equal times keep their order in the file
-        repeats = np.flatnonzero(np.diff(t[order]) == 0.0)
+        order = np.argsort(stream_key(t), kind="stable")  # equal keys keep their file order
+        finite = order[np.isfinite(t[order])]
+        repeats = np.flatnonzero(np.diff(t[finite]) == 0.0)
         if len(repeats):
-            later = order[repeats[0] + 1]
+            later = finite[repeats[0] + 1]
             raise LogFormatError(path, int(line_nos[later]), f"repeated IMU time {t[later]}")
         log.imu = ImuData(t[order], accel[order], gyro[order])
     return log

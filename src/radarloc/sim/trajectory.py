@@ -5,14 +5,24 @@ orientation: heading follows the velocity direction, so positions must be
 twice differentiable and speed must stay bounded away from zero except for
 the explicitly stationary primitive. Velocities and accelerations are
 analytic derivatives, not finite differences.
+
+The waypoint kind's natural cubic spline is computed here rather than with
+scipy's ``CubicSpline``: importing its interpolation package also loads
+``scipy.optimize`` and ``scipy.fft``, about 12 MB of memory in every
+process, for one call per simulation. The knot slopes solve scipy's
+tridiagonal system with ``scipy.linalg.solve_banded``, and the coefficients
+and their sums follow scipy's arithmetic step for step, so the trajectory is
+bit for bit ``CubicSpline(times, points, axis=0, bc_type="natural")``, which
+the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from ..spec import FINITE, POSITIVE, check_spec, check_value
 
@@ -67,6 +77,48 @@ def _heading_from_velocity(vel: np.ndarray, acc: np.ndarray):
     yaw = np.unwrap(np.arctan2(vel[:, 1], vel[:, 0]))
     yaw_rate = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed_sq
     return yaw, yaw_rate
+
+
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power coefficients ``(4, len(x) - 1, 3)`` of the natural cubic spline through ``y`` at
+    the increasing knots ``x``, highest power first, each about its interval's start."""
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the knot slopes s: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = b[i],
+    # and a zero second derivative at either end, in LAPACK band storage
+    A = np.zeros((3, len(x)))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    A[1, 0], A[0, 1] = 2 * dx[0], dx[0]
+    A[1, -1], A[-1, -2] = 2 * dx[-1], dx[-1]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _spline_derivatives(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
+    """The spline ``(x, c)`` and its first two derivatives at ``t``.
+
+    The last interval is closed on the right. The terms are summed from the
+    constant one up, each as coefficient times power times prefactor.
+    """
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    offset = (t - x[i])[:, None]
+    c = c[:, i]
+    derivatives = []
+    for nu in range(3):
+        value, power = 0.0, 1.0
+        for k in range(nu, 4):
+            value = value + c[3 - k] * power * math.perm(k, nu)
+            if k < 3:
+                power = power * offset
+        derivatives.append(value)
+    return derivatives
 
 
 # the keys each trajectory kind takes besides "kind", with their ranges
@@ -155,8 +207,8 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
         return _assemble(t, pos, vel, acc, yaw, yaw_rate)
 
     points = np.asarray(spec["points"], dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 3:
-        raise TrajectorySpecError("waypoints need at least 3 xyz points")
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 3 or not np.isfinite(points).all():
+        raise TrajectorySpecError("waypoints need at least 3 finite xyz points")
     speed = float(spec.get("speed", 1.0))
     chord = np.linalg.norm(np.diff(points, axis=0), axis=1)
     if np.any(chord <= 0.0):
@@ -164,9 +216,6 @@ def gen_trajectory(spec: dict, duration: float, imu_rate: float) -> GroundTruth:
     times = np.concatenate([[0.0], np.cumsum(chord / speed)])
     if times[-1] < duration:
         raise TrajectorySpecError("waypoint schedule shorter than requested duration")
-    spline = CubicSpline(times, points, axis=0, bc_type="natural")
-    pos = spline(t)
-    vel = spline(t, 1)
-    acc = spline(t, 2)
+    pos, vel, acc = _spline_derivatives(times, _natural_spline(times, points), t)
     yaw, yaw_rate = _heading_from_velocity(vel, acc)
     return _assemble(t, pos, vel, acc, yaw, yaw_rate)

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -417,6 +418,19 @@ class TestTracker:
         t_oi = np.array([5.0, 0.0, 0.0])
         tracker.update(np.array([[10.0, 0.0, 0.0]]), 0.0, R_oi, t_oi)
         np.testing.assert_allclose(tracker.landmarks[0], [5.0, 10.0, 0.0], atol=1e-12)
+
+    def test_update_leaves_a_snapshot_as_it_was(self):
+        tracker = LandmarkTracker(self._params())
+        eye = np.eye(3)
+        det = np.array([[10.0, 0.0, 0.0], [0.0, 20.0, 0.0]])
+        tracker.update(det, 0.0, eye, np.zeros(3))
+        snapshot = dataclasses.replace(tracker)
+        names = ("landmarks", "n_obs", "max_err", "t_last")
+        before = {name: getattr(tracker, name).copy() for name in names}
+        tracker.update(det + [0.05, 0.0, 0.0], 0.05, eye, np.zeros(3))
+        assert tracker.matched == 2
+        for name in names:
+            assert_array_equal(getattr(snapshot, name), before[name])
 
     def test_active_row_indexes_landmarks_after_retirement(self):
         # a stale landmark is retired in the update that promotes a later

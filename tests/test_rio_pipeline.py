@@ -270,6 +270,23 @@ class TestFaultInjection:
             assert bridged == overlaps
             assert sum(overlaps) == 7
 
+    def test_nan_imu_time_replays_the_same_from_a_written_log(self, tmp_path, monkeypatch):
+        scenario, log = _fault_log("nan_imu_time")
+        expected, expected_diagnostics = _run_recording(log, scenario, monkeypatch)
+        monkeypatch.undo()
+        path = tmp_path / "log.jsonl"
+        sim.write_log(path, imu=log.imu, scans=log.scans)
+        outputs, diagnostics = _run_recording(sim.read_log(path), scenario, monkeypatch)
+        skipped = [d.skipped_imu_samples for d in diagnostics]
+        assert skipped == [d.skipped_imu_samples for d in expected_diagnostics]
+        assert sum(skipped) == 1 and skipped[-1] == 0
+        assert len(outputs) == len(expected)
+        for out, ref in zip(outputs, expected):
+            assert out.t == ref.t and out.degraded == ref.degraded
+            for name in ("q", "v", "p"):
+                assert getattr(out, name).tobytes() == getattr(ref, name).tobytes()
+        assert diagnostics == expected_diagnostics
+
 
 def _run_per_sample(log, scenario, cfg=None):
     """``run_odometry``'s replay with one ``add_imu`` call per sample, and

@@ -1,12 +1,19 @@
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+import radarloc
 from radarloc import sim
 from radarloc.geometry import quat_to_matrix
-from radarloc.sim.trajectory import TrajectorySpecError
+from radarloc.sim.trajectory import TrajectorySpecError, _natural_spline, _spline_derivatives
 
 
 def _single_sensor_rig(**overrides) -> sim.SensorRig:
@@ -71,6 +78,50 @@ class TestTrajectory:
         # the loop closes: the drive ends within 10 ms of driving of its start
         speed = scenario.trajectory["speed"]
         assert np.linalg.norm(gt.position[-1] - gt.position[0]) < 0.01 * speed + 1e-9
+
+
+def _random_waypoints():
+    rng = np.random.default_rng(11)
+    points = np.cumsum(rng.uniform(-8.0, 8.0, size=(12, 3)), axis=0)
+    points[:, 2] = rng.uniform(-0.5, 0.5, size=12)
+    return {"kind": "waypoints", "points": points.tolist(), "speed": 1.7}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sim.suburban_loop_scenario()["trajectory"], _random_waypoints()],
+    ids=["suburban_loop", "random"],
+)
+def test_waypoints_are_scipys_natural_spline_bit_for_bit(spec):
+    points = np.asarray(spec["points"], dtype=float)
+    chord = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    times = np.concatenate([[0.0], np.cumsum(chord / spec["speed"])])
+    spline = CubicSpline(times, points, axis=0, bc_type="natural")
+    gt = sim.gen_trajectory(spec, times[-1] - 0.01, 200.0)
+    assert gt.t[0] == 0.0
+    for nu, got in enumerate((gt.position, gt.velocity, gt.accel)):
+        assert got.tobytes() == spline(gt.t, nu).tobytes(), nu
+    # at every knot, the last one included
+    coefficients = _natural_spline(times, points)
+    assert coefficients.tobytes() == spline.c.tobytes()
+    for nu, got in enumerate(_spline_derivatives(times, coefficients, times)):
+        assert got.tobytes() == spline(times, nu).tobytes(), nu
+
+
+def test_importing_the_package_loads_no_interpolation_or_optimization():
+    # scipy.interpolate loads scipy.optimize and scipy.fft: about 12 MB of memory
+    code = (
+        "import sys, radarloc, radarloc.rio, radarloc.sim, radarloc.config\n"
+        "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
+    )
+    src = str(Path(radarloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 _TRAJECTORIES = {
@@ -241,6 +292,7 @@ _BAD_VALUES = [
     *(("scenario", "duration", value) for value in ("5", True, _NAN, _INF, 0.0, -1.0)),
     ("trajectory sampling", "duration", _NAN),
     ("trajectory sampling", "imu_rate", _NAN),
+    ("waypoints trajectory", "points", [[0, 0, 0], [5, 1, _NAN], [10, 0, 0]]),
     ("scene", "clutter_density", _NAN),
     ("wall", "weight", _NAN),
     ("wall", "spacing", 0.0),
@@ -491,7 +543,39 @@ class TestLogIo:
         path = tmp_path / "log.jsonl"
         path.write_text("\n".join([*rows, ""]))
         t = sim.read_log(path).imu.t
-        assert t[:2].tolist() == [0.0, 0.01] and np.isinf(t[2]) and np.isnan(t[3])
+        assert t[[0, 2]].tolist() == [0.0, 0.01] and np.isnan(t[1]) and np.isinf(t[3])
+
+    @staticmethod
+    def _nan_time_log(tmp_path):
+        """A 2 s log, IMU at 200 Hz with a NaN time at index 100, three radars every 0.05 s."""
+        rng = np.random.default_rng(2)
+        t = np.arange(401) / 200.0
+        t[100] = np.nan
+        imu = sim.ImuData(t, rng.normal(size=(401, 3)), rng.normal(size=(401, 3)))
+        scans = [
+            sim.RadarScan(0.05 * k, sensor, rng.normal(size=(2, 3)), rng.normal(size=2))
+            for k in range(1, 41)
+            for sensor in range(3)
+        ]
+        path = tmp_path / "log.jsonl"
+        sim.write_log(path, imu=imu, scans=scans)
+        return imu, path
+
+    def test_nan_imu_time_is_written_in_its_place(self, tmp_path):
+        imu, path = self._nan_time_log(tmp_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        times = np.array([rec["t"] for rec in records])
+        assert np.all(np.diff(times[np.isfinite(times)]) >= 0.0)
+        # the IMU records keep their order: the NaN one between IMU 99 and 101
+        imu_t = [rec["t"] for rec in records if rec["type"] == "imu"]
+        np.testing.assert_array_equal(imu_t, imu.t)
+
+    def test_nan_imu_time_reads_in_its_place(self, tmp_path):
+        imu, path = self._nan_time_log(tmp_path)
+        log = sim.read_log(path)
+        assert np.isnan(log.imu.t[100])
+        for name in ("t", "accel", "gyro"):
+            np.testing.assert_array_equal(getattr(log.imu, name), getattr(imu, name))
 
     def test_repeated_scan_of_a_sensor_is_an_error(self, tmp_path):
         imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
