@@ -195,3 +195,26 @@ def test_constant_table_maps_equal_their_component_oracles(name):
         out, expected = f(*args), oracle(*args)
         assert out.shape == expected.shape
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 5e-8, 0.99e-7, 1.01e-7, 1e-4, 0.5, 3.0])
+def test_right_jacobian_maps_a_perturbation_to_the_body_frame(angle):
+    # Exp(phi + d) = Exp(phi) Exp(Jr(phi) d) + O(|d|^2): the central
+    # difference of log(Exp(phi)^T Exp(phi + h e_i)) over +-h is column i of
+    # Jr, with the Rodrigues oracles on both sides of the small-angle switch
+    rng = np.random.default_rng(8)
+    axis = rng.normal(size=3)
+    phi = angle * axis / np.linalg.norm(axis)
+    Jr = geo.right_jacobian_so3(phi)
+    E_inv = exp_so3(phi).T
+    h = 1e-5
+    columns = [
+        (log_so3(E_inv @ exp_so3(phi + h * e)) - log_so3(E_inv @ exp_so3(phi - h * e))) / (2 * h)
+        for e in np.eye(3)
+    ]
+    np.testing.assert_allclose(Jr, np.column_stack(columns), rtol=0.0, atol=1e-8)
+    # and the first-order error is second order in |d|
+    for size in (1e-3, 1e-4):
+        d = size * rng.normal(size=3)
+        err = log_so3(exp_so3(geo.matvec(Jr, d)).T @ E_inv @ exp_so3(phi + d))
+        assert np.linalg.norm(err) <= np.dot(d, d)
