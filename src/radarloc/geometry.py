@@ -10,7 +10,8 @@ Conventions, fixed here once for the whole project:
 * Quaternions are canonicalized to ``w >= 0`` before error extraction so
   that ``q`` and ``-q`` produce identical small-angle errors.
 * Local orientation increments are right-multiplied (body frame):
-  ``retract(q, dtheta) = q * quat_exp(dtheta)``.
+  ``retract(q, dtheta) = q * quat_exp(dtheta)``, normalized and
+  canonicalized.
 * Angles are always wrapped to ``(-pi, pi]``.
 * The quaternion and SO(3) helpers also take stacks along a leading axis:
   (n, 4) quaternions and (n, 3) vectors give (n, 4), (n, 3) and (n, 3, 3)
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SMALL_ANGLE = 1e-10
+_JR_SMALL_ANGLE = 1e-7  # below it ``right_jacobian_so3`` is first order
+_TINY = np.finfo(float).eps  # stands in for a zero angle; sin(x) / x is 1 there
 
 
 # S[i, j] = _SKEW_SIGN[i, j] * v[_SKEW_INDEX[i, j]]
@@ -69,6 +72,7 @@ def wrap_angle(a):
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_identity() -> np.ndarray:
@@ -79,7 +83,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit quaternion(s); a near-zero input maps to the identity."""
     q = np.asarray(q, dtype=float)
     n = _norm(q, keepdims=True)
-    return np.where(n < _SMALL_ANGLE, quat_identity(), q / np.maximum(n, _SMALL_ANGLE))
+    return np.where(n < _SMALL_ANGLE, _IDENTITY, q / np.maximum(n, _SMALL_ANGLE))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -163,14 +167,14 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     """Map rotation vector(s) to unit quaternion(s).
 
-    ``[cos(angle/2), sin(angle/2)/angle * rotvec]`` with the vector part
-    written as ``0.5 * sinc(angle/2pi) * rotvec``, exact at angle 0.
+    ``[cos(angle/2), sin(angle/2)/angle * rotvec]``, with ``sin(h)/h`` at the
+    half angle ``h`` taken at a tiny ``h`` where the angle is 0, so that it is
+    exactly 1 there: ``np.sinc``'s guard, without its Python wrapper.
     """
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = _norm(rotvec, keepdims=True)
-    return np.concatenate(
-        [np.cos(0.5 * angle), 0.5 * np.sinc(angle / (2.0 * np.pi)) * rotvec], axis=-1
-    )
+    half = 0.5 * _norm(rotvec, keepdims=True)
+    safe = np.where(half > 0.0, half, _TINY)
+    return np.concatenate([np.cos(half), (0.5 * np.sin(safe) / safe) * rotvec], axis=-1)
 
 
 def quat_yaw(q: np.ndarray) -> float:
@@ -199,8 +203,14 @@ def quat_local_error(q: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
 
 
 def retract(q: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """Apply a body-frame rotation increment: q * Exp(dtheta)."""
-    return quat_normalize(quat_mul(q, quat_exp(dtheta)))
+    """Apply a body-frame rotation increment: q * Exp(dtheta), with w >= 0.
+
+    One division normalizes and canonicalizes: by the norm carrying the
+    sign of w. A product of unit quaternions is never near zero, so this
+    needs no guard of ``quat_normalize``.
+    """
+    q = quat_mul(q, quat_exp(dtheta))
+    return q / np.copysign(_norm(q, keepdims=True), q[..., :1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +219,19 @@ def retract(q: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
 
 
 def right_jacobian_so3(rotvec: np.ndarray) -> np.ndarray:
-    """Right Jacobian Jr with Exp(phi + Jr(phi) @ d) ~ Exp(phi) Exp(d)."""
+    """Right Jacobian Jr with Exp(phi + d) ~ Exp(phi) Exp(Jr(phi) @ d).
+
+    ``I - (1 - cos a)/a K + (a - sin a)/a K^2`` with ``K = [phi]x / a`` at the
+    angle ``a``, and its first-order form ``I - [phi]x / 2`` below
+    ``_JR_SMALL_ANGLE``, picked by one select.
+    """
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = _norm(rotvec)[..., None, None]
-    small = angle < 1e-7
     S = skew(rotvec)
-    safe = np.where(small, 1.0, angle)
+    angle = _norm(rotvec)[..., None, None]
+    safe = np.maximum(angle, _JR_SMALL_ANGLE)  # the small-angle rows are not used
     K = S / safe
-    s, c = np.sin(angle), np.cos(angle)
-    J = np.eye(3) - ((1.0 - c) / safe) * K + ((safe - s) / safe) * (K @ K)
-    return np.where(small, np.eye(3) - 0.5 * S, J)
+    J = _EYE3 - ((1.0 - np.cos(angle)) / safe) * K + ((safe - np.sin(angle)) / safe) * (K @ K)
+    return np.where(angle < _JR_SMALL_ANGLE, _EYE3 - 0.5 * S, J)
 
 
 # ---------------------------------------------------------------------------

@@ -56,12 +56,21 @@ def _imu_unit_entries() -> np.ndarray:
 
 _IMU_UNIT = _imu_unit_entries()
 _IMU_UNIT_NEG = -_IMU_UNIT
+_BIAS_ROWS = np.arange(6, IMU_RESIDUAL_DIM)  # the diagonal bias blocks of the whitening
+
+
+def _product_matrix(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
+    """``L(q_left) R(q_right)``: ``q_left * p * q_right`` as a matrix product in ``p``.
+
+    Its column 0 is ``q_left * q_right``, and its lower-right 3x3 block is
+    ``_vec_jacobian(q_left, q_right)``.
+    """
+    return quat_left_mat(q_left) @ quat_right_mat(q_right)
 
 
 def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
     """d(2*vec(q_left * dq * q_right))/d dtheta for dq = Exp(dtheta)."""
-    M = quat_left_mat(q_left) @ quat_right_mat(q_right)
-    return M[..., 1:4, 1:4]
+    return _product_matrix(q_left, q_right)[..., 1:4, 1:4]
 
 
 def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
@@ -72,20 +81,22 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     change], each expressed as estimate minus prediction. For n edges at
     once, pass the states and the edges stacked as ``Rows``; the residual
     is then (n, 12) and each Jacobian (n, 12, 12).
+
+    The orientation error ``e_q = x_k1.q * q_pred^-1`` is column 0 of the
+    product matrix whose lower-right block is its Jacobian in ``x_k1``, and
+    the bias-correction rotation ``phi`` of ``PreintegratedImu.corrected``
+    is the point of the right Jacobian in the gyro-bias columns.
     """
-    dq, dv, dbg = pre.corrected(x_k.ba, x_k.bg)
+    dq, dv, phi = pre.corrected(x_k.ba, x_k.bg)
     R_k = quat_to_matrix(x_k.q)
-    gravity = np.array([0.0, 0.0, -pre.params.gravity])
     q_pred = quat_normalize(quat_mul(x_k.q, dq))
-    v_pred = x_k.v + matvec(R_k, dv) + gravity * np.asarray(pre.dt)[..., None]
+    v_pred = x_k.v + matvec(R_k, dv) + pre.gravity_dt
 
-    q_pred_inv = quat_conj(q_pred)
-    e_q = quat_mul(x_k1.q, q_pred_inv)
-    sign = np.where(e_q[..., :1] < 0.0, -1.0, 1.0)
-    e_q = sign * e_q
-
+    M = _product_matrix(x_k1.q, quat_conj(q_pred))
+    sign = np.where(M[..., :1, :1] < 0.0, -1.0, 1.0)  # of e_q's w, to take it as w >= 0
     res = np.concatenate(
-        [2.0 * e_q[..., 1:4], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba], axis=-1
+        [2.0 * sign[..., 0] * M[..., 1:4, 0], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba],
+        axis=-1,
     )
 
     shape = res.shape[:-1] + (IMU_RESIDUAL_DIM, STATE_DIM)
@@ -93,42 +104,38 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     J_k1[...] = _IMU_UNIT
     J_k = np.empty(shape)
     J_k[...] = _IMU_UNIT_NEG
-    sign = sign[..., None]
 
     # rotation rows
-    vec_k1 = _vec_jacobian(x_k1.q, q_pred_inv)
-    J_k1[..., 0:3, THETA] = sign * vec_k1
+    rot_k1 = sign * M[..., 1:4, 1:4]
+    J_k1[..., 0:3, THETA] = rot_k1
     J_k[..., 0:3, THETA] = -sign * _vec_jacobian(
         quat_mul(x_k1.q, quat_conj(dq)), quat_conj(x_k.q)
     )
     # gyro-bias sensitivity of the compound rotation, including the
     # right-Jacobian of the already-applied first-order correction
-    j_eff = right_jacobian_so3(matvec(pre.j_rot_bg, dbg)) @ pre.j_rot_bg
-    J_k[..., 0:3, BG] = -sign * vec_k1 @ j_eff
+    J_k[..., 0:3, BG] = -rot_k1 @ (right_jacobian_so3(phi) @ pre.j_rot_bg)
 
     # velocity rows; the bias columns BA, BG are adjacent
     J_k[..., 3:6, THETA] = R_k @ skew(dv)
-    J_k[..., 3:6, BA.start : BG.stop] = -R_k @ np.concatenate(
-        [pre.j_vel_ba, pre.j_vel_bg], axis=-1
-    )
+    J_k[..., 3:6, BA.start : BG.stop] = -R_k @ pre.j_vel
     return res, J_k, J_k1
 
 
 def imu_sqrt_information(pre: PreintegratedImu) -> np.ndarray:
     """Whitening matrix for the IMU residual (block diagonal 12x12).
 
-    n edges stacked as ``Rows`` give the (n, 12, 12) stack of their
-    matrices.
+    The [rotation, velocity] block is the inverse of the Cholesky factor of
+    its 6x6 covariance; the bias blocks are diagonal, one over the root of
+    the random-walk variance. n edges stacked as ``Rows`` give the
+    (n, 12, 12) stack of their matrices.
     """
-    dt = np.asarray(pre.dt)[..., None, None]
+    dt = np.asarray(pre.dt)[..., None]
     floor = COVARIANCE_FLOOR
-    cov = np.zeros(dt.shape[:-2] + (IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
-    cov[..., 0:6, 0:6] = pre.cov_rot_vel + np.eye(6) * floor
-    cov[..., 6:9, 6:9] = np.eye(3) * np.maximum(pre.params.gyro_bias_walk**2 * dt, floor)
-    cov[..., 9:12, 9:12] = np.eye(3) * np.maximum(pre.params.accel_bias_walk**2 * dt, floor)
-    # whiten with inv(L) where cov = L L^T
-    L = np.linalg.cholesky(cov)
-    return np.linalg.inv(L)
+    W = np.zeros(dt.shape[:-1] + (IMU_RESIDUAL_DIM, IMU_RESIDUAL_DIM))
+    W[..., 0:6, 0:6] = np.linalg.inv(np.linalg.cholesky(pre.cov_rot_vel + np.eye(6) * floor))
+    walk = np.array([pre.params.gyro_bias_walk, pre.params.accel_bias_walk]).repeat(3)
+    W[..., _BIAS_ROWS, _BIAS_ROWS] = 1.0 / np.sqrt(np.maximum(walk**2 * dt, floor))
+    return W
 
 
 def yaw_and_jacobian(q: np.ndarray):

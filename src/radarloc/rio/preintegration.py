@@ -19,8 +19,6 @@ the per-sample loop holds only the covariance and bias-Jacobian recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-
 import numpy as np
 
 from ..geometry import (
@@ -30,6 +28,7 @@ from ..geometry import (
     quat_identity,
     quat_mul,
     quat_normalize,
+    quat_right_mat,
     quat_to_matrix,
     right_jacobian_so3,
     skew,
@@ -37,6 +36,8 @@ from ..geometry import (
 from ..config import ImuParams
 from ..sim.imu import ImuData
 from .state import Rows, State
+
+_EYE3 = np.eye(3)
 
 
 def lerp(t: float, t0: float, t1: float, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
@@ -85,17 +86,20 @@ class PreintegratedImu(Rows):
 
     ``delta_q``/``delta_v`` are evaluated at the linearization biases
     ``(ba0, bg0)``; ``j_*`` give their first-order sensitivity to bias
-    changes. ``cov_rot_vel`` is the 6x6 white-noise covariance of the
-    [rotation, velocity] residual; bias rows use random-walk covariance
+    changes, with ``j_vel = [j_vel_ba | j_vel_bg]`` the (3, 6) velocity
+    block. ``gravity_dt`` is the velocity change gravity adds over ``dt``,
+    ``[0, 0, -g] dt``. ``cov_rot_vel`` is the 6x6 white-noise covariance of
+    the [rotation, velocity] residual; bias rows use random-walk covariance
     over ``dt``.
 
-    Edges stack as ``Rows`` for the batched IMU factor; the rows share
-    ``params`` and a stack holds no samples (``None``). ``samples`` and
+    Edges stack as ``Rows`` for the batched IMU factor, so the window stacks
+    each of these once, when it appends the edge; the rows share ``params``
+    and a stack holds no samples (``None``). ``samples`` and
     ``reintegrated`` stay only as the benchmark tracer's target.
     """
 
     ROWS = (
-        "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel_ba", "j_vel_bg", "cov_rot_vel"
+        "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel", "gravity_dt", "cov_rot_vel"
     )
     SHARED = ("params",)
 
@@ -105,19 +109,32 @@ class PreintegratedImu(Rows):
     ba0: np.ndarray
     bg0: np.ndarray
     j_rot_bg: np.ndarray
-    j_vel_ba: np.ndarray
-    j_vel_bg: np.ndarray
+    j_vel: np.ndarray
+    gravity_dt: np.ndarray
     cov_rot_vel: np.ndarray
     params: ImuParams
     samples: ImuData | None = None
 
+    @property
+    def j_vel_ba(self) -> np.ndarray:
+        return self.j_vel[..., :3]
+
+    @property
+    def j_vel_bg(self) -> np.ndarray:
+        return self.j_vel[..., 3:]
+
     def corrected(self, ba: np.ndarray, bg: np.ndarray):
-        """Bias-corrected (delta_q, delta_v) plus the gyro-bias offset used."""
+        """Bias-corrected (delta_q, delta_v) plus the rotation vector applied to delta_q.
+
+        That rotation vector is ``phi = j_rot_bg @ (bg - bg0)``, so that
+        ``dq = delta_q * Exp(phi)``; the IMU factor's gyro-bias Jacobian
+        takes the right Jacobian at it.
+        """
         dbg = bg - self.bg0
-        dba = ba - self.ba0
-        dq = quat_normalize(quat_mul(self.delta_q, quat_exp(matvec(self.j_rot_bg, dbg))))
-        dv = self.delta_v + matvec(self.j_vel_ba, dba) + matvec(self.j_vel_bg, dbg)
-        return dq, dv, dbg
+        phi = matvec(self.j_rot_bg, dbg)
+        dq = quat_normalize(quat_mul(self.delta_q, quat_exp(phi)))
+        dv = self.delta_v + matvec(self.j_vel_ba, ba - self.ba0) + matvec(self.j_vel_bg, dbg)
+        return dq, dv, phi
 
     def reintegrated(self, ba: np.ndarray, bg: np.ndarray) -> "PreintegratedImu":
         return preintegrate(self.samples, ba, bg, self.params)
@@ -132,51 +149,61 @@ def preintegrate(
     """Midpoint-rule compounding of an IMU segment at fixed biases.
 
     The rotations over each interval and over its first half are stacked
-    quaternions; the running product of the first gives every midpoint
+    quaternions, mapped by one ``quat_exp`` and one ``quat_to_matrix``
+    call. The running product of the first, one 4x4 product per interval
+    with their stacked right-product matrices, gives every midpoint
     rotation and, at its end, ``delta_q``. Each interval's error-state
-    transition ``F`` carries both the noise covariance and ``jac``, the
-    first-order sensitivity of ``[rotation, velocity]`` to ``[ba, bg]``,
-    which the interval's bias input ``B`` adds to.
+    transition ``F`` carries both the noise covariance ``Q`` and ``jac``,
+    the first-order sensitivity of ``[rotation, velocity]`` to ``[ba, bg]``,
+    which the interval's bias input ``B`` adds to; all three are blocks of
+    one (m, 3, 6, 6) array.
     """
     if len(segment) < 2:
         raise ValueError("need at least two measurements (one interval)")
     ba0 = np.asarray(ba0, dtype=float).copy()
     bg0 = np.asarray(bg0, dtype=float).copy()
     dt = np.diff(segment.t)
+    m = len(dt)
     dt3 = dt[:, None, None]
     a_mids = 0.5 * (segment.accel[:-1] + segment.accel[1:]) - ba0
     steps = (0.5 * (segment.gyro[:-1] + segment.gyro[1:]) - bg0) * dt[:, None]
 
-    q_steps = quat_exp(steps)
-    q_starts = np.array(list(accumulate(q_steps, quat_mul, initial=quat_identity())))
-    dR_mids = quat_to_matrix(quat_mul(q_starts[:-1], quat_exp(0.5 * steps)))
+    # rows :m are the intervals' rotations, rows m: their first halves
+    q_halves = quat_exp(np.concatenate([steps, 0.5 * steps]))
+    q_starts = np.empty((m + 1, 4))
+    q_starts[0] = quat_identity()
+    for k, right in enumerate(quat_right_mat(q_halves[:m])):
+        np.matmul(right, q_starts[k], out=q_starts[k + 1])
+    q_halves[m:] = quat_mul(q_starts[:-1], q_halves[m:])
+    dR = quat_to_matrix(q_halves)
+    dR_mids = dR[m:]
     Jr = right_jacobian_so3(steps)
 
-    F = np.tile(np.eye(6), (len(dt), 1, 1))
-    F[:, :3, :3] = quat_to_matrix(q_steps).swapaxes(-1, -2)
-    F[:, 3:, :3] = -dR_mids @ skew(a_mids) * dt3
-    B = np.zeros_like(F)
-    B[:, :3, 3:] = -Jr * dt3
-    B[:, 3:, :3] = -dR_mids * dt3
-    Q = np.zeros_like(F)
-    Q[:, :3, :3] = Jr @ Jr.swapaxes(-1, -2) * params.gyro_noise_density**2 * dt3
-    Q[:, 3:, 3:] = params.accel_noise_density**2 * dt3 * np.eye(3)  # isotropic white noise
+    FBQ = np.zeros((m, 3, 6, 6))
+    FBQ[:, 0, :3, :3] = dR[:m].swapaxes(-1, -2)
+    FBQ[:, 0, 3:, :3] = -dR_mids @ skew(a_mids) * dt3
+    FBQ[:, 0, 3:, 3:] = _EYE3
+    FBQ[:, 1, :3, 3:] = -Jr * dt3
+    FBQ[:, 1, 3:, :3] = -dR_mids * dt3
+    FBQ[:, 2, :3, :3] = Jr @ Jr.swapaxes(-1, -2) * params.gyro_noise_density**2 * dt3
+    FBQ[:, 2, 3:, 3:] = params.accel_noise_density**2 * dt3 * _EYE3  # isotropic white noise
 
-    jac = np.zeros((6, 6))
-    cov = np.zeros((6, 6))
-    for F_k, B_k, Q_k in zip(F, B, Q):
+    # from zero, the first interval gives jac = B and cov = Q
+    jac, cov = FBQ[0, 1].copy(), FBQ[0, 2].copy()
+    for F_k, B_k, Q_k in FBQ[1:]:
         jac = F_k @ jac + B_k
         cov = F_k @ cov @ F_k.T + Q_k
 
+    dt_total = float(segment.t[-1] - segment.t[0])
     return PreintegratedImu(
-        dt=float(segment.t[-1] - segment.t[0]),
+        dt=dt_total,
         delta_q=quat_canonical(quat_normalize(q_starts[-1])),
-        delta_v=np.sum(matvec(dR_mids, a_mids) * dt[:, None], axis=0),
+        delta_v=(matvec(dR_mids, a_mids) * dt[:, None]).sum(axis=0),
         ba0=ba0,
         bg0=bg0,
         j_rot_bg=jac[:3, 3:],
-        j_vel_ba=jac[3:, :3],
-        j_vel_bg=jac[3:, 3:],
+        j_vel=jac[3:],
+        gravity_dt=np.array([0.0, 0.0, -params.gravity * dt_total]),
         cov_rot_vel=cov,
         params=params,
         samples=segment,
@@ -187,11 +214,10 @@ def predict_state(x: State, pre: PreintegratedImu, t1: float | None = None) -> S
     """Propagate a state through a preintegrated increment (gravity added)."""
     dq, dv, _ = pre.corrected(x.ba, x.bg)
     R = quat_to_matrix(x.q)
-    gravity = np.array([0.0, 0.0, -pre.params.gravity])
     return State(
         t=x.t + pre.dt if t1 is None else t1,
         q=quat_normalize(quat_mul(x.q, dq)),
-        v=x.v + R @ dv + gravity * pre.dt,
+        v=x.v + R @ dv + pre.gravity_dt,
         ba=x.ba.copy(),
         bg=x.bg.copy(),
     )

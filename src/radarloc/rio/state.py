@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..geometry import quat_canonical, quat_identity, retract
+from ..geometry import quat_identity, retract
 
 STATE_DIM = 12
 THETA = slice(0, 3)
@@ -80,10 +80,13 @@ class State(Rows):
         return State(self.t, self.q.copy(), self.v.copy(), self.ba.copy(), self.bg.copy())
 
     def retract(self, delta: np.ndarray) -> "State":
-        """Apply a 12-dim error-state increment, or (n, 12) to a stacked state."""
+        """Apply a 12-dim error-state increment, or (n, 12) to a stacked state.
+
+        The orientation comes out canonical, w >= 0 (``geometry.retract``).
+        """
         return State(
             t=self.t,
-            q=quat_canonical(retract(self.q, delta[..., THETA])),
+            q=retract(self.q, delta[..., THETA]),
             v=self.v + delta[..., VEL],
             ba=self.ba + delta[..., BA],
             bg=self.bg + delta[..., BG],

@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dtrtrs
 
 from ..config import RunConfig
 from ..geometry import matvec
@@ -199,7 +200,7 @@ class Linearization:
         k, i = np.arange(n), np.arange(n - 1)
         H[k, :, k, :] = self.blocks
         H[i, :, i + 1, :] = self.off
-        H[i + 1, :, i, :] = np.swapaxes(self.off, -1, -2)
+        H[i + 1, :, i, :] = self.off.swapaxes(-1, -2)
         return H.reshape(n * S, n * S)
 
 
@@ -222,7 +223,7 @@ def lower_band(blocks: np.ndarray, off: np.ndarray) -> np.ndarray:
     n, S = len(blocks), STATE_DIM
     column = np.zeros((n, 3 * S, S))
     column[:, :S] = blocks
-    column[:-1, S : 2 * S] = np.swapaxes(off, -1, -2)
+    column[:-1, S : 2 * S] = off.swapaxes(-1, -2)
     band = column[:, _BAND_ROW, _BAND_COLUMN]  # (n, 24, 12)
     return band.transpose(1, 0, 2).reshape(_BAND_ROWS, n * S)
 
@@ -280,8 +281,8 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Lineariza
         single.append((heading_block_residual(states, window.heading), cfg.landmark.bearing_sigma))
     for (r, J), sigma in single:
         r, J = r / sigma, J / sigma
-        cost += float(np.sum(r**2))
-        Jt = np.swapaxes(J, -1, -2)
+        cost += float((r * r).sum())
+        Jt = J.swapaxes(-1, -2)
         diag += Jt @ J
         grad += matvec(Jt, r)
     off = np.zeros((0, STATE_DIM, STATE_DIM))
@@ -290,8 +291,8 @@ def linearize(window: SlidingWindow, states: State, cfg: RunConfig) -> Lineariza
         W = window.whitening
         r, J_k, J_k1 = imu_residual(states[:-1], states[1:], window.edges)
         r, J_k, J_k1 = matvec(W, r), W @ J_k, W @ J_k1
-        cost += float(np.sum(r**2))
-        Jt_k, Jt_k1 = np.swapaxes(J_k, -1, -2), np.swapaxes(J_k1, -1, -2)
+        cost += float((r * r).sum())
+        Jt_k, Jt_k1 = J_k.swapaxes(-1, -2), J_k1.swapaxes(-1, -2)
         H_k1, g_k1 = Jt_k1 @ J_k1, matvec(Jt_k1, r)
         diag[:-1] += Jt_k @ J_k
         diag[1:] += H_k1
@@ -395,14 +396,14 @@ def marginalize_oldest(
     """
     if len(window) < 2:
         raise ValueError("marginalization needs at least two states")
-    ours, theirs = window.states[:2], linearization.states[:2]
-    if not all(
-        np.array_equal(getattr(ours, name), getattr(theirs, name))
-        for name in ("t", "q", "v", "ba", "bg")
-    ):
-        raise ValueError("linearization is not at the window's first two states")
+    # ``optimize_window`` hands over the iterate it wrote to the window
+    if linearization.states is not window.states:
+        ours, theirs = window.states[:2], linearization.states[:2]
+        if not all(
+            np.array_equal(getattr(ours, name), getattr(theirs, name)) for name in State.ROWS
+        ):
+            raise ValueError("linearization is not at the window's first two states")
     H00, H01 = linearization.blocks[0], linearization.off[0]
-    b0 = linearization.g[:STATE_DIM]
     H11, b1 = linearization.first_edge
 
     regularized = False
@@ -411,10 +412,16 @@ def marginalize_oldest(
     except np.linalg.LinAlgError:
         regularized = True
         L = np.linalg.cholesky(H00 + cfg.window.marginal_epsilon * np.eye(STATE_DIM))
-    X = np.linalg.solve(L.T, np.linalg.solve(L, H01))
-    y = np.linalg.solve(L.T, np.linalg.solve(L, b0))
-    H_new = H11 - H01.T @ X  # symmetrized by ``from_information``
-    b_new = b1 - H01.T @ y
+    # [X | y] = H00^-1 [H01 | b0] by two triangular solves on the stacked
+    # right-hand side; a Cholesky factor's diagonal is positive, never singular
+    rhs = np.empty((STATE_DIM, STATE_DIM + 1))
+    rhs[:, :STATE_DIM] = H01
+    rhs[:, STATE_DIM] = linearization.g[:STATE_DIM]
+    Z, _ = dtrtrs(L, rhs, lower=1)
+    Xy, _ = dtrtrs(L, Z, lower=1, trans=1)
+    schur = H01.T @ Xy
+    H_new = H11 - schur[:, :STATE_DIM]  # symmetrized by ``from_information``
+    b_new = b1 - schur[:, STATE_DIM]
 
     prior = PriorFactor.from_information(
         window.states[1], H_new, b_new, cfg.window.marginal_epsilon
