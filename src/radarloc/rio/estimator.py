@@ -240,8 +240,9 @@ class RioEstimator:
             imu = self._imu
             segment = imu_segment(imu, self._last_t, t)
             i0, i1 = segment_span(imu, self._last_t, t)
-            diag.imu_max_interval = float(np.max(np.diff(imu.t[i0 : i1 + 1])))
-            imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(np.diff(imu.t)))
+            intervals = imu.t[1:] - imu.t[:-1]
+            diag.imu_max_interval = float(intervals[i0:i1].max())
+            imu_gap = diag.imu_max_interval > IMU_GAP_FACTOR * float(np.median(intervals))
             pre = preintegrate(segment, last.ba, last.bg, self.cfg.imu)
             x_pred = predict_state(last, pre, t1=t)
             omega = segment.gyro[-1]

@@ -22,7 +22,6 @@ import numpy as np
 from ..geometry import (
     matvec,
     quat_conj,
-    quat_identity,
     quat_left_mat,
     quat_mul,
     quat_normalize,
@@ -59,20 +58,6 @@ _IMU_UNIT_NEG = -_IMU_UNIT
 _BIAS_ROWS = np.arange(6, IMU_RESIDUAL_DIM)  # the diagonal bias blocks of the whitening
 
 
-def _product_matrix(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
-    """``L(q_left) R(q_right)``: ``q_left * p * q_right`` as a matrix product in ``p``.
-
-    Its column 0 is ``q_left * q_right``, and its lower-right 3x3 block is
-    ``_vec_jacobian(q_left, q_right)``.
-    """
-    return quat_left_mat(q_left) @ quat_right_mat(q_right)
-
-
-def _vec_jacobian(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
-    """d(2*vec(q_left * dq * q_right))/d dtheta for dq = Exp(dtheta)."""
-    return _product_matrix(q_left, q_right)[..., 1:4, 1:4]
-
-
 def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     """12-dim consistency residual between two states and the IMU compound.
 
@@ -82,20 +67,23 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     once, pass the states and the edges stacked as ``Rows``; the residual
     is then (n, 12) and each Jacobian (n, 12, 12).
 
-    The orientation error ``e_q = x_k1.q * q_pred^-1`` is column 0 of the
-    product matrix whose lower-right block is its Jacobian in ``x_k1``, and
-    the bias-correction rotation ``phi`` of ``PreintegratedImu.corrected``
-    is the point of the right Jacobian in the gyro-bias columns.
+    The orientation error ``e_q = x_k1.q * q_pred^-1`` is read off the
+    product matrix that also gives its Jacobian in ``x_k1``, and the
+    bias-correction rotation ``phi`` of ``PreintegratedImu.corrected`` is
+    where the gyro-bias columns take the right Jacobian.
     """
     dq, dv, phi = pre.corrected(x_k.ba, x_k.bg)
     R_k = quat_to_matrix(x_k.q)
     q_pred = quat_normalize(quat_mul(x_k.q, dq))
     v_pred = x_k.v + matvec(R_k, dv) + pre.gravity_dt
 
-    M = _product_matrix(x_k1.q, quat_conj(q_pred))
-    sign = np.where(M[..., :1, :1] < 0.0, -1.0, 1.0)  # of e_q's w, to take it as w >= 0
+    # x_k1.q * p * q_pred^-1 as a matrix in p: its column 0 is e_q, and its
+    # lower-right block is the Jacobian of 2 vec(e_q) in x_k1's increment
+    M = quat_left_mat(x_k1.q) @ quat_right_mat(quat_conj(q_pred))
+    e_q = M[..., :, 0]
+    sign = np.where(e_q[..., :1, None] < 0.0, -1.0, 1.0)  # to take e_q as w >= 0
     res = np.concatenate(
-        [2.0 * sign[..., 0] * M[..., 1:4, 0], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba],
+        [2.0 * sign[..., 0] * e_q[..., 1:4], x_k1.v - v_pred, x_k1.bg - x_k.bg, x_k1.ba - x_k.ba],
         axis=-1,
     )
 
@@ -105,12 +93,11 @@ def imu_residual(x_k: State, x_k1: State, pre: PreintegratedImu):
     J_k = np.empty(shape)
     J_k[...] = _IMU_UNIT_NEG
 
-    # rotation rows
+    # rotation rows. Perturbing x_k by Exp(dtheta) turns e_q into
+    # e_q * Exp(-R_k dtheta), up to the norm of x_k * dq, which is 1.
     rot_k1 = sign * M[..., 1:4, 1:4]
     J_k1[..., 0:3, THETA] = rot_k1
-    J_k[..., 0:3, THETA] = -sign * _vec_jacobian(
-        quat_mul(x_k1.q, quat_conj(dq)), quat_conj(x_k.q)
-    )
+    J_k[..., 0:3, THETA] = (-sign * quat_left_mat(e_q)[..., 1:4, 1:4]) @ R_k
     # gyro-bias sensitivity of the compound rotation, including the
     # right-Jacobian of the already-applied first-order correction
     J_k[..., 0:3, BG] = -rot_k1 @ (right_jacobian_so3(phi) @ pre.j_rot_bg)
@@ -292,5 +279,5 @@ class PriorFactor:
         res = self.sqrt_info @ delta + self.rhs
         # d delta / d dtheta is the identity but for its rotation block
         J = self.sqrt_info.copy()
-        J[:, THETA] = self.sqrt_info[:, THETA] @ (sign * _vec_jacobian(e_q, quat_identity()))
+        J[:, THETA] = self.sqrt_info[:, THETA] @ (sign * quat_left_mat(e_q)[1:4, 1:4])
         return res, J

@@ -31,7 +31,9 @@ cost ``2 gate``, in bundles of consecutive components of about
 ``_BUNDLE_ROWS`` detections: a call's cost grows with its rows times its
 columns, so one call over the whole step would pay for every pair of
 components, and one call per component would pay the call's fixed cost
-hundreds of times.
+hundreds of times. ``associate`` and ``_candidate_pairs`` import
+``scipy.sparse`` and ``scipy.spatial`` when first called, so a run with
+the heading constraint off never loads them: about 12 MB of memory.
 
 The dummy cost is ``2 gate``, not the gate, so that every match saves more
 than a gate over leaving its detection unmatched, and the optimum seldom
@@ -48,9 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
-from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
-from scipy.spatial import cKDTree
 
 from ..config import LandmarkParams
 from ..geometry import matvec
@@ -112,6 +111,8 @@ def _candidate_pairs(polar_d, polar_l, range_weight: float, radius: float):
 
     Returns ``(detection, landmark, distance)`` arrays.
     """
+    from scipy.spatial import cKDTree  # loaded by the first run that matches landmarks
+
     phi_d, r_d, bad_d = polar_d
     phi_l, r_l, bad_l = polar_l
     dets, lms = np.flatnonzero(~bad_d), np.flatnonzero(~bad_l)
@@ -155,6 +156,10 @@ def associate(
     ``MATCH_DTYPE`` array, one row per match in detection order, and
     ``unmatched`` the int array of detection indices with no landmark.
     """
+    # loaded by the first run that matches landmarks, as in ``_candidate_pairs``
+    from scipy.sparse import coo_array, csr_array
+    from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
+
     n_det, n_lm = len(detections), len(landmarks)
     no_match = Association(np.zeros(0, dtype=MATCH_DTYPE), np.arange(n_det), 0, 0)
     if n_det == 0 or n_lm == 0:

@@ -30,6 +30,7 @@ from ..geometry import (
     quat_normalize,
     quat_right_mat,
     quat_to_matrix,
+    retract,
     right_jacobian_so3,
     skew,
 )
@@ -127,12 +128,12 @@ class PreintegratedImu(Rows):
         """Bias-corrected (delta_q, delta_v) plus the rotation vector applied to delta_q.
 
         That rotation vector is ``phi = j_rot_bg @ (bg - bg0)``, so that
-        ``dq = delta_q * Exp(phi)``; the IMU factor's gyro-bias Jacobian
-        takes the right Jacobian at it.
+        ``dq = delta_q * Exp(phi)`` (``geometry.retract``, so w >= 0); the
+        IMU factor's gyro-bias Jacobian takes the right Jacobian at it.
         """
         dbg = bg - self.bg0
         phi = matvec(self.j_rot_bg, dbg)
-        dq = quat_normalize(quat_mul(self.delta_q, quat_exp(phi)))
+        dq = retract(self.delta_q, phi)
         dv = self.delta_v + matvec(self.j_vel_ba, ba - self.ba0) + matvec(self.j_vel_bg, dbg)
         return dq, dv, phi
 

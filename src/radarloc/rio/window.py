@@ -337,10 +337,10 @@ def optimize_window(window: SlidingWindow, cfg: RunConfig) -> OptimizeReport:
     while iterations < cfg.window.max_iterations:
         iterations += 1
         band, g, cost = lower_band(lin.blocks, lin.off), lin.g, lin.cost
-        if not np.all(np.isfinite(band)) or not np.all(np.isfinite(g)):
+        if not np.isfinite(band).all() or not np.isfinite(g).all():
             return OptimizeReport(iterations, costs[0], np.inf, DIVERGED, costs, linearizations)
-        diag = np.clip(band[0], 1e-12, None)
-        if np.max(np.abs(g) / np.sqrt(diag)) <= GRADIENT_FLOOR:
+        diag = np.maximum(band[0], 1e-12)
+        if (np.abs(g) / np.sqrt(diag)).max() <= GRADIENT_FLOOR:
             reason = CONVERGED
             break
         for _ in range(MAX_TRIES):

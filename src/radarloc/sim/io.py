@@ -68,12 +68,21 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
     after the IMU record before it (see ``stream_key``). The order is sorted
     first, then each record is serialized and written on its own, so no more
     than one line is held.
+
+    A scan whose time is not finite, which ``read_log`` refuses, is a
+    ``ValueError`` naming its index and sensor, raised before the file is
+    opened.
     """
     scans = scans or []
+    scan_t = np.array([scan.t for scan in scans], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scan_t))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"scan {i} (sensor {scans[i].sensor_id}) has a non-finite time {scan_t[i]}")
     t, accel, gyro = ([], [], []) if imu is None else map(_rows, (imu.t, imu.accel, imu.gyro))
     order = sorted(
         [(key, 0, i) for i, key in enumerate(stream_key(t).tolist())]
-        + [(float(scan.t), 1, i) for i, scan in enumerate(scans)]
+        + [(t_i, 1, i) for i, t_i in enumerate(scan_t.tolist())]
     )
     with open(path, "w") as f:
         for t_i, kind, i in order:

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from scipy.optimize import linear_sum_assignment
 
+import radarloc
 import radarloc.rio.landmarks as landmarks_module
 from oracles import DegenerateBearingError, polar_distance, polar_distance_matrix
 from radarloc.config import LandmarkParams, RunConfig
@@ -449,3 +454,30 @@ class TestTracker:
         np.testing.assert_array_equal(tracker.landmarks, [kept, new])
         np.testing.assert_array_equal(tracker.n_obs, [2, 0])
         np.testing.assert_array_equal(tracker.landmarks[active[:, 1]], [kept])
+
+
+@pytest.mark.parametrize("heading", [False, True], ids=["heading_off", "heading_on"])
+def test_only_a_run_that_matches_landmarks_loads_the_matchers_libraries(heading):
+    # scipy.spatial and scipy.sparse.csgraph cost about 12 MB of memory, which
+    # a run with the heading constraint off has no use for
+    code = (
+        "import sys\n"
+        "from radarloc.config import config_from_dict\n"
+        "from radarloc.rio import run_odometry\n"
+        "from radarloc.sim import Scenario, SensorLog, simulate_mission\n"
+        "scenario = Scenario.from_dict({'trajectory': {'kind': 'line', 'speed': 1.0},\n"
+        "    'duration': 1.0, 'scene': {'walls': [{'start': [-5, 4], 'end': [15, 4]}]}})\n"
+        "data = simulate_mission(scenario, seed=1)\n"
+        f"cfg = config_from_dict({{'ablation': {{'disable_heading_constraint': {not heading}}}}})\n"
+        "run_odometry(SensorLog(data.imu, data.scans), cfg, scenario.rig.extrinsics)\n"
+        "print([m for m in ('scipy.spatial', 'scipy.sparse.csgraph') if m in sys.modules])"
+    )
+    src = str(Path(radarloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = "['scipy.spatial', 'scipy.sparse.csgraph']" if heading else "[]"
+    assert done.stdout.strip() == loaded

@@ -577,6 +577,19 @@ class TestLogIo:
         for name in ("t", "accel", "gyro"):
             np.testing.assert_array_equal(getattr(log.imu, name), getattr(imu, name))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_scan_time_that_is_not_finite_is_not_written(self, tmp_path, t):
+        # read_log would refuse the record, and a NaN sort key would break the time order
+        imu = sim.ImuData(np.array([0.0, 0.2]), np.zeros((2, 3)), np.zeros((2, 3)))
+        scans = [
+            sim.RadarScan(st, sensor, np.ones((1, 3)), np.ones(1))
+            for st, sensor in ((0.1, 0), (0.1, 1), (t, 2), (0.15, 0))
+        ]
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(ValueError, match=r"scan 2 \(sensor 2\) has a non-finite time"):
+            sim.write_log(path, imu=imu, scans=scans)
+        assert not path.exists()
+
     def test_repeated_scan_of_a_sensor_is_an_error(self, tmp_path):
         imu = '{"type":"imu","t":0.0,"a":[0,0,9.81],"w":[0,0,0]}'
         scan = '{"type":"radar","t":0.1,"sensor":%d,"detections":[{"p":[1,2,3],"rr":0.5}]}'
