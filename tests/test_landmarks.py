@@ -340,14 +340,17 @@ class TestBundledSolve:
         assert associate(dets, lms, 5.0, 0.5).solves > 20
 
     def test_no_solver_call_without_candidates(self, monkeypatch):
+        # associate imports the solver from its module when called
+        import scipy.sparse.csgraph as csgraph
+
         calls = []
-        solve = landmarks_module.min_weight_full_bipartite_matching
+        solve = csgraph.min_weight_full_bipartite_matching
 
         def counting(graph):
             calls.append(graph.shape)
             return solve(graph)
 
-        monkeypatch.setattr(landmarks_module, "min_weight_full_bipartite_matching", counting)
+        monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", counting)
         lms = at_bearings([0.0, 1.0], [10.0, 10.0])
         no_candidate = (
             (np.zeros((0, 3)), lms),
