@@ -26,6 +26,12 @@ Conventions, fixed here once for the whole project:
   outer product ``q q^T`` times a constant (16, 9) coefficient table. The
   component formulas they replace are the test oracles in
   ``tests/oracles.py``.
+* The cost of these helpers is their count of numpy calls, not their
+  arithmetic, so the maps that branch at small angles make one select and
+  take their identity from a constant: ``quat_exp`` writes ``sin(h)/h`` out
+  with ``np.sinc``'s guard at zero, and ``right_jacobian_so3`` picks its
+  first-order form with one ``np.where``. ``retract`` normalizes and
+  canonicalizes a product of unit quaternions with one division.
 """
 
 from __future__ import annotations

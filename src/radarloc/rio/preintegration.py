@@ -12,13 +12,16 @@ change to first order (Forster et al., T-RO 2017).
 
 Rotation is compounded as a quaternion product over the segment's
 intervals. Each interval's maps (its rotation, the right Jacobian and the
-rotation matrix at its midpoint) come from one stacked call per kind, so
-the per-sample loop holds only the covariance and bias-Jacobian recursions.
+rotation matrix at its midpoint) come from one stacked call per kind. The
+running product is one 4x4 matrix-vector product per interval, and the
+other per-sample loop holds only the covariance and bias-Jacobian
+recursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from ..geometry import (
@@ -169,14 +172,15 @@ def preintegrate(
     a_mids = 0.5 * (segment.accel[:-1] + segment.accel[1:]) - ba0
     steps = (0.5 * (segment.gyro[:-1] + segment.gyro[1:]) - bg0) * dt[:, None]
 
-    # rows :m are the intervals' rotations, rows m: their first halves
-    q_halves = quat_exp(np.concatenate([steps, 0.5 * steps]))
+    # rows :m are the intervals' rotations, rows m: their first halves, then
+    # turned into the rotations from the start to each interval's midpoint
+    q_steps = quat_exp(np.concatenate([steps, 0.5 * steps]))
     q_starts = np.empty((m + 1, 4))
     q_starts[0] = quat_identity()
-    for k, right in enumerate(quat_right_mat(q_halves[:m])):
+    for k, right in enumerate(quat_right_mat(q_steps[:m])):
         np.matmul(right, q_starts[k], out=q_starts[k + 1])
-    q_halves[m:] = quat_mul(q_starts[:-1], q_halves[m:])
-    dR = quat_to_matrix(q_halves)
+    q_steps[m:] = quat_mul(q_starts[:-1], q_steps[m:])
+    dR = quat_to_matrix(q_steps)
     dR_mids = dR[m:]
     Jr = right_jacobian_so3(steps)
 

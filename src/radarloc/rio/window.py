@@ -37,12 +37,17 @@ one row per state in each array:
 The IMU edges are stacked alike, one row per edge, edge i from state i to
 state i + 1:
 
-* ``edges``: one stacked ``PreintegratedImu``;
-* ``whitening``: the edge's ``imu_sqrt_information``.
+* ``edges``: one stacked ``PreintegratedImu``, with the per-edge
+  constants of the IMU factor among its rows: the (3, 6) velocity block
+  ``j_vel = [j_vel_ba | j_vel_bg]`` and ``gravity_dt``;
+* ``whitening``: the edge's ``imu_sqrt_information``, the inverse Cholesky
+  factor of its 6x6 [rotation, velocity] covariance beside diagonal bias
+  blocks.
 
-``SlidingWindow.append`` compresses a new state's raw blocks and whitens
-its edge once; no row changes after that, and ``marginalize_oldest`` drops
-row 0 of every array. A state without a range-rate or heading factor has a
+``SlidingWindow.append`` compresses a new state's raw blocks, stacks its
+edge and whitens it once; no row changes after that, so no pass
+concatenates or factors an edge's constants again, and
+``marginalize_oldest`` drops row 0 of every array. A state without a range-rate or heading factor has a
 zero row, and a zero row adds nothing to the cost, the gradient or the
 Gauss-Newton matrix. So a pass evaluates each factor kind on all states at
 once, and skips a kind with no factor in the window.
@@ -63,6 +68,14 @@ that band by banded Cholesky (``damped_step``; Golub & Van Loan, *Matrix
 Computations*, section 4.3), in time linear in n. A damped matrix that is
 not positive definite fails the try like a singular one.
 ``Linearization.H`` builds the dense matrix from the blocks for the tests.
+``marginalize_oldest`` takes its Schur complement with the Cholesky factor
+``L`` of the oldest state's block: two triangular solves with ``L`` and
+``L^T`` on the stacked right-hand side ``[H01 | b0]``.
+
+At n <= 11 states, a pass costs its count of numpy calls rather than its
+arithmetic, so the glue between the factor calls uses array methods
+(``.sum``, ``.swapaxes``, ``.all``, ``.max``) rather than the numpy
+functions that wrap them.
 """
 
 from __future__ import annotations
@@ -386,7 +399,8 @@ def marginalize_oldest(
     (the prior, the oldest state's range-rate and heading factors, and the
     IMU edge to the next state), and ``first_edge`` holds what that edge
     adds on the next state. The Schur complement of the oldest state's
-    block over these is the new prior; no factor is evaluated again.
+    block over these is the new prior, taken by two triangular solves with
+    that block's Cholesky factor; no factor is evaluated again.
     Singular information is regularized with the configured epsilon and
     flagged. Row 0 of each of the window's arrays is dropped, the first
     edge's included. Returns the new prior, which is also the window's; its

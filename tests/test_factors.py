@@ -165,6 +165,14 @@ class TestImuFactor:
         W = imu_sqrt_information(pre)
         assert W.shape == (12, 12)
         assert np.all(np.isfinite(W))
+        # it whitens the residual's covariance: rows [rotation, velocity],
+        # then the gyro-bias and accel-bias random walks over dt
+        cov = np.zeros((12, 12))
+        cov[:6, :6] = pre.cov_rot_vel + 1e-12 * np.eye(6)
+        cov[6:9, 6:9] = imu_params.gyro_bias_walk**2 * pre.dt * np.eye(3)
+        cov[9:, 9:] = imu_params.accel_bias_walk**2 * pre.dt * np.eye(3)
+        np.testing.assert_allclose(W @ cov @ W.T, np.eye(12), rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(np.triu(W, 1), 0.0)
 
     def test_sqrt_information_of_a_stack_matches_each_edge(self, imu_params):
         # edges of different lengths, so the bias blocks differ too

@@ -529,7 +529,7 @@ class TestMarginalPrior:
 
 # the fields of an IMU edge that hold one row per edge in a stack
 EDGE_FIELDS = (
-    "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel_ba", "j_vel_bg", "cov_rot_vel"
+    "dt", "delta_q", "delta_v", "ba0", "bg0", "j_rot_bg", "j_vel", "gravity_dt", "cov_rot_vel"
 )
 
 
