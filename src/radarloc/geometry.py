@@ -179,7 +179,7 @@ def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     """
     rotvec = np.asarray(rotvec, dtype=float)
     half = 0.5 * _norm(rotvec, keepdims=True)
-    safe = np.where(half > 0.0, half, _TINY)
+    safe = np.where(half == 0.0, _TINY, half)
     return np.concatenate([np.cos(half), (0.5 * np.sin(safe) / safe) * rotvec], axis=-1)
 
 

@@ -47,10 +47,11 @@ state i + 1:
 ``SlidingWindow.append`` compresses a new state's raw blocks, stacks its
 edge and whitens it once; no row changes after that, so no pass
 concatenates or factors an edge's constants again, and
-``marginalize_oldest`` drops row 0 of every array. A state without a range-rate or heading factor has a
-zero row, and a zero row adds nothing to the cost, the gradient or the
-Gauss-Newton matrix. So a pass evaluates each factor kind on all states at
-once, and skips a kind with no factor in the window.
+``marginalize_oldest`` drops row 0 of every array. A state without a
+range-rate or heading factor has a zero row, and a zero row adds nothing
+to the cost, the gradient or the Gauss-Newton matrix. So a pass evaluates
+each factor kind on all states at once, and skips a kind with no factor in
+the window.
 
 The iterates are one stacked ``State``; ``retract`` updates all of them at
 once and ``optimize_window`` writes the window's states once, at the end. A

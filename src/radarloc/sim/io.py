@@ -78,7 +78,8 @@ def write_log(path, imu: ImuData | None = None, scans: list[RadarScan] | None = 
     bad = np.flatnonzero(~np.isfinite(scan_t))
     if len(bad):
         i = int(bad[0])
-        raise ValueError(f"scan {i} (sensor {scans[i].sensor_id}) has a non-finite time {scan_t[i]}")
+        sensor = scans[i].sensor_id
+        raise ValueError(f"scan {i} (sensor {sensor}) has a non-finite time {scan_t[i]}")
     t, accel, gyro = ([], [], []) if imu is None else map(_rows, (imu.t, imu.accel, imu.gyro))
     order = sorted(
         [(key, 0, i) for i, key in enumerate(stream_key(t).tolist())]

@@ -471,7 +471,8 @@ def test_only_a_run_that_matches_landmarks_loads_the_matchers_libraries(heading)
         "scenario = Scenario.from_dict({'trajectory': {'kind': 'line', 'speed': 1.0},\n"
         "    'duration': 1.0, 'scene': {'walls': [{'start': [-5, 4], 'end': [15, 4]}]}})\n"
         "data = simulate_mission(scenario, seed=1)\n"
-        f"cfg = config_from_dict({{'ablation': {{'disable_heading_constraint': {not heading}}}}})\n"
+        f"ablation = {{'disable_heading_constraint': {not heading}}}\n"
+        "cfg = config_from_dict({'ablation': ablation})\n"
         "run_odometry(SensorLog(data.imu, data.scans), cfg, scenario.rig.extrinsics)\n"
         "print([m for m in ('scipy.spatial', 'scipy.sparse.csgraph') if m in sys.modules])"
     )
